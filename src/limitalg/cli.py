@@ -34,7 +34,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_horizon() -> int:
     env = os.environ.get("LIMITALG_HORIZON")
-    return int(env) if env else links.DEFAULT_HORIZON
+    if not env:
+        return links.DEFAULT_HORIZON
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(
+            f"LIMITALG_HORIZON must be an integer, got {env!r}") from None
 
 
 def _read_spec(arg: str) -> tuple[TowerSpec, list[ActionSpecData]]:
@@ -50,11 +56,23 @@ def _read_spec(arg: str) -> tuple[TowerSpec, list[ActionSpecData]]:
     return parse_tower_file(text)
 
 
-def _parse_unit(text: str) -> MatrixUnit:
+def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
+    """A unit of the tower's triangular algebra at its level."""
     parts = text.split(":")
     if len(parts) != 4:
         raise CliError("unit must be LEVEL:SUMMAND:ROW:COL")
     level, summand, row, col = (int(p) for p in parts)
+    if not tower.has_level(level):
+        raise CliError(f"unit {text}: level {level} is not a level of the tower")
+    shape = tower.shape(level)
+    if not 0 <= summand < len(shape):
+        raise CliError(f"unit {text}: no summand {summand} in level {level} "
+                       f"shape {list(shape)}")
+    size = shape[summand]
+    if not (1 <= row <= size and 1 <= col <= size):
+        raise CliError(f"unit {text}: row and col must lie in 1..{size}")
+    if row > col:
+        raise CliError(f"unit {text}: row > col is not upper triangular")
     return MatrixUnit(level, summand, row, col)
 
 
@@ -127,7 +145,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_embed(args) -> int:
     tower, _ = _read_spec(args.spec)
-    e = _parse_unit(args.unit)
+    e = _parse_unit(args.unit, tower)
     img = embed_unit(tower, e, args.level)
     _emit({"command": "embed", "unit": [e.level, e.summand, e.row, e.col],
            "level": args.level,
@@ -138,7 +156,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_links(args) -> int:
     tower, _ = _read_spec(args.spec)
-    e = _parse_unit(args.unit)
+    e = _parse_unit(args.unit, tower)
     st = links.link_status(tower, e, args.horizon)
     _emit({"command": "links",
            "unit": [e.level, e.summand, e.row, e.col], **st.to_json()},
@@ -155,7 +173,7 @@ def _cmd_donsig(args) -> int:
 
 def _cmd_radical(args) -> int:
     tower, _ = _read_spec(args.spec)
-    e = _parse_unit(args.unit)
+    e = _parse_unit(args.unit, tower)
     st = radical.radical_membership(tower, e,
                                     expand_horizon=args.expand_horizon,
                                     link_horizon=args.horizon,
@@ -185,7 +203,7 @@ def _tower_action(tower, specs: list[ActionSpecData]) -> dynamics.TowerAction:
 def _cmd_audit_technical(args) -> int:
     tower, specs = _read_spec(args.spec)
     action = _tower_action(tower, specs)
-    e = _parse_unit(args.unit)
+    e = _parse_unit(args.unit, tower)
     h1, h2 = (int(x) for x in args.horizons.split(","))
     rep = dynamics.technical_index_audit(tower, action, e, (h1, h2))
     _emit({"command": "audit-technical", **rep}, args.json)
@@ -382,9 +400,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

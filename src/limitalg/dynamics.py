@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crossed import FiniteAbelianGroup
-from .tower import (MatrixUnit, MatrixUnitSum, TowerSpec, TowerValidationError,
-                    Word, embed_unit, occurrence_positions, validate_embedding)
+from .tower import (MatrixUnit, MatrixUnitSum, OccurrenceIndex, TowerSpec,
+                    TowerValidationError, Word, embed_unit, index_word,
+                    pair_occurrences, validate_embedding)
 
 
 class ActionCompatibilityError(ValueError):
@@ -42,6 +43,9 @@ class TowerAction:
         self.group = group
         self.gen_maps = [dict(m) for m in gen_maps]
         self.names = names or [f"g{i}" for i in range(len(gen_maps))]
+        # (generator, level) -> (target level, occurrence index of the words)
+        self._index: dict[tuple[int, int],
+                          tuple[int, tuple[OccurrenceIndex, ...]]] = {}
         for i, gmap in enumerate(self.gen_maps):
             for n, (tgt, words) in gmap.items():
                 if tgt < n:
@@ -66,15 +70,13 @@ class TowerAction:
 
     def apply_gen(self, gen: int, units: list[MatrixUnit],
                   level: int) -> tuple[list[MatrixUnit], int]:
-        target, words = self.map_at(gen, level)
-        out = []
-        for t, word in enumerate(words):
-            for u in units:
-                rows = occurrence_positions(word, (u.summand, u.row))
-                cols = occurrence_positions(word, (u.summand, u.col))
-                for r, c in zip(rows, cols):
-                    out.append(MatrixUnit(target, t, r, c))
-        return out, target
+        cached = self._index.get((gen, level))
+        if cached is None:
+            target, words = self.map_at(gen, level)
+            cached = self._index[(gen, level)] = (
+                target, tuple(index_word(w) for w in words))
+        target, index = cached
+        return pair_occurrences(index, units, target), target
 
     def apply_units(self, g, units: list[MatrixUnit],
                     level: int) -> tuple[list[MatrixUnit], int]:

@@ -122,9 +122,9 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
         seen[norm] = step
         if not tower.is_tuhf_at(level + 1):
             return None
-        word = tower.words(level)[0]
-        rows = [q for q, (_, p) in enumerate(word, start=1) if p <= max_row]
-        cols = [q for q, (_, p) in enumerate(word, start=1) if p >= min_col]
+        occ = tower.occurrences(level)[0]
+        rows = [qs[-1] for (_, p), qs in occ.items() if p <= max_row]
+        cols = [qs[0] for (_, p), qs in occ.items() if p >= min_col]
         if not rows or not cols:
             return None
         max_row, min_col = max(rows), min(cols)

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .tower import (ConstantRule, TowerSpec, TowerValidationError, Word,
-                    preset as builtin_preset, validate_embedding)
+                    preset as builtin_preset)
 
 
 class TowerSyntaxError(ValueError):
@@ -175,12 +175,6 @@ def parse_tower_file(text: str):
                 "repeat requires the last two level shapes to be equal "
                 f"(got {shapes[-2]} -> {shapes[-1]})")
         rule = ConstantRule(shapes[-1], steps[-1])
-
-    for n in range(count - 1):
-        rep = validate_embedding(shapes[n], shapes[n + 1], steps[n])
-        if not rep.ok:
-            raise TowerValidationError(
-                f"embedding {n}->{n + 1} invalid: {rep.violations}")
 
     return TowerSpec(shapes, steps, rule=rule), actions
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 Label = tuple[int, int]  # (source summand index, 1-based diagonal position)
 Word = tuple[Label, ...]
+OccurrenceIndex = dict[Label, list[int]]  # label -> 1-based positions in a word
 
 
 class LevelRangeError(ValueError):
@@ -51,14 +52,16 @@ class MatrixUnitSum:
     units: tuple[MatrixUnit, ...]
 
     def __post_init__(self):
-        assert all(u.level == self.level for u in self.units)
+        if any(u.level != self.level for u in self.units):
+            raise ValueError("level mismatch in MatrixUnitSum")
         object.__setattr__(self, "units", tuple(sorted(set(self.units))))
         # orthogonal supports per summand
         for axis in (lambda u: (u.summand, u.row), lambda u: (u.summand, u.col)):
             seen = set()
             for u in self.units:
                 k = axis(u)
-                assert k not in seen, "overlapping supports in MatrixUnitSum"
+                if k in seen:
+                    raise ValueError("overlapping supports in MatrixUnitSum")
                 seen.add(k)
 
     def to_element(self, one=Fraction(1)) -> "Element":
@@ -157,6 +160,14 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
+
+
+def index_word(word: Word) -> OccurrenceIndex:
+    """Occurrence positions of every label of `word`, in increasing order."""
+    index: OccurrenceIndex = {}
+    for q, lab in enumerate(word, start=1):
+        index.setdefault(lab, []).append(q)
+    return index
 
 
 def multiplicities(source: tuple[int, ...], word: Word) -> dict[int, int]:
@@ -357,6 +368,7 @@ class TowerSpec:
         self.rule = rule
         self.rule_start = rule_start
         self.name = name
+        self._occurrences: dict[int, tuple[OccurrenceIndex, ...]] = {}
         if rule is None and not self.levels:
             raise TowerValidationError("tower needs levels or a rule")
         if self.levels and len(self.steps) != len(self.levels) - 1:
@@ -404,6 +416,18 @@ class TowerSpec:
             return self.rule.words(n - self.rule_start)
         raise LevelRangeError(f"no embedding at level {n}")
 
+    def occurrences(self, n: int) -> tuple[OccurrenceIndex, ...]:
+        """Per target summand of step n -> n+1: label -> occurrence positions.
+
+        Built from `words(n)` on first use and kept for the tower's life,
+        keyed by the absolute level n.
+        """
+        index = self._occurrences.get(n)
+        if index is None:
+            index = self._occurrences[n] = tuple(
+                index_word(w) for w in self.words(n))
+        return index
+
     def frozen_carry(self, level: int, summand: int) -> int | None:
         if self.rule is not None and level >= len(self.steps):
             return self.rule.frozen_carry(level - self.rule_start, summand)
@@ -436,20 +460,17 @@ class TowerSpec:
 # embedding of units and elements
 
 
-def occurrence_positions(word: Word, label: Label) -> list[int]:
-    return [q + 1 for q, lab in enumerate(word) if lab == label]
-
-
-def _embed_one_step(tower: TowerSpec, units: list[MatrixUnit],
-                    level: int) -> list[MatrixUnit]:
-    words = tower.words(level)
+def pair_occurrences(index: tuple[OccurrenceIndex, ...],
+                     units: list[MatrixUnit], level: int) -> list[MatrixUnit]:
+    """Images of `units` under indexed words: the r-th occurrence of the
+    row label pairs with the r-th occurrence of the column label."""
     out: list[MatrixUnit] = []
-    for t, word in enumerate(words):
+    for t, occ in enumerate(index):
         for u in units:
-            rows = occurrence_positions(word, (u.summand, u.row))
-            cols = occurrence_positions(word, (u.summand, u.col))
+            rows = occ.get((u.summand, u.row), ())
+            cols = occ.get((u.summand, u.col), ())
             for r, c in zip(rows, cols):
-                out.append(MatrixUnit(level + 1, t, r, c))
+                out.append(MatrixUnit(level, t, r, c))
     return out
 
 
@@ -460,7 +481,7 @@ def embed_unit(tower: TowerSpec, e: MatrixUnit, target_level: int) -> MatrixUnit
             f"target level {target_level} out of range for unit at {e.level}")
     units = [e]
     for n in range(e.level, target_level):
-        units = _embed_one_step(tower, units, n)
+        units = pair_occurrences(tower.occurrences(n), units, n + 1)
     return MatrixUnitSum(target_level, tuple(units))
 
 
@@ -508,11 +529,11 @@ def verify_embedding_order(tower: TowerSpec, level: int) -> dict:
         raise TowerValidationError("embedding-order audit requires a TUHF step")
     n = tower.shape(level)[0]
     m = tower.shape(level + 1)[0]
-    word = tower.words(level)[0]
+    index = tower.occurrences(level)[0]
     entries = []
     violations = []
     for i in range(1, n + 1):
-        occ = occurrence_positions(word, (0, i))
+        occ = index[(0, i)]
         lo_bound = Fraction(i - 1, 1) * Fraction(m, n) + 1
         hi_bound = Fraction(i, 1) * Fraction(m, n)
         ok = Fraction(occ[0]) <= lo_bound and Fraction(occ[-1]) >= hi_bound

@@ -15,8 +15,7 @@ from limitalg.radical import (ChainCycle, InRadical, NotInRadical,
                               UniformNilpotency, donsig_chain,
                               radical_membership, uniform_nilpotency)
 from limitalg.tower import (Element, MatrixUnit, TowerSpec, decompose,
-                            embed_element, occurrence_positions, preset,
-                            random_lattice_word)
+                            embed_element, preset, random_lattice_word)
 
 E_GROWING = MatrixUnit(1, 0, 1, 2)  # level-1 e_12 of the T_2 summand
 
@@ -100,8 +99,9 @@ class TestEmbeddingOrderBounds:
         for _ in range(count):
             word = random_lattice_word((n,), {0: ratio}, rng)
             assert len(word) == m
+            index = TowerSpec([(n,), (m,)], [(word,)]).occurrences(0)[0]
             for i in range(1, n + 1):
-                occ = occurrence_positions(word, (0, i))
+                occ = index[(0, i)]
                 assert len(occ) == ratio
                 assert occ[0] <= (i - 1) * ratio + 1
                 assert occ[-1] >= i * ratio

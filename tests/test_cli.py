@@ -2,6 +2,8 @@
 import io
 import json
 
+import pytest
+
 from limitalg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, run
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
@@ -146,3 +148,48 @@ class TestErrors:
     def test_bad_subcommand(self, capsys):
         assert run(["frobnicate"]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_non_integer_horizon_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIMITALG_HORIZON", "abc")
+        assert run(["donsig", "refinement-2", "--level", "0"]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: LIMITALG_HORIZON") and err.count("\n") == 1
+
+
+UNIT_COMMANDS = {
+    "embed": ["--level", "2"],
+    "links": [],
+    "radical": [],
+    "audit-technical": ["--horizons", "1,2"],
+}
+# refinement-2 has shape (2,) at level 0 and (4,) at level 1
+BAD_UNITS = {
+    "summand": "0:1:1:2",
+    "row": "1:0:0:2",
+    "col": "0:0:1:5",
+    "row-above-col": "0:0:2:1",
+    "level": "-1:0:1:1",
+}
+
+
+class TestUnitShapeChecks:
+    @pytest.mark.parametrize("command", sorted(UNIT_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(BAD_UNITS))
+    def test_unit_outside_the_tower_is_rejected(self, capsys, command, case):
+        argv = [command, "refinement-2", f"--unit={BAD_UNITS[case]}"]
+        assert run(argv + UNIT_COMMANDS[command]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unit ") and err.count("\n") == 1
+
+    def test_reported_cases(self, capsys):
+        assert run(["embed", "standard-2", "--unit", "0:0:1:5",
+                    "--level", "1"]) == EXIT_ERROR
+        assert run(["links", "refinement-2", "--unit", "0:0:0:9"]) == EXIT_ERROR
+        assert capsys.readouterr().out == ""
+
+    def test_units_inside_the_shape_still_run(self, capsys):
+        assert run(["embed", "paper-example-taf", "--unit", "1:1:1:4",
+                    "--level", "2"]) == EXIT_OK
+        assert out_json(capsys)["image"] == [[2, 1, 4]]

@@ -1,0 +1,198 @@
+"""The per-level occurrence index against a brute-force r-th-occurrence pairing.
+
+Seeded random towers (multi-summand explicit prefixes, a level-dependent
+rule tail with rule_start > 0, and a `repeat` tail) are embedded up to
+level 8; every image must equal the pairing computed by scanning the
+words directly.
+"""
+import random
+
+from limitalg.crossed import FiniteAbelianGroup
+from limitalg.dynamics import TowerAction
+from limitalg.tower import (ConstantRule, MatrixUnit, TowerRule, TowerSpec,
+                            embed_unit, index_word, random_lattice_word,
+                            validate_embedding)
+
+TOP = 8
+
+
+def brute_pair(words, units, level):
+    """Scan each word for the r-th occurrences of every unit's labels."""
+    out = []
+    for t, word in enumerate(words):
+        for u in units:
+            rows = [q for q, lab in enumerate(word, 1) if lab == (u.summand, u.row)]
+            cols = [q for q, lab in enumerate(word, 1) if lab == (u.summand, u.col)]
+            out.extend(MatrixUnit(level, t, r, c) for r, c in zip(rows, cols))
+    return out
+
+
+def random_step(source, mult, rng):
+    """Words for target summands receiving mult[t][s] copies of source s."""
+    words = tuple(random_lattice_word(source, dict(enumerate(row)), rng)
+                  for row in mult)
+    target = tuple(len(w) for w in words)
+    assert validate_embedding(source, target, words).ok
+    return target, words
+
+
+def random_prefix(base, depth, rng, cap=48):
+    """Explicit multi-summand levels: a fresh multiplicity matrix per step,
+    entries 0-2, summands of at most `cap`."""
+    levels, steps = [tuple(base)], []
+    r = len(base)
+    for _ in range(depth):
+        while True:
+            mult = [[rng.choice((0, 1, 1, 2)) for _ in range(r)] for _ in range(r)]
+            sizes = [sum(m * k for m, k in zip(row, levels[-1])) for row in mult]
+            if (0 < min(sizes) and max(sizes) <= cap
+                    and all(any(col) for col in zip(*mult))):
+                break
+        target, words = random_step(levels[-1], mult, rng)
+        levels.append(target)
+        steps.append(words)
+    return levels, steps
+
+
+def permutation_words(shape, rng):
+    """Identity words of a random permutation of equal-size summands."""
+    sigma = list(range(len(shape)))
+    for k in sorted(set(shape)):
+        same = [s for s in sigma if shape[s] == k]
+        for t, s in zip(same, rng.sample(same, len(same))):
+            sigma[t] = s
+    words = tuple(tuple((sigma[t], p) for p in range(1, k + 1))
+                  for t, k in enumerate(shape))
+    assert validate_embedding(shape, shape, words).ok
+    return words
+
+
+class DoublingRule(TowerRule):
+    """(a*2^r, a*2^r) with fresh seeded random words at every rule level r."""
+
+    MULT = ((2, 0), (1, 1))
+
+    def __init__(self, a, seed):
+        self.a = a
+        self.seed = seed
+
+    def shape(self, level):
+        return (self.a * 2 ** level,) * 2
+
+    def words(self, level):
+        rng = random.Random(f"{self.seed}:{level}")
+        return random_step(self.shape(level), self.MULT, rng)[1]
+
+
+def oracle_words(steps, rule, rule_start):
+    def words_at(n):
+        return steps[n] if n < len(steps) else rule.words(n - rule_start)
+    return words_at
+
+
+def check_embeddings(tower, words_at, start_levels):
+    for start in start_levels:
+        # every third unit, the first one included, keeps it quick
+        for e in list(tower.units_at(start))[::3]:
+            units = [e]
+            for n in range(start, TOP):
+                units = brute_pair(words_at(n), units, n + 1)
+                assert embed_unit(tower, e, n + 1).units == tuple(sorted(units))
+
+
+class TestEmbedUnitMatchesBruteForce:
+    def test_multi_summand_explicit_towers(self):
+        for seed in range(4):
+            rng = random.Random(seed)
+            base = rng.choice(((1, 2), (2, 1), (1, 1, 2)))
+            levels, steps = random_prefix(base, TOP, rng)
+            tower = TowerSpec(levels, steps)
+            check_embeddings(tower, lambda n: steps[n], (0, 3))
+
+    def test_prefix_then_level_dependent_rule_tail(self):
+        for seed in range(3):
+            rng = random.Random(100 + seed)
+            # prefix (1,1) -> (2,2) -> (4,4); the rule starts at (4,4) = rule
+            # level 0, so absolute level n is rule level n - 2
+            levels, steps = [(1, 1)], []
+            for _ in range(2):
+                target, words = random_step(levels[-1], DoublingRule.MULT, rng)
+                levels.append(target)
+                steps.append(words)
+            rule = DoublingRule(4, seed)
+            tower = TowerSpec(levels, steps, rule=rule, rule_start=2)
+            check_embeddings(tower, oracle_words(steps, rule, 2),
+                             (0, 2, 3))
+
+    def test_prefix_then_repeat_tail(self):
+        for seed in range(3):
+            rng = random.Random(200 + seed)
+            levels, steps = random_prefix((2, 2, 2), 2, rng)
+            rule = ConstantRule(levels[-1], permutation_words(levels[-1], rng))
+            tower = TowerSpec(levels, steps, rule=rule, rule_start=len(steps))
+            check_embeddings(tower, oracle_words(steps, rule, len(steps)), (0, 1))
+
+
+class TestIndexCache:
+    def test_prefix_and_tail_levels_keep_separate_entries(self):
+        rng = random.Random(7)
+        levels, steps = [(1, 1)], []
+        for _ in range(2):
+            target, words = random_step(levels[-1], DoublingRule.MULT, rng)
+            levels.append(target)
+            steps.append(words)
+        rule = DoublingRule(4, 7)
+        tower = TowerSpec(levels, steps, rule=rule, rule_start=2)
+        # absolute level 2 is rule level 0: it must not reuse step 0's entry
+        for n in range(TOP):
+            expected = steps[n] if n < 2 else rule.words(n - 2)
+            assert tower.occurrences(n) == tuple(index_word(w) for w in expected)
+        assert tower.occurrences(0) != tower.occurrences(2)
+        assert tower.occurrences(1) != tower.occurrences(3)
+
+    def test_words_read_once_per_level(self):
+        tower = TowerSpec.from_rule(DoublingRule(1, 3))
+        calls = []
+        original = tower.words
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        tower.words = counting
+        for e in list(tower.units_at(0)) + list(tower.units_at(2)):
+            embed_unit(tower, e, 6)
+        assert sorted(calls) == list(range(6))
+
+
+class TestApplyGenMatchesBruteForce:
+    def test_generator_chains_to_level_eight(self):
+        for seed in range(3):
+            rng = random.Random(300 + seed)
+            levels, steps = random_prefix((2, 2), TOP, rng)
+            tower = TowerSpec(levels, steps)
+            # generator 0 steps one level up with its own random words;
+            # generator 1 permutes equal-size summands within a level
+            up, same = {}, {}
+            for n in range(TOP):
+                mult = [[sum(1 for lab in w if lab == (s, 1))
+                         for s in range(len(levels[n]))] for w in steps[n]]
+                up[n] = (n + 1, random_step(levels[n], mult, rng)[1])
+                same[n] = (n, permutation_words(levels[n], rng))
+            action = TowerAction(tower, FiniteAbelianGroup((TOP + 1, 2)),
+                                 [up, same])
+            for e in tower.units_at(0):
+                units, level = [e], 0
+                expected = [e]
+                while level < TOP:
+                    for gen in (1, 0):
+                        target, words = action.map_at(gen, level)
+                        expected = brute_pair(words, expected, target)
+                        units, level = action.apply_gen(gen, units, level)
+                        assert level == target
+                        assert units == expected
+            # a second pass reads the cached index and gives the same images
+            for e in tower.units_at(1):
+                first = action.apply_gen(0, [e], 1)
+                assert action.apply_gen(0, [e], 1) == first
+                assert first[0] == brute_pair(up[1][1], [e], 2)

@@ -1,6 +1,9 @@
 """Tower spec file parsing, rendering, and error reporting."""
+import sys
+
 import pytest
 
+from limitalg import tower as tower_mod
 from limitalg.parser import (TowerSyntaxError, parse_tower, parse_tower_file,
                              render_tower)
 from limitalg.tower import MatrixUnit, TowerValidationError, embed_unit
@@ -81,6 +84,38 @@ embed 0 -> 1 {
 """
     with pytest.raises(TowerValidationError):
         parse_tower(text)
+
+
+def test_each_explicit_step_is_validated_once(monkeypatch):
+    original = tower_mod.validate_embedding
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # rebind every module-level name of the package bound to the original
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("limitalg"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    bad = BASIC.replace("target 0 : (0,1) (0,2)", "target 0 : (0,2) (0,1)")
+    with pytest.raises(TowerValidationError) as exc:
+        parse_tower(bad)
+    word = ((0, 2), (0, 1))
+    expected = original((2,), (2, 4), (word, ((0, 1), (0, 2), (0, 1), (0, 2))))
+    assert str(exc.value) == f"embedding 0->1 invalid: {expected.violations}"
+    assert len(calls) == 1
+    calls.clear()
+    parse_tower(BASIC.replace("level 1 = [2,4]", "level 1 = [2,4]\n"
+                              "level 2 = [2,4]") + """
+embed 1 -> 2 {
+  target 0 : (0,1) (0,2)
+  target 1 : (1,1) (1,2) (1,3) (1,4)
+}
+""")
+    assert len(calls) == 2
 
 
 def test_action_blocks():

@@ -1,8 +1,13 @@
 """Tower embeddings: word validation, image rule, order bounds."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import limitalg
 from limitalg.tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
                             LevelRangeError, embed_element, embed_unit,
                             decompose, preset, random_lattice_word,
@@ -118,8 +123,26 @@ class TestImages:
 
 class TestElements:
     def test_unit_sum_rejects_overlapping_supports(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="overlapping supports"):
             MatrixUnitSum(0, (MatrixUnit(0, 0, 1, 2), MatrixUnit(0, 0, 1, 3)))
+        with pytest.raises(ValueError, match="level mismatch"):
+            MatrixUnitSum(0, (MatrixUnit(1, 0, 1, 2),))
+
+    def test_support_checks_survive_optimized_mode(self):
+        code = ("from limitalg.tower import MatrixUnit, MatrixUnitSum\n"
+                "try:\n"
+                "    MatrixUnitSum(0, (MatrixUnit(0, 0, 1, 2),"
+                " MatrixUnit(0, 0, 1, 3)))\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(limitalg.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "overlapping supports in MatrixUnitSum\n"
 
     def test_block_multiplication_and_power(self):
         x = Element(0, {(0, 1, 2): 2, (0, 2, 3): 3, (1, 1, 1): 1})
