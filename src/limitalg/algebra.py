@@ -95,9 +95,6 @@ class MonomialAlgebra:
         return linalg.same_span(self.vectors_to_rows(vecs_a),
                                 self.vectors_to_rows(vecs_b))
 
-    def span_dim(self, vectors: list[dict]) -> int:
-        return linalg.rank(self.vectors_to_rows(vectors))
-
     def power_of_span(self, vectors: list[dict], k: int) -> list[dict]:
         """Spanning set of (span)^k under multiplication."""
         cur = list(vectors)

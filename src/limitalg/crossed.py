@@ -30,7 +30,8 @@ class FiniteAbelianGroup:
 
     def __init__(self, orders: tuple[int, ...]):
         orders = tuple(int(d) for d in orders)
-        assert all(d >= 1 for d in orders)
+        if any(d < 1 for d in orders):
+            raise ValueError(f"group orders must be at least 1, got {orders}")
         self.orders = orders
         self.identity = (0,) * len(orders)
         self.exponent = math.lcm(*orders) if orders else 1
@@ -99,7 +100,9 @@ class LevelAction:
 
     def __init__(self, group: FiniteAbelianGroup, shape: tuple[int, ...],
                  gens: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]):
-        assert len(gens) == len(group.orders)
+        if len(gens) != len(group.orders):
+            raise ActionRelationError(
+                f"{len(gens)} generators for {len(group.orders)} group factors")
         self.group = group
         self.shape = tuple(shape)
         self.m = group.exponent
@@ -112,10 +115,13 @@ class LevelAction:
         return multi_matrix_units(self.shape, triangular=False)
 
     def _gen_table(self, perm, diag) -> dict[UnitKey, tuple[Cyc, UnitKey]]:
-        assert sorted(perm) == list(range(len(self.shape)))
+        if sorted(perm) != list(range(len(self.shape))):
+            raise ActionRelationError(
+                f"{list(perm)} is not a permutation of the summands")
         for s, t in enumerate(perm):
-            assert self.shape[s] == self.shape[t], \
-                "permuted summands must have equal sizes"
+            if self.shape[s] != self.shape[t]:
+                raise ActionRelationError(
+                    "permuted summands must have equal sizes")
         table = {}
         for (s, i, j) in self._units():
             t = perm[s]
@@ -266,10 +272,6 @@ def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
 
 # ---------------------------------------------------------------------------
 # radical, tightness, corollary formula
-
-
-def radical_traceform(a: CrossedAlgebra) -> list[dict]:
-    return a.radical()
 
 
 def base_radical(shape, triangular: bool = True) -> list[dict]:
@@ -482,9 +484,12 @@ def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
     a = build_crossed(shape, group, action, triangular)
     crossed_lattice = enumerate_dual_invariant_ideals(a)
     gs = group.elements()
+    images: dict[frozenset, frozenset] = {}
 
     def phi(ideal):
-        return frozenset((u, g) for u in ideal for g in gs)
+        if ideal not in images:
+            images[ideal] = frozenset((u, g) for u in ideal for g in gs)
+        return images[ideal]
 
     image = [phi(j) for j in base_lattice]
     bijection = (len(set(image)) == len(base_lattice)

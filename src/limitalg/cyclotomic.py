@@ -98,7 +98,8 @@ class Cyc:
     # -- ring structure -----------------------------------------------
     def _coerce(self, other) -> "Cyc":
         if isinstance(other, Cyc):
-            assert other.m == self.m, "mixed cyclotomic moduli"
+            if other.m != self.m:
+                raise ValueError("mixed cyclotomic moduli")
             return other
         return Cyc.from_rational(self.m, other)
 
@@ -140,7 +141,8 @@ class Cyc:
 
     def inverse(self) -> "Cyc":
         """Multiplicative inverse via extended Euclid in Q[x] mod Phi_m."""
-        assert self, "division by zero in Q(zeta_m)"
+        if not self:
+            raise ZeroDivisionError("division by zero in Q(zeta_m)")
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
         a = list(self.c)
         # extended gcd of a and phi over Q[x]

@@ -9,6 +9,7 @@ forces radical tightness for TUHF towers.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .crossed import FiniteAbelianGroup
@@ -247,10 +248,15 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
                 "reason": "unit has a link; hypothesis e A e = 0 fails",
                 "tuples": []}
 
+    # the loops below ask for the same few position lists many times
+    diag_positions = functools.cache(functools.partial(_diag_positions, tower))
+    twisted_positions = functools.cache(
+        functools.partial(_twisted_positions, tower, action))
+
     def separated(level, lo, hi, bound):
         # e_hi T e_lo = 0 up to `bound`: first subordinate of hi past last of lo
-        pos_hi = _diag_positions(tower, level, hi, bound)
-        pos_lo = _diag_positions(tower, level, lo, bound)
+        pos_hi = diag_positions(level, hi, bound)
+        pos_lo = diag_positions(level, lo, bound)
         return pos_hi[0] > pos_lo[-1]
 
     tuples: list[AuditTuple] = []
@@ -266,12 +272,12 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
                                 and separated(n1, k, l, h2)):
                             continue
                         for g in action.group.elements():
-                            kp = _twisted_positions(tower, action, n1, k, g, n2)
-                            lp = _twisted_positions(tower, action, n1, l, g, n2)
+                            kp = twisted_positions(n1, k, g, n2)
+                            lp = twisted_positions(n1, l, g, n2)
                             if kp is None or lp is None:
                                 continue
-                            m_pos = _diag_positions(tower, n1, m, n2)
-                            l_pos = _diag_positions(tower, n1, l, n2)
+                            m_pos = diag_positions(n1, m, n2)
+                            l_pos = diag_positions(n1, l, n2)
                             if m_pos[0] > kp[-1]:
                                 continue  # e_m T_{n2} alpha_g(e_k) = 0
                             ineqs = {

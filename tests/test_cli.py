@@ -107,6 +107,20 @@ class TestCrossedCommands:
                     "--group", "2"]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--base", "2", "--group", "0"], "group orders must be at least 1"),
+        (["--base", "2,3", "--group", "2",
+          "--action", "perm=1,0;diag=0,0|0,0,0"],
+         "permuted summands must have equal sizes"),
+    ], ids=["zero-order-group", "unequal-permuted-summands"])
+    def test_bad_system_is_one_error_line(self, capsys, argv, message):
+        assert run(["crossed", "tight", *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestPetersCommands:
     def test_enum_from_file(self, tmp_path, capsys):

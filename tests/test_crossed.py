@@ -70,8 +70,16 @@ class TestLevelActions:
             perm_action(g, (1, 1, 1), [(1, 0, 2), (0, 2, 1)])
 
     def test_unequal_permuted_summands_are_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ActionRelationError, match="equal sizes"):
             perm_action(Z2, (1, 2), [(1, 0)])
+
+    def test_malformed_generators_are_rejected(self):
+        with pytest.raises(ActionRelationError, match="not a permutation"):
+            perm_action(Z2, (1, 1), [(0, 0)])
+        with pytest.raises(ActionRelationError, match="generators"):
+            LevelAction(Z2, (2,), [])
+        with pytest.raises(ValueError, match="at least 1"):
+            FiniteAbelianGroup((2, 0))
 
 
 class TestCrossedAlgebra:

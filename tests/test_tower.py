@@ -129,12 +129,22 @@ class TestElements:
             MatrixUnitSum(0, (MatrixUnit(1, 0, 1, 2),))
 
     def test_support_checks_survive_optimized_mode(self):
-        code = ("from limitalg.tower import MatrixUnit, MatrixUnitSum\n"
-                "try:\n"
-                "    MatrixUnitSum(0, (MatrixUnit(0, 0, 1, 2),"
-                " MatrixUnit(0, 0, 1, 3)))\n"
-                "except ValueError as exc:\n"
-                "    print(exc)\n")
+        # each check must still raise with asserts stripped
+        code = ("from limitalg.crossed import FiniteAbelianGroup, perm_action\n"
+                "from limitalg.cyclotomic import Cyc\n"
+                "from limitalg.tower import MatrixUnit, MatrixUnitSum\n"
+                "checks = [\n"
+                "    lambda: MatrixUnitSum(0, (MatrixUnit(0, 0, 1, 2),"
+                " MatrixUnit(0, 0, 1, 3))),\n"
+                "    lambda: perm_action(FiniteAbelianGroup((2,)), (1, 2),"
+                " [(1, 0)]),\n"
+                "    lambda: Cyc.zero(5).inverse(),\n"
+                "]\n"
+                "for check in checks:\n"
+                "    try:\n"
+                "        check()\n"
+                "    except (ValueError, ZeroDivisionError) as exc:\n"
+                "        print(type(exc).__name__, exc)\n")
         src = str(Path(limitalg.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -142,7 +152,10 @@ class TestElements:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "overlapping supports in MatrixUnitSum\n"
+        assert proc.stdout == (
+            "ValueError overlapping supports in MatrixUnitSum\n"
+            "ActionRelationError permuted summands must have equal sizes\n"
+            "ZeroDivisionError division by zero in Q(zeta_m)\n")
 
     def test_block_multiplication_and_power(self):
         x = Element(0, {(0, 1, 2): 2, (0, 2, 3): 3, (1, 1, 1): 1})
