@@ -112,14 +112,12 @@ class MonomialAlgebra:
 
 
 def multi_matrix_units(shape: tuple[int, ...], triangular: bool):
-    """Basis keys (summand,row,col) for a direct sum of (triangular) blocks."""
-    out = []
+    """Basis keys (summand,row,col) for a direct sum of (triangular) blocks,
+    generated lazily in canonical order."""
     for s, k in enumerate(shape):
         for i in range(1, k + 1):
-            cols = range(i, k + 1) if triangular else range(1, k + 1)
-            for j in cols:
-                out.append((s, i, j))
-    return out
+            for j in range(i if triangular else 1, k + 1):
+                yield (s, i, j)
 
 
 def multi_matrix_prod(a, b):

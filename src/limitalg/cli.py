@@ -14,16 +14,17 @@ import os
 import sys
 
 from . import crossed, dynamics, links, peters, radical
-from .parser import ActionSpecData, TowerSyntaxError, parse_tower_file
-from .tower import (LevelRangeError, MatrixUnit, PRESETS, TowerSpec,
-                    TowerValidationError, embed_unit, verify_embedding_order)
+from .parser import (ActionSpecData, TowerSyntaxError, parse_system_file,
+                     parse_tower_file)
+from .tower import (MatrixUnit, PRESETS, TowerSpec, TowerValidationError,
+                    embed_unit, verify_embedding_order)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -43,17 +44,20 @@ def _default_horizon() -> int:
             f"LIMITALG_HORIZON must be an integer, got {env!r}") from None
 
 
-def _read_spec(arg: str) -> tuple[TowerSpec, list[ActionSpecData]]:
+def _read_input(arg: str) -> str:
+    """Contents of the file `arg`, or of stdin for '-'."""
     if arg == "-":
-        text = sys.stdin.read()
-    elif arg in PRESETS:
-        text = f"preset {arg}\n"
-    elif os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
-    else:
+        return sys.stdin.read()
+    with open(arg) as fh:
+        return fh.read()
+
+
+def _read_spec(arg: str) -> tuple[TowerSpec, list[ActionSpecData]]:
+    if arg in PRESETS:
+        return parse_tower_file(f"preset {arg}\n")
+    if arg != "-" and not os.path.exists(arg):
         raise CliError(f"no such preset or file: {arg}")
-    return parse_tower_file(text)
+    return parse_tower_file(_read_input(arg))
 
 
 def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
@@ -238,33 +242,6 @@ def _cmd_crossed(args) -> int:
     return EXIT_OK
 
 
-def _parse_system_file(text: str) -> peters.FiniteDynSys:
-    points: list[str] = []
-    phi: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("points"):
-            _, _, rest = line.partition("=")
-            points = rest.split()
-        elif line.startswith("phi"):
-            _, _, rest = line.partition(":")
-            for pair in rest.split():
-                src, _, dst = pair.partition("->")
-                if not dst:
-                    raise CliError(f"line {lineno}: bad phi pair {pair!r}")
-                phi[src] = dst
-        else:
-            raise CliError(f"line {lineno}: unrecognized system line {line!r}")
-    if not points:
-        raise CliError("system file defines no points")
-    try:
-        return peters.FiniteDynSys(points, phi)
-    except AssertionError as exc:
-        raise CliError(f"invalid system: {exc}") from None
-
-
 def _parse_sets(text: str, sys_: peters.FiniteDynSys) -> peters.SubsetSequence:
     sets = []
     for block in text.split("|"):
@@ -278,12 +255,7 @@ def _parse_sets(text: str, sys_: peters.FiniteDynSys) -> peters.SubsetSequence:
 
 
 def _cmd_peters(args) -> int:
-    if args.sysfile == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.sysfile) as fh:
-            text = fh.read()
-    system = _parse_system_file(text)
+    system = parse_system_file(_read_input(args.sysfile))
     if args.what == "enum":
         seqs = peters.enumerate_sequences(system, args.horizon)
         rep = {"count": len(seqs),
@@ -403,11 +375,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (TowerSyntaxError, TowerValidationError, LevelRangeError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

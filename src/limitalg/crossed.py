@@ -254,7 +254,7 @@ def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
     pairs, which makes that product associative.
     """
     a = CrossedAlgebra(shape, group, action, triangular)
-    units = multi_matrix_units(a.shape, triangular=False)
+    units = list(multi_matrix_units(a.shape, triangular=False))
     for i_gen in range(len(group.orders)):
         t = action.table(group.generator(i_gen))
         for (s, i, j) in units:
@@ -403,22 +403,16 @@ def _ideal_hull(shape, triangular: bool, key: UnitKey) -> set[UnitKey]:
             if a <= b}
 
 
-def _principal_closures(shape, triangular, images) -> dict[UnitKey, frozenset]:
-    """images: key -> iterable of action-image keys (generators suffice)."""
-    units = multi_matrix_units(tuple(shape), triangular)
-    out = {}
-    for u in units:
-        cur = {u}
-        while True:
-            nxt = set(cur)
-            for k in cur:
-                nxt |= _ideal_hull(shape, triangular, k)
-                nxt.update(images(k))
-            if nxt == cur:
-                break
-            cur = nxt
-        out[u] = frozenset(cur)
-    return out
+def _closure(seed, neighbours) -> frozenset:
+    """Smallest set holding `seed` that contains neighbours(x) for each x."""
+    out = {seed}
+    todo = [seed]
+    while todo:
+        for y in neighbours(todo.pop()):
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+    return frozenset(out)
 
 
 def _union_lattice(principal: dict) -> list[frozenset]:
@@ -443,11 +437,13 @@ def enumerate_invariant_ideals(shape, action: LevelAction,
     """All alpha-invariant matrix-unit-spanned ideals of the base."""
     gens = [action.group.generator(i) for i in range(len(action.group.orders))]
 
-    def images(key):
-        return [action.apply_support(g, key) for g in gens]
+    def neighbours(key):
+        # the ideal a unit generates, and its images under the generators
+        return [*_ideal_hull(shape, triangular, key),
+                *(action.apply_support(g, key) for g in gens)]
 
-    principal = _principal_closures(shape, triangular, images)
-    return _union_lattice(principal)
+    return _union_lattice({u: _closure(u, neighbours) for u in
+                           multi_matrix_units(tuple(shape), triangular)})
 
 
 def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
@@ -459,22 +455,11 @@ def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
     """
     basis = a.alg.basis
 
-    def closure(seed):
-        cur = {seed}
-        while True:
-            nxt = set(cur)
-            for x in cur:
-                for b in basis:
-                    for p in (a.alg.prod(b, x), a.alg.prod(x, b)):
-                        if p is not None:
-                            nxt.add(p[1])
-            if nxt == cur:
-                break
-            cur = nxt
-        return frozenset(cur)
+    def neighbours(x):
+        return [p[1] for b in basis for p in (a.alg.prod(b, x), a.alg.prod(x, b))
+                if p is not None]
 
-    principal = {k: closure(k) for k in basis}
-    return _union_lattice(principal)
+    return _union_lattice({k: _closure(k, neighbours) for k in basis})
 
 
 def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
@@ -616,7 +601,6 @@ def links_lemma_check(a: CrossedAlgebra) -> dict:
     A failure would refute the underlying lemma, so it aborts loudly.
     """
     assert a.triangular, "links lemma check expects a triangular base"
-    base_units = multi_matrix_units(a.shape, triangular=True)
     entries = []
     for key in a.alg.basis:
         (s, i, j), h = key
@@ -625,13 +609,10 @@ def links_lemma_check(a: CrossedAlgebra) -> dict:
             continue
         witness = None
         for g in a.group.elements():
-            _, (s2, i2, j2) = a.action.table(g)[(s, i, j)]
-            for f in base_units:
-                fs, fi, fj = f
-                if fs == s and fi == j and fs == s2 and fj == i2:
-                    witness = {"g": list(g), "middle": [fs, fi, fj]}
-                    break
-            if witness:
+            # the middle unit e_{j, i2} exists iff col(e) <= row(alpha_g(e))
+            _, (s2, i2, _) = a.action.table(g)[(s, i, j)]
+            if s2 == s and j <= i2:
+                witness = {"g": list(g), "middle": [s, j, i2]}
                 break
         if witness is None:
             raise AssertionError(

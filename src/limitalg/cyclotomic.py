@@ -120,22 +120,14 @@ class Cyc:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        deg = len(self.c)
-        prod = [Fraction(0)] * (2 * deg - 1)
+        prod = [Fraction(0)] * (2 * len(self.c) - 1)
         for i, a in enumerate(self.c):
             if not a:
                 continue
             for j, b in enumerate(o.c):
                 if b:
                     prod[i + j] += a * b
-        table = _reduction_table(self.m)
-        out = [Fraction(0)] * deg
-        for k, coef in enumerate(prod):
-            if coef:
-                row = table[k]
-                for j in range(deg):
-                    out[j] += coef * row[j]
-        return Cyc(self.m, out)
+        return _reduced(self.m, prod)
 
     __rmul__ = __mul__
 
@@ -148,25 +140,13 @@ class Cyc:
         # extended gcd of a and phi over Q[x]
         r0, r1 = phi, _trim(a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0 = [Fraction(1)]
-        t1 = [Fraction(0)]
         while len(r1) > 1 or r1[0] != 0:
             q, r = _polydivmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-            t0, t1 = t1, _polysub(t0, _polymul(q, t1))
         # r0 = gcd (a nonzero constant, since Phi_m is irreducible)
         assert len(r0) == 1 and r0[0] != 0
-        inv = [x / r0[0] for x in s0]
-        table = _reduction_table(self.m)
-        deg = len(self.c)
-        out = [Fraction(0)] * deg
-        for k, coef in enumerate(inv):
-            if coef:
-                row = table[k]
-                for j in range(deg):
-                    out[j] += coef * row[j]
-        return Cyc(self.m, out)
+        return _reduced(self.m, [x / r0[0] for x in s0])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -176,15 +156,10 @@ class Cyc:
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation: zeta -> zeta^(m-1)."""
-        table = _reduction_table(self.m)
-        deg = len(self.c)
-        out = [Fraction(0)] * deg
+        poly = [Fraction(0)] * self.m
         for i, a in enumerate(self.c):
-            if a:
-                row = table[(self.m - i) % self.m]
-                for j in range(deg):
-                    out[j] += a * row[j]
-        return Cyc(self.m, out)
+            poly[(self.m - i) % self.m] = a
+        return _reduced(self.m, poly)
 
     # -- comparisons ----------------------------------------------------
     def __bool__(self):
@@ -205,6 +180,19 @@ class Cyc:
 
     def as_coeff_strings(self) -> list[str]:
         return [str(x) for x in self.c]
+
+
+def _reduced(m: int, poly: list[Fraction]) -> Cyc:
+    """sum_k poly[k] zeta^k in the power basis (deg poly < 2m)."""
+    table = _reduction_table(m)
+    deg = len(table[0])
+    out = [Fraction(0)] * deg
+    for k, coef in enumerate(poly):
+        if coef:
+            row = table[k]
+            for j in range(deg):
+                out[j] += coef * row[j]
+    return Cyc(m, out)
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:

@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from .crossed import FiniteAbelianGroup
+from .links import has_link_at, least_link
 from .tower import (MatrixUnit, MatrixUnitSum, OccurrenceIndex, TowerSpec,
                     TowerValidationError, Word, embed_unit, index_word,
                     pair_occurrences, validate_embedding)
@@ -109,7 +110,7 @@ def validate_action(tower: TowerSpec, action: TowerAction,
     embedding both composites to a common level.
     """
     problems = []
-    top = horizon if tower.max_level is None else min(horizon, tower.max_level)
+    top = tower.top(horizon)
     ngens = len(action.group.orders)
 
     def embed_set(units, level, target):
@@ -159,22 +160,12 @@ def twisted_link(tower: TowerSpec, action: TowerAction, e: MatrixUnit, g,
                  horizon: int) -> MatrixUnit | None:
     """Least witness f with embed(e) f embed(alpha_g(e)) != 0, level <= horizon."""
     img_g, lvl_g = action.apply_units(g, [e], e.level)
-    start = max(e.level, lvl_g)
-    top = horizon if tower.max_level is None else min(horizon, tower.max_level)
-    for n in range(start, top + 1):
-        left = embed_unit(tower, e, n).units
-        right = []
-        for u in img_g:
-            right.extend(embed_unit(tower, u, n).units)
-        best = None
-        for a in left:
-            for b in right:
-                if a.summand == b.summand and a.col <= b.row:
-                    cand = MatrixUnit(n, a.summand, a.col, b.row)
-                    if best is None or cand.key() < best.key():
-                        best = cand
-        if best is not None:
-            return best
+    for n in range(max(e.level, lvl_g), tower.top(horizon) + 1):
+        right = [v for u in img_g for v in embed_unit(tower, u, n).units]
+        link = least_link(embed_unit(tower, e, n).units, right)
+        if link is not None:
+            a, b = link
+            return MatrixUnit(n, a.summand, a.col, b.row)
     return None
 
 
@@ -236,12 +227,8 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
     """
     if any(len(tower.shape(n)) != 1 for n in range(horizons[1] + 1)):
         raise TowerValidationError("index audit requires a TUHF tower")
-    h1, h2 = horizons
-    if tower.max_level is not None:
-        h1 = min(h1, tower.max_level)
-        h2 = min(h2, tower.max_level)
+    h1, h2 = (tower.top(h) for h in horizons)
     # the theorem's starting hypothesis: e itself has no self-link
-    from .links import has_link_at
     if any(has_link_at(tower, e, n) is not None
            for n in range(e.level, h2 + 1)):
         return {"applicable": False,

@@ -52,6 +52,30 @@ class NotLinkedUpTo:
 LinkStatus = Linked | CertifiedLinkless | NotLinkedUpTo
 
 
+def least_link(left, right) -> tuple[MatrixUnit, MatrixUnit] | None:
+    """Units a in `left`, b in `right` with the least (summand, a.col, b.row)
+    such that a and b share a summand and a.col <= b.row, or None.
+
+    Then a * e_{a.col, b.row} * b = e_{a.row, b.col} != 0.  Per summand
+    only the least col can start a witness: if it exceeds every row, so
+    does every other col.
+    """
+    first: dict[int, MatrixUnit] = {}
+    for a in left:
+        if a.summand not in first or a.col < first[a.summand].col:
+            first[a.summand] = a
+    best: dict[int, MatrixUnit] = {}
+    for b in right:
+        a = first.get(b.summand)
+        if a is not None and a.col <= b.row and (
+                b.summand not in best or b.row < best[b.summand].row):
+            best[b.summand] = b
+    if not best:
+        return None
+    s = min(best)
+    return first[s], best[s]
+
+
 def has_link_at(tower: TowerSpec, e: MatrixUnit, level: int) -> MatrixUnit | None:
     """Lexicographically least link witness for e at `level`, or None.
 
@@ -59,18 +83,12 @@ def has_link_at(tower: TowerSpec, e: MatrixUnit, level: int) -> MatrixUnit | Non
     embedded image in one summand with col(r) <= row(r'); then
     embed(e)*f*embed(e) = e_{row(r), col(r')} != 0.
     """
-    img = embed_unit(tower, e, level)
-    by_summand: dict[int, list[MatrixUnit]] = {}
-    for u in img.units:
-        by_summand.setdefault(u.summand, []).append(u)
-    for s, occ in sorted(by_summand.items()):
-        rows = sorted(u.row for u in occ)
-        # least witness: smallest col with some row >= it, then that row
-        for c in sorted(u.col for u in occ):
-            r = next((r for r in rows if r >= c), None)
-            if r is not None:
-                return MatrixUnit(level, s, c, r)
-    return None
+    img = embed_unit(tower, e, level).units
+    link = least_link(img, img)
+    if link is None:
+        return None
+    a, b = link
+    return MatrixUnit(level, a.summand, a.col, b.row)
 
 
 def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
@@ -161,8 +179,7 @@ def link_status(tower: TowerSpec, e: MatrixUnit,
     cert = certify_linkless(tower, e)
     if cert is not None:
         return cert
-    top = horizon if tower.max_level is None else min(horizon, tower.max_level)
-    for n in range(e.level, top + 1):
+    for n in range(e.level, tower.top(horizon) + 1):
         w = has_link_at(tower, e, n)
         if w is not None:
             return Linked(n, w)
@@ -187,7 +204,7 @@ def donsig_report(tower: TowerSpec, level: int,
     entries = []
     any_linkless = False
     any_unknown = False
-    top = level if tower.max_level is None else min(level, tower.max_level)
+    top = tower.top(level)
     for n in range(top + 1):
         for u in tower.units_at(n):
             st = link_status(tower, u, horizon)

@@ -1,6 +1,6 @@
-"""Line-oriented parser for tower spec files (with optional action blocks).
+"""Line-oriented parsers for tower spec files and finite system files.
 
-Format::
+Tower spec format::
 
     level 0 = [2]
     level 1 = [2,4]
@@ -17,12 +17,18 @@ Format::
 
 '#' starts a comment.  `repeat` requires the last two level shapes to be
 equal so the final word collection can be reused verbatim.
+
+System file format (a finite set and a permutation of it)::
+
+    points = a b c
+    phi: a->b b->c c->a
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
+from .peters import FiniteDynSys
 from .tower import (ConstantRule, TowerSpec, TowerValidationError, Word,
                     preset as builtin_preset)
 
@@ -181,6 +187,33 @@ def parse_tower_file(text: str):
 
 def parse_tower(text: str) -> TowerSpec:
     return parse_tower_file(text)[0]
+
+
+def parse_system_file(text: str) -> FiniteDynSys:
+    points: list[str] = []
+    phi: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("points"):
+            _, _, rest = line.partition("=")
+            points = rest.split()
+        elif line.startswith("phi"):
+            _, _, rest = line.partition(":")
+            for pair in rest.split():
+                src, _, dst = pair.partition("->")
+                if not dst:
+                    raise ValueError(f"line {lineno}: bad phi pair {pair!r}")
+                phi[src] = dst
+        else:
+            raise ValueError(f"line {lineno}: unrecognized system line {line!r}")
+    if not points:
+        raise ValueError("system file defines no points")
+    try:
+        return FiniteDynSys(points, phi)
+    except ValueError as exc:
+        raise ValueError(f"invalid system: {exc}") from None
 
 
 def render_tower(tower: TowerSpec, levels: int | None = None) -> str:

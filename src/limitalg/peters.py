@@ -20,10 +20,12 @@ class FiniteDynSys:
 
     def __init__(self, points, phi: dict):
         self.points = tuple(points)
-        assert len(set(self.points)) == len(self.points)
-        assert sorted(phi) == sorted(self.points), "phi must be defined on X"
-        assert sorted(phi.values(), key=str) == sorted(self.points, key=str), \
-            "phi must be a bijection"
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("points must be distinct")
+        if set(phi) != set(self.points):
+            raise ValueError("phi must be defined on X")
+        if set(phi.values()) != set(self.points):
+            raise ValueError("phi must be a bijection")
         self.phi = dict(phi)
         self.inv = {v: k for k, v in phi.items()}
 
@@ -99,7 +101,8 @@ class IdealSequence:
 
 def check_star(sys: FiniteDynSys, seq: SubsetSequence) -> dict:
     """X_{n+1} union phi(X_{n+1}) <= X_n, including the stabilized tail."""
-    assert all(s <= sys.space for s in seq.sets), "sequence leaves the space"
+    if not all(s <= sys.space for s in seq.sets):
+        raise ValueError("sequence leaves the space")
     for n in range(len(seq.sets)):
         nxt = seq.at(n + 1)
         bad = (nxt | sys.image(nxt)) - seq.at(n)
@@ -115,12 +118,7 @@ def check_bigstar(sys: FiniteDynSys, iseq: IdealSequence) -> dict:
     vanish(phi(Z)), so the condition reads Z_{n+1} union phi(Z_{n+1})
     <= Z_n -- (star) on the zero-sets.
     """
-    for n in range(len(iseq.zero_sets)):
-        nxt = iseq.at(n + 1)
-        bad = (nxt | sys.image(nxt)) - iseq.at(n)
-        if bad:
-            return {"ok": False, "index": n, "witness": sorted(bad, key=str)}
-    return {"ok": True}
+    return check_star(sys, ideals_to_sets(iseq))
 
 
 def sets_to_ideals(seq: SubsetSequence) -> IdealSequence:
@@ -163,20 +161,22 @@ def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]
                                       [sorted(s, key=str) for s in q.sets]))
 
 
+def _pointwise(sys: FiniteDynSys, a: SubsetSequence, b: SubsetSequence,
+               op, name: str) -> SubsetSequence:
+    n = max(len(a.sets), len(b.sets))
+    r = SubsetSequence(tuple(op(a.at(i), b.at(i)) for i in range(n)))
+    assert check_star(sys, r)["ok"], f"{name} left the (star) class"
+    return r
+
+
 def lattice_meet(sys: FiniteDynSys, a: SubsetSequence,
                  b: SubsetSequence) -> SubsetSequence:
-    n = max(len(a.sets), len(b.sets))
-    r = SubsetSequence(tuple(a.at(i) & b.at(i) for i in range(n)))
-    assert check_star(sys, r)["ok"], "meet left the (star) class"
-    return r
+    return _pointwise(sys, a, b, frozenset.intersection, "meet")
 
 
 def lattice_join(sys: FiniteDynSys, a: SubsetSequence,
                  b: SubsetSequence) -> SubsetSequence:
-    n = max(len(a.sets), len(b.sets))
-    r = SubsetSequence(tuple(a.at(i) | b.at(i) for i in range(n)))
-    assert check_star(sys, r)["ok"], "join left the (star) class"
-    return r
+    return _pointwise(sys, a, b, frozenset.union, "join")
 
 
 def random_sequence(sys: FiniteDynSys, horizon: int,

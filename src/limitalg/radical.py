@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import multi_matrix_algebra
-from .links import CertifiedLinkless, link_status
+from .algebra import multi_matrix_algebra, multi_matrix_units
+from .links import CertifiedLinkless, least_link, link_status
 from .tower import (Element, MatrixUnit, TowerSpec, decompose, embed_element,
                     embed_unit)
 
@@ -119,23 +119,13 @@ RadicalStatus = InRadical | NotInRadical | Unknown
 def _chain_step(tower: TowerSpec, t: MatrixUnit,
                 horizon: int) -> tuple[MatrixUnit, MatrixUnit] | None:
     """Least-level canonical (S, T') with T' = embed(T) S embed(T) != 0."""
-    top = horizon if tower.max_level is None else min(horizon, tower.max_level)
-    for n in range(t.level, top + 1):
-        img = embed_unit(tower, t, n)
-        by_summand: dict[int, list[MatrixUnit]] = {}
-        for u in img.units:
-            by_summand.setdefault(u.summand, []).append(u)
-        best = None
-        for s, occ in by_summand.items():
-            for a in occ:
-                for b in occ:
-                    if a.col <= b.row:
-                        cand = (MatrixUnit(n, s, a.col, b.row),
-                                MatrixUnit(n, s, a.row, b.col))
-                        if best is None or cand[0].key() < best[0].key():
-                            best = cand
-        if best is not None:
-            return best
+    for n in range(t.level, tower.top(horizon) + 1):
+        img = embed_unit(tower, t, n).units
+        link = least_link(img, img)
+        if link is not None:
+            a, b = link
+            return (MatrixUnit(n, a.summand, a.col, b.row),
+                    MatrixUnit(n, a.summand, a.row, b.col))
     return None
 
 
@@ -265,7 +255,7 @@ def uniform_nilpotency(tower: TowerSpec, e: MatrixUnit, exponent: int,
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
-    top = horizon if tower.max_level is None else min(horizon, tower.max_level)
+    top = tower.top(horizon)
     for level in range(e.level, top + 1):
         x = embed_element(tower, Element.from_unit(e), level)
         for b in tower.units_at(level):
@@ -299,8 +289,7 @@ def finite_level_radical(shape: tuple[int, ...],
 
 
 def strictly_upper_units(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    return [(s, i, j) for s, k in enumerate(shape)
-            for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    return [(s, i, j) for s, i, j in multi_matrix_units(shape, True) if i < j]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +300,7 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
                        expand_horizon: int = DEFAULT_EXPAND_HORIZON,
                        link_horizon: int = DEFAULT_LINK_HORIZON,
                        exponent: int | None = None) -> RadicalStatus:
-    top = expand_horizon if tower.max_level is None \
-        else min(expand_horizon, tower.max_level)
+    top = tower.top(expand_horizon)
     # (1) all-linkless decomposition (TUHF criterion; sound for TAF too)
     for n in range(e.level, top + 1):
         dec = decompose(tower, e, n)

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import multi_matrix_units
+
 Label = tuple[int, int]  # (source summand index, 1-based diagonal position)
 Word = tuple[Label, ...]
 OccurrenceIndex = dict[Label, list[int]]  # label -> 1-based positions in a word
@@ -170,14 +172,6 @@ def index_word(word: Word) -> OccurrenceIndex:
     return index
 
 
-def multiplicities(source: tuple[int, ...], word: Word) -> dict[int, int]:
-    """m_{t,s} per source summand, assuming COUNT holds."""
-    counts: dict[Label, int] = {}
-    for lab in word:
-        counts[lab] = counts.get(lab, 0) + 1
-    return {s: counts.get((s, 1), 0) for s in range(len(source))}
-
-
 def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
                        words: tuple[Word, ...]) -> ValidationReport:
     """Check COUNT, LATTICE, INJECTIVE and shape invariants; report-style."""
@@ -223,6 +217,16 @@ def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
     return ValidationReport(not violations, violations)
 
 
+def identity_carry(shape: tuple[int, ...], words: tuple[Word, ...],
+                   summand: int) -> int | None:
+    """Target summand that identity-carries `summand` exclusively, if any."""
+    targets = [t for t, w in enumerate(words) if any(l[0] == summand for l in w)]
+    if len(targets) == 1 and words[targets[0]] == tuple(
+            (summand, p) for p in range(1, shape[summand] + 1)):
+        return targets[0]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # tower rules (level generators for stationary / preset towers)
 
@@ -239,10 +243,6 @@ class TowerRule:
 
     def words(self, level: int) -> tuple[Word, ...]:
         raise NotImplementedError
-
-    def frozen_carry(self, level: int, summand: int) -> int | None:
-        """Target summand that identity-carries `summand` exclusively, if any."""
-        return None
 
     def frozen_forever(self, level: int, summand: int) -> bool:
         """Whether `summand` is identity-carried at every level >= `level`."""
@@ -302,9 +302,6 @@ class PaperExampleRule(TowerRule):
             out.append(tuple((m, p) for p in range(1, 5)))
         return tuple(out)
 
-    def frozen_carry(self, level: int, summand: int) -> int | None:
-        return summand + 1 if summand >= 1 else None
-
     def frozen_forever(self, level: int, summand: int) -> bool:
         return summand >= 1
 
@@ -318,17 +315,6 @@ class ConstantRule(TowerRule):
     def __init__(self, shape: tuple[int, ...], words: tuple[Word, ...]):
         self._shape = shape
         self._words = words
-        # frozen-carry table: source s identity-carried to a unique target
-        self._carry: dict[int, int | None] = {}
-        for s in range(len(shape)):
-            targets = [t for t, w in enumerate(words) if any(l[0] == s for l in w)]
-            carry = None
-            if len(targets) == 1:
-                t = targets[0]
-                ident = tuple((s, p) for p in range(1, shape[s] + 1))
-                if words[t] == ident:
-                    carry = t
-            self._carry[s] = carry
 
     def shape(self, level: int) -> tuple[int, ...]:
         return self._shape
@@ -336,18 +322,14 @@ class ConstantRule(TowerRule):
     def words(self, level: int) -> tuple[Word, ...]:
         return self._words
 
-    def frozen_carry(self, level: int, summand: int) -> int | None:
-        return self._carry.get(summand)
-
     def frozen_forever(self, level: int, summand: int) -> bool:
         seen = set()
         s = summand
         while s not in seen:
             seen.add(s)
-            t = self._carry.get(s)
-            if t is None:
+            s = identity_carry(self._shape, self._words, s)
+            if s is None:
                 return False
-            s = t
         return True
 
 
@@ -401,20 +383,24 @@ class TowerSpec:
             return False
         return self.rule is not None or n < len(self.levels)
 
+    def top(self, horizon: int) -> int:
+        """The last level a search up to `horizon` can reach."""
+        return horizon if self.max_level is None else min(horizon, self.max_level)
+
     def shape(self, n: int) -> tuple[int, ...]:
+        if not self.has_level(n):
+            raise LevelRangeError(f"level {n} out of range")
         if n < len(self.levels):
             return self.levels[n]
-        if self.rule is not None:
-            return self.rule.shape(n - self.rule_start)
-        raise LevelRangeError(f"level {n} out of range")
+        return self.rule.shape(n - self.rule_start)
 
     def words(self, n: int) -> tuple[Word, ...]:
         """Embedding words for the step level n -> n+1."""
+        if n < 0 or not self.has_level(n + 1):
+            raise LevelRangeError(f"no embedding at level {n}")
         if n < len(self.steps):
             return self.steps[n]
-        if self.rule is not None:
-            return self.rule.words(n - self.rule_start)
-        raise LevelRangeError(f"no embedding at level {n}")
+        return self.rule.words(n - self.rule_start)
 
     def occurrences(self, n: int) -> tuple[OccurrenceIndex, ...]:
         """Per target summand of step n -> n+1: label -> occurrence positions.
@@ -429,28 +415,12 @@ class TowerSpec:
         return index
 
     def frozen_carry(self, level: int, summand: int) -> int | None:
-        if self.rule is not None and level >= len(self.steps):
-            return self.rule.frozen_carry(level - self.rule_start, summand)
-        if level < len(self.steps):
-            # compute from the explicit word collection
-            words = self.steps[level]
-            shape = self.shape(level)
-            targets = [t for t, w in enumerate(words) if any(l[0] == summand for l in w)]
-            if len(targets) == 1:
-                t = targets[0]
-                ident = tuple((summand, p) for p in range(1, shape[summand] + 1))
-                if words[t] == ident:
-                    return t
-            return None
-        return None
+        return identity_carry(self.shape(level), self.words(level), summand)
 
     def units_at(self, level: int, triangular: bool = True):
         """All matrix units at a level, canonical (summand,row,col) order."""
-        for s, k in enumerate(self.shape(level)):
-            for i in range(1, k + 1):
-                cols = range(i, k + 1) if triangular else range(1, k + 1)
-                for j in cols:
-                    yield MatrixUnit(level, s, i, j)
+        return (MatrixUnit(level, *key)
+                for key in multi_matrix_units(self.shape(level), triangular))
 
     def is_tuhf_at(self, level: int) -> bool:
         return len(self.shape(level)) == 1

@@ -1,0 +1,165 @@
+"""Golden CLI corpus: fixed `limitalg` invocations and their recorded output.
+
+Every case runs `limitalg.cli.run` in-process.  An argv token `@name`
+stands for the file `name` in this directory.  `corpus.json` holds the
+exit code, stdout and stderr of every case; `tests/test_golden.py`
+compares a fresh replay with it byte for byte.
+
+    python tests/golden/replay.py            # print a replay as JSON
+    python tests/golden/replay.py --record   # rewrite corpus.json
+
+Record only from a tree whose output is known to be right.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE / "corpus.json"
+
+SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
+TRIANGULAR_Z3 = ("--base", "2", "--group", "3", "--action", "diag=0,1")
+PAIR_Z2xZ2 = ("--base", "2,2", "--group", "2x2",
+              "--action", "perm=1,0", "--action", "diag=0,1|0,1")
+
+# name -> (argv, stdin text or None)
+CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
+    # links: every status and certificate
+    "links-linked": (("links", "standard-2", "--unit", "0:0:1:2"), None),
+    "links-separation": (("links", "refinement-2", "--unit", "0:0:1:2"), None),
+    "links-frozen-rule": (("links", "paper-example-taf", "--unit", "1:1:1:2"),
+                          None),
+    "links-frozen-prefix": (("links", "@prefix.tower", "--unit", "1:0:1:2"),
+                            None),
+    "links-finite-tower": (("links", "@finite.tower", "--unit", "0:0:1:2"),
+                           None),
+    "links-finite-linked": (("links", "@finite.tower", "--unit", "1:0:1:2"),
+                            None),
+    "links-not-linked-up-to": (("links", "@prefix.tower", "--unit", "0:0:1:2",
+                                "--horizon", "5"), None),
+    "links-compact": (("links", "refinement-2", "--unit", "1:0:2:3",
+                       "--json"), None),
+    "embed": (("embed", "paper-example-taf", "--unit", "0:0:1:2",
+               "--level", "3"), None),
+    # donsig
+    "donsig-not-semisimple": (("donsig", "refinement-2", "--level", "1",
+                               "--horizon", "6"), None),
+    "donsig-semisimple": (("donsig", "standard-2", "--level", "1"), None),
+    "donsig-taf": (("donsig", "paper-example-taf", "--level", "1",
+                    "--horizon", "4", "--json"), None),
+    "donsig-inconclusive": (("donsig", "@prefix.tower", "--level", "0",
+                             "--horizon", "4"), None),
+    "donsig-finite-clamped": (("donsig", "@finite.tower", "--level", "5",
+                               "--json"), None),
+    "donsig-stdin": (("donsig", "-", "--level", "0"), "preset standard-2\n"),
+    # radical: every route
+    "radical-linkless-decomposition": (("radical", "refinement-2", "--unit",
+                                        "0:0:1:2"), None),
+    "radical-chain-cycle": (("radical", "standard-2", "--unit", "0:0:1:2"),
+                            None),
+    "radical-chain-diagonal": (("radical", "standard-2", "--unit", "1:0:2:2"),
+                               None),
+    "radical-uniform-nilpotency": (("radical", "paper-example-taf", "--unit",
+                                    "0:0:1:2"), None),
+    "radical-finite-nilpotency": (("radical", "@finite.tower", "--unit",
+                                   "1:0:1:2", "--expand-horizon", "1",
+                                   "--exponent", "2"), None),
+    "radical-unknown": (("radical", "paper-example-taf", "--unit", "0:0:1:1",
+                         "--expand-horizon", "3", "--horizon", "4"), None),
+    "radical-unknown-prefix": (("radical", "@prefix.tower", "--unit", "0:0:1:2",
+                                "--expand-horizon", "0", "--horizon", "4"),
+                               None),
+    # audits
+    "audit-technical-action": (("audit-technical", "@action.tower", "--unit",
+                                "0:0:1:2", "--horizons", "2,3"), None),
+    "audit-technical-trivial": (("audit-technical", "refinement-2", "--unit",
+                                 "0:0:1:2", "--horizons", "2,3", "--json"),
+                                None),
+    "audit-technical-linked": (("audit-technical", "standard-2", "--unit",
+                                "0:0:1:2"), None),
+    "audit-order": (("audit-order", "standard-2", "--level", "1"), None),
+    "audit-order-refinement": (("audit-order", "refinement-2", "--level", "2",
+                                "--json"), None),
+    "validate-action": (("validate", "@action.tower"), None),
+    # crossed products with Z3 and Z2 x Z2
+    **{f"crossed-{what}-{label}": (("crossed", what, *system, "--json"), None)
+       for what in ("tight", "lattice", "radical", "links-lemma", "diag")
+       for label, system in (("z3", TRIANGULAR_Z3), ("z2xz2", PAIR_Z2xZ2))},
+    "crossed-lattice-z2xz2-3": (("crossed", "lattice", "--base", "3",
+                                 "--group", "2x2", "--action", "diag=0,1,1",
+                                 "--action", "diag=0,0,1"), None),
+    "crossed-tight-full": (("crossed", "tight", "--full", *TRIANGULAR_Z3),
+                           None),
+    "crossed-permanence-z3": (("crossed", "permanence", "--full",
+                               *TRIANGULAR_Z3), None),
+    "crossed-permanence-z2xz2": (("crossed", "permanence", "--full", "--base",
+                                  "1,1", "--group", "2x2", "--action",
+                                  "perm=1,0", "--action", "perm=0,1"), None),
+    "crossed-permanence-triangular": (("crossed", "permanence", *PAIR_Z2xZ2),
+                                      None),
+    # peters
+    "peters-enum": (("peters", "@swap.sys", "enum", "--horizon", "1"), None),
+    "peters-enum-cycle": (("peters", "@cycle.sys", "enum", "--horizon", "2",
+                           "--json"), None),
+    "peters-check-fails": (("peters", "-", "check", "--sets", "a,b|a"),
+                           SWAP_SYSTEM),
+    "peters-check-ok": (("peters", "@cycle.sys", "check", "--sets",
+                         "a,b,c,d|a,b,c,d|d|"), None),
+    "peters-truncate": (("peters", "@swap.sys", "truncate", "--sets", "a,b|",
+                         "--n", "4"), None),
+    "peters-truncate-cycle": (("peters", "@cycle.sys", "truncate", "--sets",
+                               "a,b,c,d|d", "--n", "5", "--json"), None),
+    "peters-not-bijective": (("peters", "@not-bijective.sys", "enum"), None),
+    "peters-partial-phi": (("peters", "@partial.sys", "enum"), None),
+    "peters-bad-pair": (("peters", "@bad-pair.sys", "enum"), None),
+}
+
+
+def _argv(argv: tuple[str, ...]) -> list[str]:
+    return [str(HERE / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+def run_case(argv: tuple[str, ...], stdin: str | None) -> dict:
+    """Exit code, stdout and stderr of one in-process CLI run.
+
+    An exception escaping `run` is recorded in place of the exit code, so
+    a traceback shows up as a difference rather than aborting a replay.
+    """
+    from limitalg.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(_argv(argv))
+            except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+                code = f"uncaught {type(exc).__name__}"
+    finally:
+        sys.stdin = saved_stdin
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def replay() -> dict[str, dict]:
+    os.environ.pop("LIMITALG_HORIZON", None)
+    return {name: run_case(argv, stdin) for name, (argv, stdin) in CASES.items()}
+
+
+def main(argv: list[str]) -> None:
+    results = replay()
+    if "--record" in argv:
+        corpus = {name: {"argv": list(CASES[name][0]), **results[name]}
+                  for name in CASES}
+        CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    else:
+        print(json.dumps(results, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -54,8 +54,14 @@ class TestDynSys:
         assert s.iterate({1}, -2) == frozenset({2})
 
     def test_phi_must_be_a_bijection(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="phi must be a bijection"):
             FiniteDynSys((1, 2), {1: 1, 2: 1})
+
+    def test_points_and_domain_are_checked(self):
+        with pytest.raises(ValueError, match="points must be distinct"):
+            FiniteDynSys((1, 1), {1: 1})
+        with pytest.raises(ValueError, match="phi must be defined on X"):
+            FiniteDynSys((1, 2), {1: 2})
 
     def test_permutations_have_dense_recurrence(self):
         for s in (point(), two_id(), swap(), cycle3()):

@@ -121,6 +121,20 @@ class TestImages:
             embed_unit(finite, MatrixUnit(0, 0, 1, 1), 2)
 
 
+    def test_negative_levels_are_out_of_range(self):
+        finite = TowerSpec([(2,), (4,)],
+                           [(((0, 1), (0, 2), (0, 1), (0, 2)),)])
+        for t in (finite, preset("standard-2")):
+            with pytest.raises(LevelRangeError):
+                t.shape(-1)
+            with pytest.raises(LevelRangeError):
+                t.words(-1)
+            with pytest.raises(LevelRangeError):
+                embed_unit(t, MatrixUnit(-1, 0, 1, 2), 0)
+        with pytest.raises(LevelRangeError):
+            finite.words(1)
+
+
 class TestElements:
     def test_unit_sum_rejects_overlapping_supports(self):
         with pytest.raises(ValueError, match="overlapping supports"):
@@ -132,6 +146,7 @@ class TestElements:
         # each check must still raise with asserts stripped
         code = ("from limitalg.crossed import FiniteAbelianGroup, perm_action\n"
                 "from limitalg.cyclotomic import Cyc\n"
+                "from limitalg.peters import FiniteDynSys\n"
                 "from limitalg.tower import MatrixUnit, MatrixUnitSum\n"
                 "checks = [\n"
                 "    lambda: MatrixUnitSum(0, (MatrixUnit(0, 0, 1, 2),"
@@ -139,6 +154,7 @@ class TestElements:
                 "    lambda: perm_action(FiniteAbelianGroup((2,)), (1, 2),"
                 " [(1, 0)]),\n"
                 "    lambda: Cyc.zero(5).inverse(),\n"
+                "    lambda: FiniteDynSys('ab', {'a': 'a', 'b': 'a'}),\n"
                 "]\n"
                 "for check in checks:\n"
                 "    try:\n"
@@ -155,7 +171,8 @@ class TestElements:
         assert proc.stdout == (
             "ValueError overlapping supports in MatrixUnitSum\n"
             "ActionRelationError permuted summands must have equal sizes\n"
-            "ZeroDivisionError division by zero in Q(zeta_m)\n")
+            "ZeroDivisionError division by zero in Q(zeta_m)\n"
+            "ValueError phi must be a bijection\n")
 
     def test_block_multiplication_and_power(self):
         x = Element(0, {(0, 1, 2): 2, (0, 2, 3): 3, (1, 1, 1): 1})
