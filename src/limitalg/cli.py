@@ -9,6 +9,7 @@ the default search horizon.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from . import crossed, dynamics, links, peters, radical
 from .parser import (ActionSpecData, TowerSyntaxError, parse_system_file,
                      parse_tower_file)
 from .tower import (MatrixUnit, PRESETS, TowerSpec, TowerValidationError,
-                    embed_unit, verify_embedding_order)
+                    UnitShapeError, embed_unit, verify_embedding_order)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,19 +66,14 @@ def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
     parts = text.split(":")
     if len(parts) != 4:
         raise CliError("unit must be LEVEL:SUMMAND:ROW:COL")
-    level, summand, row, col = (int(p) for p in parts)
-    if not tower.has_level(level):
-        raise CliError(f"unit {text}: level {level} is not a level of the tower")
-    shape = tower.shape(level)
-    if not 0 <= summand < len(shape):
-        raise CliError(f"unit {text}: no summand {summand} in level {level} "
-                       f"shape {list(shape)}")
-    size = shape[summand]
-    if not (1 <= row <= size and 1 <= col <= size):
-        raise CliError(f"unit {text}: row and col must lie in 1..{size}")
-    if row > col:
+    unit = MatrixUnit(*(int(p) for p in parts))
+    try:
+        tower.check_unit(unit)
+    except UnitShapeError as exc:
+        raise CliError(f"unit {text}: {exc}") from None
+    if unit.row > unit.col:
         raise CliError(f"unit {text}: row > col is not upper triangular")
-    return MatrixUnit(level, summand, row, col)
+    return unit
 
 
 def _emit(report: dict, compact: bool) -> None:
@@ -298,10 +294,15 @@ def _cmd_preset(args) -> int:
 # argument wiring
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _build_parser(horizon: int) -> _Parser:
+    """The argument parser with `horizon` as the default search horizon.
+
+    Built once per horizon: parse_args leaves the parser unchanged and
+    gives every call a fresh namespace.
+    """
     p = _Parser(prog="limitalg", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-    horizon = _default_horizon()
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
@@ -373,7 +374,7 @@ def _build_parser() -> _Parser:
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(_default_horizon()).parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,7 +72,8 @@ class Character:
         return Cyc.zeta(m, k)
 
     def compose(self, other: "Character") -> "Character":
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError("characters of different groups do not compose")
         return Character(self.group, self.group.op(self.coeffs, other.coeffs))
 
 
@@ -142,14 +143,14 @@ class LevelAction:
         return {k: (one, k) for k in self._units()}
 
     def table(self, g: tuple[int, ...]) -> dict[UnitKey, tuple[Cyc, UnitKey]]:
-        g = tuple(x % d for x, d in zip(g, self.group.orders))
-        if g not in self._cache:
+        t = self._cache.get(g)
+        if t is None:
             t = self._identity_table()
-            for i, reps in enumerate(g):
-                for _ in range(reps):
+            for i, (reps, d) in enumerate(zip(g, self.group.orders)):
+                for _ in range(reps % d):
                     t = self._compose(self._gen_tables[i], t)
             self._cache[g] = t
-        return self._cache[g]
+        return t
 
     def _validate(self):
         ident = self._identity_table()
@@ -198,7 +199,8 @@ class CrossedAlgebra:
 
     def __init__(self, shape: tuple[int, ...], group: FiniteAbelianGroup,
                  action: LevelAction, triangular: bool = True):
-        assert action.shape == tuple(shape) and action.group == group
+        if action.shape != tuple(shape) or action.group != group:
+            raise ValueError("the action is not on this base shape and group")
         self.shape = tuple(shape)
         self.group = group
         self.action = action
@@ -264,9 +266,10 @@ def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
                 c1, (sa, ia, ja) = t[(s, i, j)]
                 c2, (sb, kb, lb) = t[(s2, k, l)]
                 c3, (sc, ic, jc) = t[(s, i, l)]
-                assert sa == sb and ja == kb, "action broke a nonzero product"
-                assert (sc, ic, jc) == (sa, ia, lb) and c1 * c2 == c3, \
-                    "action is not multiplicative"
+                if sa != sb or ja != kb:
+                    raise AssertionError("action broke a nonzero product")
+                if (sc, ic, jc) != (sa, ia, lb) or c1 * c2 != c3:
+                    raise AssertionError("action is not multiplicative")
     return a
 
 
@@ -373,12 +376,13 @@ def _verify_multiplicative(alg: MonomialAlgebra, table: dict):
             cy, y2 = table[y]
             r2 = alg.prod(x2, y2)
             if r is None:
-                assert r2 is None, "automorphism created a product"
+                if r2 is not None:
+                    raise AssertionError("automorphism created a product")
             else:
                 s, k = r
                 ck, k2 = table[k]
-                assert r2 is not None and r2[1] == k2 \
-                    and cx * cy * r2[0] == ck * s, "map is not multiplicative"
+                if r2 is None or r2[1] != k2 or cx * cy * r2[0] != ck * s:
+                    raise AssertionError("map is not multiplicative")
 
 
 def apply_table(alg: MonomialAlgebra, table: dict, v: dict) -> dict:
@@ -403,47 +407,73 @@ def _ideal_hull(shape, triangular: bool, key: UnitKey) -> set[UnitKey]:
             if a <= b}
 
 
-def _closure(seed, neighbours) -> frozenset:
-    """Smallest set holding `seed` that contains neighbours(x) for each x."""
-    out = {seed}
-    todo = [seed]
+def _mask(indices) -> int:
+    out = 0
+    for n in indices:
+        out |= 1 << n
+    return out
+
+
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(seed: int, neighbours: list[int]) -> int:
+    """Smallest mask holding `seed` that holds neighbours[n] for each bit n."""
+    out = todo = seed
     while todo:
-        for y in neighbours(todo.pop()):
-            if y not in out:
-                out.add(y)
-                todo.append(y)
-    return frozenset(out)
+        low = todo & -todo
+        todo ^= low
+        new = neighbours[low.bit_length() - 1] & ~out
+        out |= new
+        todo |= new
+    return out
 
 
-def _union_lattice(principal: dict) -> list[frozenset]:
+def _union_lattice(principal: list[int]) -> set[int]:
     """All unions of principal closures (every homogeneous ideal is one)."""
-    ideals = {frozenset()}
-    frontier = {frozenset()}
-    values = set(principal.values())
+    values = set(principal)
+    ideals = {0}
+    frontier = [0]
     while frontier:
-        nxt = set()
+        nxt = []
         for ideal in frontier:
             for p in values:
                 u = ideal | p
                 if u not in ideals:
                     ideals.add(u)
-                    nxt.add(u)
+                    nxt.append(u)
         frontier = nxt
+    return ideals
+
+
+def _decode(masks, keys: list) -> list[frozenset]:
+    """Masks over `keys` as key sets, smallest first."""
+    ideals = [frozenset(keys[n] for n in _bits(m)) for m in masks]
     return sorted(ideals, key=lambda f: (len(f), sorted(f)))
+
+
+def _base_units(shape, triangular: bool) -> tuple[list[UnitKey], dict]:
+    """Base units in `multi_matrix_units` order, and unit -> bit index."""
+    units = list(multi_matrix_units(tuple(shape), triangular))
+    return units, {u: n for n, u in enumerate(units)}
 
 
 def enumerate_invariant_ideals(shape, action: LevelAction,
                                triangular: bool = True) -> list[frozenset]:
     """All alpha-invariant matrix-unit-spanned ideals of the base."""
     gens = [action.group.generator(i) for i in range(len(action.group.orders))]
-
-    def neighbours(key):
-        # the ideal a unit generates, and its images under the generators
-        return [*_ideal_hull(shape, triangular, key),
-                *(action.apply_support(g, key) for g in gens)]
-
-    return _union_lattice({u: _closure(u, neighbours) for u in
-                           multi_matrix_units(tuple(shape), triangular)})
+    units, index = _base_units(shape, triangular)
+    # the ideal a unit generates, and its images under the generators
+    neighbours = [_mask(index[k] for k in (
+        *_ideal_hull(shape, triangular, u),
+        *(action.apply_support(g, u) for g in gens))) for u in units]
+    principal = [_closure(1 << n, neighbours) for n in range(len(units))]
+    return _decode(_union_lattice(principal), units)
 
 
 def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
@@ -453,13 +483,19 @@ def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
     elements is dual-invariant for free; closure under two-sided
     multiplication by basis elements is what is enumerated.
     """
-    basis = a.alg.basis
-
-    def neighbours(x):
-        return [p[1] for b in basis for p in (a.alg.prod(b, x), a.alg.prod(x, b))
-                if p is not None]
-
-    return _union_lattice({k: _closure(k, neighbours) for k in basis})
+    basis, index, prod = a.alg.basis, a.alg.index, a.alg.prod
+    # neighbours[n]: the supports of b x and x b over every basis b, x = basis[n]
+    neighbours = [0] * len(basis)
+    for x in basis:
+        nx = index[x]
+        for y in basis:
+            r = prod(x, y)
+            if r is not None:
+                bit = 1 << index[r[1]]
+                neighbours[nx] |= bit
+                neighbours[index[y]] |= bit
+    principal = [_closure(1 << index[k], neighbours) for k in basis]
+    return _decode(_union_lattice(principal), basis)
 
 
 def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
@@ -468,21 +504,31 @@ def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
     base_lattice = enumerate_invariant_ideals(shape, action, triangular)
     a = build_crossed(shape, group, action, triangular)
     crossed_lattice = enumerate_dual_invariant_ideals(a)
+    units, unit_index = _base_units(shape, triangular)
     gs = group.elements()
-    images: dict[frozenset, frozenset] = {}
+    # the mask of {u} x G, per base unit
+    blocks = [_mask(a.alg.index[(u, g)] for g in gs) for u in units]
+    images: dict[int, int] = {}
 
-    def phi(ideal):
-        if ideal not in images:
-            images[ideal] = frozenset((u, g) for u in ideal for g in gs)
-        return images[ideal]
+    def phi(ideal: int) -> int:
+        img = images.get(ideal)
+        if img is None:
+            img = 0
+            for n in _bits(ideal):
+                img |= blocks[n]
+            images[ideal] = img
+        return img
 
-    image = [phi(j) for j in base_lattice]
-    bijection = (len(set(image)) == len(base_lattice)
-                 and set(image) == set(crossed_lattice))
+    base = [_mask(unit_index[u] for u in j) for j in base_lattice]
+    image = [phi(j) for j in base]
+    bijection = (len(set(image)) == len(base)
+                 and set(image) == {_mask(a.alg.index[k] for k in j)
+                                    for j in crossed_lattice})
     # meets and joins are intersections and unions on both sides
+    pairs = list(zip(base, image))
     preserves = all(
-        phi(j1 & j2) == phi(j1) & phi(j2) and phi(j1 | j2) == phi(j1) | phi(j2)
-        for j1 in base_lattice for j2 in base_lattice)
+        phi(j1 & j2) == p1 & p2 and phi(j1 | j2) == p1 | p2
+        for j1, p1 in pairs for j2, p2 in pairs)
     return {"base_count": len(base_lattice),
             "crossed_count": len(crossed_lattice),
             "bijection": bijection, "preserves_lattice_ops": preserves,
@@ -591,7 +637,9 @@ def semisimplicity_permanence_check(shape, group: FiniteAbelianGroup,
         return {"applicable": False, "base_radical_dim": len(rad_base)}
     a = build_crossed(shape, group, action, triangular)
     rad = a.radical()
-    assert not rad, "semisimplicity was not preserved by the crossed product"
+    if rad:
+        raise AssertionError(
+            "semisimplicity was not preserved by the crossed product")
     return {"applicable": True, "base_radical_dim": 0, "crossed_radical_dim": 0}
 
 
@@ -600,7 +648,8 @@ def links_lemma_check(a: CrossedAlgebra) -> dict:
 
     A failure would refute the underlying lemma, so it aborts loudly.
     """
-    assert a.triangular, "links lemma check expects a triangular base"
+    if not a.triangular:
+        raise ValueError("links lemma check expects a triangular base")
     entries = []
     for key in a.alg.basis:
         (s, i, j), h = key

@@ -132,9 +132,12 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via extended Euclid in Q[x] mod Phi_m."""
+        """Multiplicative inverse: 1/c for a rational c, else extended
+        Euclid in Q[x] mod Phi_m."""
         if not self:
             raise ZeroDivisionError("division by zero in Q(zeta_m)")
+        if not any(self.c[1:]):
+            return Cyc(self.m, [1 / self.c[0]])
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
         a = list(self.c)
         # extended gcd of a and phi over Q[x]

@@ -145,18 +145,19 @@ def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]
             for c in itertools.combinations(items, r):
                 yield frozenset(c)
 
-    def extend(prefix: list[frozenset]):
+    # a worklist, not a recursive closure: a closure that calls itself is
+    # a reference cycle and would keep `out` alive until the cyclic
+    # collector runs
+    todo = [[x0] for x0 in subsets(sys.space)]
+    while todo:
+        prefix = todo.pop()
         if len(prefix) == horizon + 1:
             tail = prefix[-1]
             if sys.image(tail) == tail:
                 out.add(SubsetSequence(tuple(prefix)))
-            return
+            continue
         allowed = prefix[-1] & sys.preimage(prefix[-1])
-        for nxt in subsets(allowed):
-            extend(prefix + [nxt])
-
-    for x0 in subsets(sys.space):
-        extend([x0])
+        todo.extend(prefix + [nxt] for nxt in subsets(allowed))
     return sorted(out, key=lambda q: (len(q.sets),
                                       [sorted(s, key=str) for s in q.sets]))
 

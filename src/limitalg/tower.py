@@ -25,6 +25,10 @@ class LevelRangeError(ValueError):
     pass
 
 
+class UnitShapeError(LevelRangeError):
+    """A matrix unit that is not a unit of its level's algebra."""
+
+
 class TowerValidationError(ValueError):
     pass
 
@@ -414,6 +418,19 @@ class TowerSpec:
                 index_word(w) for w in self.words(n))
         return index
 
+    def check_unit(self, e: MatrixUnit) -> None:
+        """Raise UnitShapeError unless `e` lies in its level's shape."""
+        if not self.has_level(e.level):
+            raise UnitShapeError(
+                f"level {e.level} is not a level of the tower")
+        shape = self.shape(e.level)
+        if not 0 <= e.summand < len(shape):
+            raise UnitShapeError(f"no summand {e.summand} in level {e.level} "
+                                 f"shape {list(shape)}")
+        size = shape[e.summand]
+        if not (1 <= e.row <= size and 1 <= e.col <= size):
+            raise UnitShapeError(f"row and col must lie in 1..{size}")
+
     def frozen_carry(self, level: int, summand: int) -> int | None:
         return identity_carry(self.shape(level), self.words(level), summand)
 
@@ -449,6 +466,7 @@ def embed_unit(tower: TowerSpec, e: MatrixUnit, target_level: int) -> MatrixUnit
     if target_level < e.level or not tower.has_level(target_level):
         raise LevelRangeError(
             f"target level {target_level} out of range for unit at {e.level}")
+    tower.check_unit(e)
     units = [e]
     for n in range(e.level, target_level):
         units = pair_occurrences(tower.occurrences(n), units, n + 1)

@@ -93,6 +93,12 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "crossed-lattice-z2xz2-3": (("crossed", "lattice", "--base", "3",
                                  "--group", "2x2", "--action", "diag=0,1,1",
                                  "--action", "diag=0,0,1"), None),
+    "crossed-lattice-full-swap": (("crossed", "lattice", "--full", "--base",
+                                   "2,2", "--group", "2", "--action",
+                                   "perm=1,0"), None),
+    "crossed-lattice-196": (("crossed", "lattice", "--base", "3,3", "--group",
+                             "2x2", "--action", "diag=0,1,1|0,0,1",
+                             "--action", "diag=0,0,1|0,1,1"), None),
     "crossed-tight-full": (("crossed", "tight", "--full", *TRIANGULAR_Z3),
                            None),
     "crossed-permanence-z3": (("crossed", "permanence", "--full",

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from limitalg import cli
 from limitalg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, run
+from limitalg.links import DEFAULT_HORIZON
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
 
@@ -120,6 +122,63 @@ class TestCrossedCommands:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+
+
+    def test_links_lemma_on_a_full_base_is_one_error_line(self, capsys):
+        assert run(["crossed", "links-lemma", "--full", "--base", "2"]) \
+            == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: links lemma check expects a triangular base\n"
+
+
+class TestParserReuse:
+    """One process, many `run` calls: no state leaks from call to call."""
+
+    def test_each_call_reads_its_own_horizon(self, capsys, monkeypatch):
+        for horizon in (5, 7, 5):
+            monkeypatch.setenv("LIMITALG_HORIZON", str(horizon))
+            assert run(["donsig", "refinement-2", "--level", "0"]) == EXIT_OK
+            assert out_json(capsys)["horizon"] == horizon
+        monkeypatch.delenv("LIMITALG_HORIZON")
+        assert run(["donsig", "refinement-2", "--level", "0"]) == EXIT_OK
+        assert out_json(capsys)["horizon"] == DEFAULT_HORIZON
+
+    def test_bad_horizon_after_a_good_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIMITALG_HORIZON", "5")
+        assert run(["donsig", "refinement-2", "--level", "0"]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setenv("LIMITALG_HORIZON", "5x")
+        assert run(["donsig", "refinement-2", "--level", "0"]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: LIMITALG_HORIZON must be an integer, got '5x'\n"
+
+    def test_actions_do_not_carry_over(self, capsys):
+        assert run(["crossed", "tight", "--base", "2", "--group", "2",
+                    "--action", "diag=0,1"]) == EXIT_OK
+        capsys.readouterr()
+        # the parser `run` just used, asked for the next command line
+        parser = cli._build_parser(cli._default_horizon())
+        args = parser.parse_args(["crossed", "tight", "--base", "2",
+                                  "--group", "2"])
+        assert args.action is None and not args.json
+
+    def test_missing_action_after_a_full_call(self, capsys):
+        assert run(["crossed", "tight", "--base", "2", "--group", "2",
+                    "--action", "diag=0,1"]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["crossed", "tight", "--base", "2",
+                    "--group", "2"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: need exactly one --action per group factor\n")
+
+    def test_json_flag_does_not_carry_over(self, capsys):
+        argv = ["links", "standard-2", "--unit", "0:0:1:2"]
+        assert run(argv + ["--json"]) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") == 1
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") > 1
 
 
 class TestPetersCommands:

@@ -10,7 +10,7 @@ from limitalg.crossed import (ActionRelationError, Character, CrossedAlgebra,
                               perm_action, radical_nilpotency_check,
                               radical_tightness_check,
                               semisimplicity_permanence_check, trivial_action,
-                              verify_lattice_iso)
+                              verify_lattice_iso, _verify_multiplicative)
 from limitalg.cyclotomic import Cyc
 
 Z2 = FiniteAbelianGroup((2,))
@@ -83,6 +83,22 @@ class TestLevelActions:
 
 
 class TestCrossedAlgebra:
+    def test_mismatched_inputs_are_value_errors(self):
+        with pytest.raises(ValueError, match="different groups"):
+            Character(Z2, (1,)).compose(Character(TRIVIAL, ()))
+        with pytest.raises(ValueError, match="base shape and group"):
+            CrossedAlgebra((3,), Z2, t2_flip())
+        with pytest.raises(ValueError, match="base shape and group"):
+            CrossedAlgebra((2,), TRIVIAL, t2_flip())
+
+    def test_a_non_multiplicative_map_is_refuted(self):
+        a = build_crossed((2,), Z2, t2_flip())
+        table = {k: (Cyc.one(2), k) for k in a.alg.basis}
+        key = ((0, 1, 1), (0,))
+        table[key] = (-Cyc.one(2), key)
+        with pytest.raises(AssertionError, match="not multiplicative"):
+            _verify_multiplicative(a.alg, table)
+
     def test_dimension_count(self):
         a = build_crossed((2,), Z2, t2_flip())
         assert a.dim == 3 * 2
@@ -221,6 +237,11 @@ class TestPermanenceAndLinks:
         rep = semisimplicity_permanence_check((2,), Z2, t2_flip(),
                                               triangular=True)
         assert not rep["applicable"]
+
+    def test_links_lemma_needs_a_triangular_base(self):
+        a = build_crossed((2,), Z2, t2_flip(), triangular=False)
+        with pytest.raises(ValueError, match="expects a triangular base"):
+            links_lemma_check(a)
 
     def test_links_lemma_witnesses(self):
         a = build_crossed((2,), Z2, t2_flip())

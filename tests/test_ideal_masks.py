@@ -1,0 +1,233 @@
+"""Bitmask ideal lattices against the frozenset construction they replaced.
+
+`crossed` closes, unions and compares ideals as integer masks over an
+indexed basis.  The reference below is the set-of-keys construction:
+each closure walks keys, each union is a frozenset, and the lattice
+check rebuilds J x G as a set of (unit, g) pairs.  Both must give the
+same ideals in the same order and the same lattice report.
+"""
+import random
+
+import pytest
+
+from limitalg import crossed as C
+from limitalg.algebra import MonomialAlgebra, multi_matrix_units
+
+Z2 = C.FiniteAbelianGroup((2,))
+Z3 = C.FiniteAbelianGroup((3,))
+Z2xZ2 = C.FiniteAbelianGroup((2, 2))
+TRIVIAL = C.FiniteAbelianGroup(())
+
+
+# ---------------------------------------------------------------------------
+# the frozenset reference
+
+
+def ref_hull(shape, triangular, key):
+    s, i, j = key
+    k = shape[s]
+    return {(s, a, b) for a in range(1, k + 1) for b in range(1, k + 1)
+            if not triangular or (a <= i and b >= j and a <= b)}
+
+
+def ref_closure(seed, neighbours):
+    out = {seed}
+    todo = [seed]
+    while todo:
+        for y in neighbours(todo.pop()):
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+    return frozenset(out)
+
+
+def ref_union_lattice(principal):
+    ideals = {frozenset()}
+    frontier = {frozenset()}
+    values = set(principal)
+    while frontier:
+        nxt = set()
+        for ideal in frontier:
+            for p in values:
+                u = ideal | p
+                if u not in ideals:
+                    ideals.add(u)
+                    nxt.add(u)
+        frontier = nxt
+    return sorted(ideals, key=lambda f: (len(f), sorted(f)))
+
+
+def ref_invariant_ideals(shape, action, triangular):
+    gens = [action.group.generator(i) for i in range(len(action.group.orders))]
+
+    def neighbours(key):
+        return [*ref_hull(shape, triangular, key),
+                *(action.table(g)[key][1] for g in gens)]
+
+    return ref_union_lattice(
+        [ref_closure(u, neighbours)
+         for u in multi_matrix_units(tuple(shape), triangular)])
+
+
+def ref_dual_ideals(a):
+    basis = a.alg.basis
+
+    def neighbours(x):
+        return [p[1] for b in basis for p in (a.alg.prod(b, x), a.alg.prod(x, b))
+                if p is not None]
+
+    return ref_union_lattice([ref_closure(k, neighbours) for k in basis])
+
+
+def ref_lattice_iso(base_lattice, crossed_lattice, group):
+    gs = group.elements()
+    images = {}
+
+    def phi(ideal):
+        if ideal not in images:
+            images[ideal] = frozenset((u, g) for u in ideal for g in gs)
+        return images[ideal]
+
+    image = [phi(j) for j in base_lattice]
+    bijection = (len(set(image)) == len(base_lattice)
+                 and set(image) == set(crossed_lattice))
+    preserves = all(
+        phi(j1 & j2) == phi(j1) & phi(j2) and phi(j1 | j2) == phi(j1) | phi(j2)
+        for j1 in base_lattice for j2 in base_lattice)
+    return {"base_count": len(base_lattice),
+            "crossed_count": len(crossed_lattice),
+            "bijection": bijection, "preserves_lattice_ops": preserves,
+            "ok": bijection and preserves}
+
+
+# ---------------------------------------------------------------------------
+# systems: larger bases, every group, both base kinds, every action kind
+
+
+def _system(shape, group, gens):
+    return shape, group, C.LevelAction(group, shape, gens)
+
+
+def _ident(shape):
+    return tuple(range(len(shape)))
+
+
+def _zeros(shape):
+    return tuple((0,) * k for k in shape)
+
+
+EXTRA = {
+    # diag: zeta-power conjugations; the last is the 196-ideal lattice
+    "33-z2xz2-diag": _system((3, 3), Z2xZ2, [
+        ((0, 1), ((0, 1, 1), (0, 0, 1))), ((0, 1), ((0, 0, 1), (0, 1, 1)))]),
+    "33-z3-diag": _system((3, 3), Z3, [((0, 1), ((0, 1, 2), (0, 0, 1)))]),
+    "33-trivial": _system((3, 3), TRIVIAL, []),
+    "4-z2-diag": _system((4,), Z2, [((0,), ((0, 1, 0, 1),))]),
+    "4-z3-diag": _system((4,), Z3, [((0,), ((0, 1, 2, 0),))]),
+    "4-trivial": _system((4,), TRIVIAL, []),
+    # perm: summand permutations
+    "222-z2-perm": _system((2, 2, 2), Z2, [((1, 0, 2), _zeros((2, 2, 2)))]),
+    "222-z3-perm": _system((2, 2, 2), Z3, [((1, 2, 0), _zeros((2, 2, 2)))]),
+    "33-z2-perm": _system((3, 3), Z2, [((1, 0), _zeros((3, 3)))]),
+    # mixed: a permutation and a twist, in one generator or across two
+    "222-z2xz2-mixed": _system((2, 2, 2), Z2xZ2, [
+        ((1, 0, 2), _zeros((2, 2, 2))),
+        (_ident((2, 2, 2)), ((0, 1), (0, 1), (0, 0)))]),
+    "222-z2-mixed": _system((2, 2, 2), Z2,
+                            [((1, 0, 2), ((0, 1), (0, 1), (0, 1)))]),
+    "33-z2-mixed": _system((3, 3), Z2, [((1, 0), ((0, 1, 0), (0, 1, 0)))]),
+}
+FULL = ["33-z2-perm", "33-z3-diag", "4-z2-diag", "222-z2xz2-mixed",
+        "222-z2-mixed", "33-trivial"]
+CASES = [(name, True) for name in EXTRA] + [(name, False) for name in FULL]
+
+
+def _check(shape, group, action, triangular):
+    base = ref_invariant_ideals(shape, action, triangular)
+    assert C.enumerate_invariant_ideals(shape, action, triangular) == base
+    a = C.build_crossed(shape, group, action, triangular)
+    dual = ref_dual_ideals(a)
+    assert C.enumerate_dual_invariant_ideals(a) == dual
+    assert C.verify_lattice_iso(shape, group, action, triangular) == \
+        ref_lattice_iso(base, dual, group)
+
+
+@pytest.mark.parametrize(
+    "name,triangular", CASES,
+    ids=[f"{n}-{'tri' if t else 'full'}" for n, t in CASES])
+def test_masks_match_the_frozenset_reference(name, triangular):
+    _check(*EXTRA[name], triangular)
+
+
+@pytest.mark.parametrize("triangular", [True, False], ids=["tri", "full"])
+def test_family_matches_the_frozenset_reference(family, triangular):
+    for shape, group, action in family:
+        _check(shape, group, action, triangular)
+
+
+def test_the_heavy_lattice_has_196_ideals():
+    rep = C.verify_lattice_iso(*EXTRA["33-z2xz2-diag"])
+    assert rep == {"base_count": 196, "crossed_count": 196, "bijection": True,
+                   "preserves_lattice_ops": True, "ok": True}
+
+
+def test_masks_follow_the_index_not_the_basis_order(monkeypatch):
+    # the same crossed algebra with its basis listed back to front
+    build = C.build_crossed
+
+    def reversed_build(*args, **kwargs):
+        a = build(*args, **kwargs)
+        a.alg = MonomialAlgebra(a.alg.basis[::-1], a.alg.prod, a.alg.one)
+        return a
+
+    monkeypatch.setattr(C, "build_crossed", reversed_build)
+    for name in ("222-z2xz2-mixed", "33-z2-mixed", "4-z2-diag"):
+        shape, group, action = EXTRA[name]
+        a = C.build_crossed(shape, group, action)
+        assert a.alg.basis == build(shape, group, action).alg.basis[::-1]
+        dual = ref_dual_ideals(a)
+        assert C.enumerate_dual_invariant_ideals(a) == dual
+        assert C.verify_lattice_iso(shape, group, action) == ref_lattice_iso(
+            ref_invariant_ideals(shape, action, True), dual, group)
+
+
+def test_closure_and_unions_on_random_graphs():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        edges = [rng.sample(range(n), rng.randrange(0, min(n, 3) + 1))
+                 for _ in range(n)]
+        neighbours = [C._mask(e) for e in edges]
+        keys = list(range(n))
+        for seed in range(n):
+            ref = ref_closure(seed, lambda x: edges[x])
+            assert C._decode([C._closure(1 << seed, neighbours)], keys) == [ref]
+        picks = rng.sample(range(n), rng.randrange(0, n + 1))
+        principal = [C._closure(1 << p, neighbours) for p in picks]
+        assert C._decode(C._union_lattice(principal), keys) == \
+            ref_union_lattice([ref_closure(p, lambda x: edges[x])
+                               for p in picks])
+
+
+@pytest.mark.parametrize("edit", ["drop-top", "drop-bottom", "shrink-top"])
+def test_a_wrong_crossed_lattice_is_not_a_bijection(monkeypatch, edit):
+    shape, group, action = EXTRA["222-z2xz2-mixed"]
+    enumerate_dual = C.enumerate_dual_invariant_ideals
+
+    def edited(a):
+        lattice = enumerate_dual(a)
+        if edit == "drop-top":
+            del lattice[-1]
+        elif edit == "drop-bottom":
+            del lattice[0]
+        else:  # same count, one ideal lost a basis element
+            lattice[-1] = frozenset(sorted(lattice[-1])[1:])
+        return lattice
+
+    monkeypatch.setattr(C, "enumerate_dual_invariant_ideals", edited)
+    rep = C.verify_lattice_iso(shape, group, action)
+    base = ref_invariant_ideals(shape, action, True)
+    assert rep == ref_lattice_iso(base, edited(C.build_crossed(
+        shape, group, action)), group)
+    assert not rep["bijection"] and not rep["ok"]
+    assert rep["preserves_lattice_ops"]

@@ -1,6 +1,8 @@
 """Gauge-invariant ideal parametrization, cross-checked by brute force."""
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -107,6 +109,17 @@ class TestEnumeration:
             fast = enumerate_sequences(s, h)
             assert set(fast) == brute_force_sequences(s, h)
             assert len(set(fast)) == len(fast)
+
+    def test_results_are_freed_without_the_cyclic_collector(self):
+        # reference counting alone must release an enumeration's sequences
+        gc.disable()
+        try:
+            seqs = enumerate_sequences(cycle3(), 2)
+            probe = weakref.ref(seqs[-1])
+            del seqs
+            assert probe() is None
+        finally:
+            gc.enable()
 
 
 class TestLatticeOps:

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import limitalg
+from limitalg.links import Linked, link_status
+from limitalg.radical import radical_membership
 from limitalg.tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
-                            LevelRangeError, embed_element, embed_unit,
-                            decompose, preset, random_lattice_word,
+                            LevelRangeError, UnitShapeError, embed_element,
+                            embed_unit, decompose, preset, random_lattice_word,
                             validate_embedding, verify_embedding_order)
 
 
@@ -134,6 +136,20 @@ class TestImages:
         with pytest.raises(LevelRangeError):
             finite.words(1)
 
+    def test_units_outside_the_shape_are_rejected(self):
+        # standard-2 has shape (2,) at level 0
+        t = preset("standard-2")
+        with pytest.raises(UnitShapeError, match=r"row and col must lie in 1\.\.2"):
+            radical_membership(t, MatrixUnit(0, 0, 3, 1))
+        with pytest.raises(UnitShapeError, match=r"row and col must lie in 1\.\.2"):
+            link_status(t, MatrixUnit(0, 0, 1, 5))
+        with pytest.raises(UnitShapeError, match=r"no summand 1 in level 0 shape \[2\]"):
+            embed_unit(t, MatrixUnit(0, 1, 1, 2), 1)
+        with pytest.raises(UnitShapeError, match="level -1 is not a level"):
+            t.check_unit(MatrixUnit(-1, 0, 1, 2))
+        t.check_unit(MatrixUnit(0, 0, 1, 2))
+        assert isinstance(link_status(t, MatrixUnit(0, 0, 1, 2)), Linked)
+
 
 class TestElements:
     def test_unit_sum_rejects_overlapping_supports(self):
@@ -144,7 +160,8 @@ class TestElements:
 
     def test_support_checks_survive_optimized_mode(self):
         # each check must still raise with asserts stripped
-        code = ("from limitalg.crossed import FiniteAbelianGroup, perm_action\n"
+        code = ("from limitalg.crossed import (FiniteAbelianGroup, build_crossed,"
+                " links_lemma_check, perm_action, trivial_action)\n"
                 "from limitalg.cyclotomic import Cyc\n"
                 "from limitalg.peters import FiniteDynSys\n"
                 "from limitalg.tower import MatrixUnit, MatrixUnitSum\n"
@@ -155,6 +172,9 @@ class TestElements:
                 " [(1, 0)]),\n"
                 "    lambda: Cyc.zero(5).inverse(),\n"
                 "    lambda: FiniteDynSys('ab', {'a': 'a', 'b': 'a'}),\n"
+                "    lambda: links_lemma_check(build_crossed((2,),"
+                " FiniteAbelianGroup(()), trivial_action(FiniteAbelianGroup(()),"
+                " (2,)), triangular=False)),\n"
                 "]\n"
                 "for check in checks:\n"
                 "    try:\n"
@@ -172,7 +192,8 @@ class TestElements:
             "ValueError overlapping supports in MatrixUnitSum\n"
             "ActionRelationError permuted summands must have equal sizes\n"
             "ZeroDivisionError division by zero in Q(zeta_m)\n"
-            "ValueError phi must be a bijection\n")
+            "ValueError phi must be a bijection\n"
+            "ValueError links lemma check expects a triangular base\n")
 
     def test_block_multiplication_and_power(self):
         x = Element(0, {(0, 1, 2): 2, (0, 2, 3): 3, (1, 1, 1): 1})
