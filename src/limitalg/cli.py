@@ -71,8 +71,6 @@ def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
         tower.check_unit(unit)
     except UnitShapeError as exc:
         raise CliError(f"unit {text}: {exc}") from None
-    if unit.row > unit.col:
-        raise CliError(f"unit {text}: row > col is not upper triangular")
     return unit
 
 

@@ -25,7 +25,8 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i - deg_d + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise AssertionError("non-exact polynomial division")
     return out
 
 
@@ -72,7 +73,8 @@ class Cyc:
         c = [Fraction(x) for x in coeffs]
         if len(c) < deg:
             c += [Fraction(0)] * (deg - len(c))
-        assert len(c) == deg, "coefficient vector too long; reduce first"
+        if len(c) > deg:
+            raise ValueError("coefficient vector too long; reduce first")
         self.m = m
         self.c = tuple(c)
 
@@ -148,7 +150,8 @@ class Cyc:
             r0, r1 = r1, r
             s0, s1 = s1, _polysub(s0, _polymul(q, s1))
         # r0 = gcd (a nonzero constant, since Phi_m is irreducible)
-        assert len(r0) == 1 and r0[0] != 0
+        if len(r0) != 1 or r0[0] == 0:
+            raise AssertionError(f"gcd with Phi_{self.m} is not a unit")
         return _reduced(self.m, [x / r0[0] for x in s0])
 
     def __truediv__(self, other):

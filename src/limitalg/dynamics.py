@@ -40,7 +40,8 @@ class TowerAction:
     def __init__(self, tower: TowerSpec, group: FiniteAbelianGroup,
                  gen_maps: list[dict[int, tuple[int, tuple[Word, ...]]]],
                  names: list[str] | None = None):
-        assert len(gen_maps) == len(group.orders)
+        if len(gen_maps) != len(group.orders):
+            raise ValueError("need exactly one generator map per group factor")
         self.tower = tower
         self.group = group
         self.gen_maps = [dict(m) for m in gen_maps]

@@ -166,7 +166,8 @@ def _pointwise(sys: FiniteDynSys, a: SubsetSequence, b: SubsetSequence,
                op, name: str) -> SubsetSequence:
     n = max(len(a.sets), len(b.sets))
     r = SubsetSequence(tuple(op(a.at(i), b.at(i)) for i in range(n)))
-    assert check_star(sys, r)["ok"], f"{name} left the (star) class"
+    if not check_star(sys, r)["ok"]:
+        raise AssertionError(f"{name} left the (star) class")
     return r
 
 
@@ -237,7 +238,8 @@ def ideal_from_sequence(model: TruncatedSemicrossed,
     ideal = {(i, j): model.sys.iterate(seq.at(i - j), -j)
              for (i, j) in model.entries()}
     rep = validate_ideal(model, ideal)
-    assert rep["ok"], rep
+    if not rep["ok"]:
+        raise AssertionError(rep)
     return ideal
 
 
@@ -294,7 +296,8 @@ def invariant_closure(model: TruncatedSemicrossed, seed: dict) -> dict:
                 shrink((i, j), sys.image(ideal[(i + 1, j + 1)]))
                 shrink((i + 1, j + 1), sys.preimage(ideal[(i, j)]))
     rep = validate_ideal(model, ideal)
-    assert rep["ok"], rep
+    if not rep["ok"]:
+        raise AssertionError(rep)
     return ideal
 
 
@@ -308,7 +311,9 @@ def extract_bigstar(model: TruncatedSemicrossed, ideal: dict) -> IdealSequence:
     # continuation past the truncation edge is not the model's claim
     for n in range(model.n - 1):
         bad = (corners[n + 1] | model.sys.image(corners[n + 1])) - corners[n]
-        assert not bad, f"(bigstar) fails at index {n}: {sorted(bad, key=str)}"
+        if bad:
+            raise AssertionError(f"(bigstar) fails at index {n}: "
+                                 f"{sorted(bad, key=str)}")
     return IdealSequence(corners)
 
 

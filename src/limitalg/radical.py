@@ -248,31 +248,45 @@ def uniform_nilpotency(tower: TowerSpec, e: MatrixUnit, exponent: int,
                        pattern_closure: bool = False) -> NilpotencyReport:
     """Verify (embed(e) * b)^exponent = 0 for all units b at levels <= horizon.
 
-    With pattern_closure (Example-4.3-shaped towers: identity carries plus
-    a level-independent creation word) the finite check extends soundly to
-    all levels, and the boolean-support closure additionally covers
+    Closed form: at every level the image x of an upper unit e has 0/1
+    coefficients, distinct rows and distinct columns, and each of its
+    units has row < col when e is strictly upper (the ballot condition)
+    and row = col when e is diagonal.  So x * b is at most one unit
+    e_{r,l} with r <= l, and its powers survive only when r = l.  The
+    first counterexample in `units_at` order therefore lies at e's own
+    level, where x = e: it is e_{col,col} when exponent == 1 or e is
+    diagonal, and no level has one otherwise.  A horizon below e's level
+    checks nothing and finds nothing.  The form needs row <= col, so a
+    lower unit raises UnitShapeError (`TowerSpec.check_unit`).
+
+    On a finite tower the report certifies every level even when
+    `horizon` stops short of the last one, since strictly upper images
+    stay strictly upper at every level.  With pattern_closure
+    (Example-4.3-shaped towers: identity carries plus a level-independent
+    creation word) the check extends soundly to all levels of an
+    infinite tower, and the boolean-support closure additionally covers
     arbitrary (mixed) elements b.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
+    tower.check_unit(e)
     top = tower.top(horizon)
-    for level in range(e.level, top + 1):
-        x = embed_element(tower, Element.from_unit(e), level)
-        for b in tower.units_at(level):
-            prod = x * Element.from_unit(b)
-            if prod and prod.power(exponent):
-                return NilpotencyReport(False, exponent, horizon,
-                                        counterexample=b)
-    # ok = no counterexample up to the horizon; a certificate additionally
-    # covers every later level (finite towers are exhausted outright, and
-    # the boolean support closure handles mixed elements b)
+    nilpotent = exponent > 1 and not e.diagonal
+    if not nilpotent and e.level <= top:
+        return NilpotencyReport(
+            False, exponent, horizon,
+            counterexample=MatrixUnit(e.level, e.summand, e.col, e.col))
+    # a certificate covers every later level, so it rests on the closed
+    # form's verdict for all levels, and pattern closure on a checked range
+    # that holds at least e's own level
     closed = False
     if pattern_closure:
         closed = (not tower.finite and tower.rule.pattern_closed
+                  and e.level <= top
                   and all(_support_nilpotent(tower, e, lv, exponent)
                           for lv in range(e.level, top + 1)))
     cert = None
-    if tower.finite or closed:
+    if nilpotent and (tower.finite or closed):
         cert = UniformNilpotency(exponent, horizon, closed)
     return NilpotencyReport(True, exponent, horizon,
                             pattern_closed=closed, certificate=cert)
@@ -300,6 +314,8 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
                        expand_horizon: int = DEFAULT_EXPAND_HORIZON,
                        link_horizon: int = DEFAULT_LINK_HORIZON,
                        exponent: int | None = None) -> RadicalStatus:
+    # every route below may stop before it embeds e, so check it here
+    tower.check_unit(e)
     top = tower.top(expand_horizon)
     # (1) all-linkless decomposition (TUHF criterion; sound for TAF too)
     for n in range(e.level, top + 1):
@@ -312,13 +328,19 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
         cc = chain_cycle_certificate(tower, e, horizon=link_horizon)
         if cc is not None:
             return NotInRadical(cc)
-    # (3) uniform nilpotency with pattern closure
-    max_block = max(max(tower.shape(n)) for n in range(e.level, top + 1))
-    exponents = [exponent] if exponent else list(range(2, max_block + 1))
-    for k in exponents:
-        rep = uniform_nilpotency(tower, e, k, horizon=top, pattern_closure=True)
-        if rep.ok and rep.certificate is not None:
-            return InRadical(rep.certificate)
+    # (3) uniform nilpotency with pattern closure.  A bad exponent is
+    # rejected even where none is tried (0 asks for the default range);
+    # on an infinite tower only a pattern-closed rule earns a certificate
+    if exponent is not None and exponent < 0:
+        raise ValueError("exponent must be >= 1")
+    if tower.finite or tower.rule.pattern_closed:
+        max_block = max(max(tower.shape(n)) for n in range(e.level, top + 1))
+        exponents = [exponent] if exponent else list(range(2, max_block + 1))
+        for k in exponents:
+            rep = uniform_nilpotency(tower, e, k, horizon=top,
+                                     pattern_closure=True)
+            if rep.ok and rep.certificate is not None:
+                return InRadical(rep.certificate)
     return Unknown(expand_horizon, link_horizon)
 
 

@@ -419,7 +419,8 @@ class TowerSpec:
         return index
 
     def check_unit(self, e: MatrixUnit) -> None:
-        """Raise UnitShapeError unless `e` lies in its level's shape."""
+        """Raise UnitShapeError unless `e` is a unit of its level's
+        triangular algebra: in the level's shape, with row <= col."""
         if not self.has_level(e.level):
             raise UnitShapeError(
                 f"level {e.level} is not a level of the tower")
@@ -430,6 +431,8 @@ class TowerSpec:
         size = shape[e.summand]
         if not (1 <= e.row <= size and 1 <= e.col <= size):
             raise UnitShapeError(f"row and col must lie in 1..{size}")
+        if e.row > e.col:
+            raise UnitShapeError("row > col is not upper triangular")
 
     def frozen_carry(self, level: int, summand: int) -> int | None:
         return identity_carry(self.shape(level), self.words(level), summand)

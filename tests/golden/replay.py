@@ -42,6 +42,7 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                             None),
     "links-not-linked-up-to": (("links", "@prefix.tower", "--unit", "0:0:1:2",
                                 "--horizon", "5"), None),
+    "links-lower-unit": (("links", "standard-2", "--unit", "0:0:2:1"), None),
     "links-compact": (("links", "refinement-2", "--unit", "1:0:2:3",
                        "--json"), None),
     "embed": (("embed", "paper-example-taf", "--unit", "0:0:1:2",
@@ -69,6 +70,20 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "radical-finite-nilpotency": (("radical", "@finite.tower", "--unit",
                                    "1:0:1:2", "--expand-horizon", "1",
                                    "--exponent", "2"), None),
+    "radical-finite-nilpotency-two-summand": (("radical", "@two-summand.tower",
+                                               "--unit", "0:0:1:2",
+                                               "--expand-horizon", "0"), None),
+    "radical-exponent-one": (("radical", "paper-example-taf", "--unit",
+                              "0:0:1:2", "--exponent", "1"), None),
+    "radical-diagonal-exponent-three": (("radical", "paper-example-taf",
+                                         "--unit", "0:0:1:1", "--exponent",
+                                         "3"), None),
+    "radical-negative-exponent": (("radical", "@prefix.tower", "--unit",
+                                   "0:0:1:2", "--exponent", "-1",
+                                   "--expand-horizon", "0", "--horizon", "3"),
+                                  None),
+    "radical-lower-unit": (("radical", "@two-summand.tower", "--unit",
+                            "0:0:2:1"), None),
     "radical-unknown": (("radical", "paper-example-taf", "--unit", "0:0:1:1",
                          "--expand-horizon", "3", "--horizon", "4"), None),
     "radical-unknown-prefix": (("radical", "@prefix.tower", "--unit", "0:0:1:2",

@@ -1,14 +1,51 @@
 """Radical membership certificates against the trace-form oracle."""
+import random
+
 import pytest
 
+from limitalg import radical
+from limitalg.links import link_status
 from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
                               chain_cycle_certificate, donsig_chain,
                               extremal_subordinate_check, finite_level_radical,
                               radical_membership, strictly_upper_units,
                               uniform_nilpotency)
-from limitalg.tower import (Element, MatrixUnit, TowerRule, TowerSpec,
-                            embed_element, preset)
+from limitalg.tower import (ConstantRule, Element, MatrixUnit, TowerRule,
+                            TowerSpec, UnitShapeError, embed_element, preset)
+from test_occurrence_index import permutation_words, random_prefix
+
+
+def exhaustive_nilpotency(tower, e, exponent, horizon):
+    """Reference: the first unit b in `units_at` order, level by level up
+    to the horizon, with (embed(e) * b)^exponent != 0, or None."""
+    for level in range(e.level, tower.top(horizon) + 1):
+        x = embed_element(tower, Element.from_unit(e), level)
+        for b in tower.units_at(level):
+            prod = x * Element.from_unit(b)
+            if prod and prod.power(exponent):
+                return b
+    return None
+
+
+def nilpotency_towers():
+    """Seeded random multi-summand towers (explicit, and an explicit
+    prefix with a `repeat` tail) plus the three presets."""
+    towers = []
+    for seed in range(12):
+        rng = random.Random(300 + seed)
+        base = rng.choice(((1, 2), (2, 1), (1, 1, 2), (2, 2)))
+        levels, steps = random_prefix(base, 3, rng, cap=12)
+        towers.append(TowerSpec(levels, steps))
+    for seed in range(4):
+        rng = random.Random(400 + seed)
+        levels, steps = random_prefix((2, 1), 1, rng, cap=8)
+        rule = ConstantRule(levels[-1], permutation_words(levels[-1], rng))
+        towers.append(TowerSpec(levels, steps, rule=rule,
+                                rule_start=len(steps)))
+    towers += [preset(name) for name in
+               ("standard-2", "refinement-2", "paper-example-taf")]
+    return towers
 
 
 class TestFiniteOracle:
@@ -93,6 +130,81 @@ class TestUniformNilpotency:
         assert (x * mixed).power(2)
 
 
+class TestClosedFormNilpotency:
+    def test_agrees_with_the_exhaustive_loop(self):
+        cases = 0
+        for tower in nilpotency_towers():
+            for level in (0, 1):
+                for e in tower.units_at(level):
+                    for k in (1, 2, 3):
+                        # below, at and above the unit's level
+                        for horizon in (level - 1, level, level + 2):
+                            rep = uniform_nilpotency(tower, e, k, horizon,
+                                                     pattern_closure=True)
+                            ref = exhaustive_nilpotency(tower, e, k, horizon)
+                            assert rep.ok == (ref is None), (e, k, horizon)
+                            assert rep.counterexample == ref, (e, k, horizon)
+                            cases += 1
+        assert cases > 4000
+
+    def test_finite_certificates_hold_up_to_the_last_level(self):
+        # a certificate below the last level still covers every level
+        for tower in nilpotency_towers():
+            if not tower.finite:
+                continue
+            for e in tower.units_at(0):
+                for k in (1, 2, 3):
+                    rep = uniform_nilpotency(tower, e, k, horizon=0)
+                    assert (rep.certificate is not None) == (
+                        exhaustive_nilpotency(tower, e, k,
+                                              tower.max_level) is None)
+
+    def test_a_horizon_below_the_unit_certifies_only_what_holds(self):
+        # nothing is checked below the unit's level: a finite tower still
+        # gets the closed form's all-level verdict, pattern closure nothing
+        finite = TowerSpec([(2,), (4,)],
+                           [(((0, 1), (0, 2), (0, 1), (0, 2)),)])
+        rep = uniform_nilpotency(finite, MatrixUnit(1, 0, 3, 3), 2, horizon=0)
+        assert rep.ok and rep.counterexample is None
+        assert rep.certificate is None
+        rep = uniform_nilpotency(finite, MatrixUnit(1, 0, 3, 4), 2, horizon=0)
+        assert rep.certificate == UniformNilpotency(2, 0, False)
+        # exponent 2 fails on mixed elements here (TestUniformNilpotency
+        # refuses it at horizon 3), so an empty range must not certify it
+        t = preset("paper-example-taf")
+        for e in (MatrixUnit(1, 0, 1, 2), MatrixUnit(1, 0, 1, 1)):
+            rep = uniform_nilpotency(t, e, 2, horizon=0, pattern_closure=True)
+            assert rep.ok and not rep.pattern_closed
+            assert rep.certificate is None
+
+
+class TestUnitShape:
+    @pytest.mark.parametrize("unit, message", [
+        (MatrixUnit(0, 0, 2, 1), "row > col is not upper triangular"),
+        (MatrixUnit(0, 0, 3, 1), r"row and col must lie in 1\.\.2"),
+        (MatrixUnit(0, 1, 1, 1), "no summand 1"),
+    ])
+    def test_entry_points_reject_units_outside_the_algebra(self, unit,
+                                                           message):
+        t = preset("standard-2")
+        with pytest.raises(UnitShapeError, match=message):
+            radical_membership(t, unit)
+        with pytest.raises(UnitShapeError, match=message):
+            link_status(t, unit)
+        for horizon in (0, 2):
+            with pytest.raises(UnitShapeError, match=message):
+                uniform_nilpotency(t, unit, 2, horizon=horizon)
+
+    def test_lower_unit_beyond_the_horizon_is_rejected(self):
+        # no route embeds a unit above every horizon it is given
+        t = preset("standard-2")
+        with pytest.raises(UnitShapeError):
+            uniform_nilpotency(t, MatrixUnit(3, 0, 2, 1), 2, horizon=1)
+        with pytest.raises(UnitShapeError):
+            radical_membership(t, MatrixUnit(3, 0, 2, 1), expand_horizon=1,
+                               link_horizon=1)
+
+
 class TestMembership:
     def test_refinement_strict_upper_in_radical(self):
         t = preset("refinement-2")
@@ -132,6 +244,22 @@ class TestMembership:
         st = radical_membership(t, MatrixUnit(0, 0, 1, 2),
                                 expand_horizon=2, link_horizon=3)
         assert isinstance(st, Unknown)
+
+    def test_no_exponent_loop_without_pattern_closure(self, monkeypatch):
+        # an infinite tower whose rule is not pattern-closed can earn no
+        # nilpotency certificate, so radical_membership does not try one
+        calls = []
+        monkeypatch.setattr(radical, "uniform_nilpotency",
+                            lambda *a, **k: calls.append(a))
+        t = TowerSpec([(2, 1), (4, 1), (4, 1)],
+                      [(((0, 1), (0, 1), (0, 2), (0, 2)), ((1, 1),)),
+                       (((0, 1), (0, 2), (0, 3), (0, 4)), ((1, 1),))],
+                      rule=ConstantRule((4, 1), (((0, 1), (0, 2), (0, 3),
+                                                  (0, 4)), ((1, 1),))),
+                      rule_start=2)
+        st = radical_membership(t, MatrixUnit(0, 0, 1, 2),
+                                expand_horizon=0, link_horizon=4)
+        assert isinstance(st, Unknown) and calls == []
 
 
 class TestExtremalFactorization:

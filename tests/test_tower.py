@@ -145,6 +145,9 @@ class TestImages:
             link_status(t, MatrixUnit(0, 0, 1, 5))
         with pytest.raises(UnitShapeError, match=r"no summand 1 in level 0 shape \[2\]"):
             embed_unit(t, MatrixUnit(0, 1, 1, 2), 1)
+        with pytest.raises(UnitShapeError,
+                           match="row > col is not upper triangular"):
+            t.check_unit(MatrixUnit(0, 0, 2, 1))
         with pytest.raises(UnitShapeError, match="level -1 is not a level"):
             t.check_unit(MatrixUnit(-1, 0, 1, 2))
         t.check_unit(MatrixUnit(0, 0, 1, 2))
@@ -163,8 +166,9 @@ class TestElements:
         code = ("from limitalg.crossed import (FiniteAbelianGroup, build_crossed,"
                 " links_lemma_check, perm_action, trivial_action)\n"
                 "from limitalg.cyclotomic import Cyc\n"
+                "from limitalg.dynamics import TowerAction\n"
                 "from limitalg.peters import FiniteDynSys\n"
-                "from limitalg.tower import MatrixUnit, MatrixUnitSum\n"
+                "from limitalg.tower import MatrixUnit, MatrixUnitSum, preset\n"
                 "checks = [\n"
                 "    lambda: MatrixUnitSum(0, (MatrixUnit(0, 0, 1, 2),"
                 " MatrixUnit(0, 0, 1, 3))),\n"
@@ -175,6 +179,9 @@ class TestElements:
                 "    lambda: links_lemma_check(build_crossed((2,),"
                 " FiniteAbelianGroup(()), trivial_action(FiniteAbelianGroup(()),"
                 " (2,)), triangular=False)),\n"
+                "    lambda: Cyc(3, [1, 2, 3, 4]) + Cyc.one(3),\n"
+                "    lambda: TowerAction(preset('standard-2'),"
+                " FiniteAbelianGroup((2,)), []),\n"
                 "]\n"
                 "for check in checks:\n"
                 "    try:\n"
@@ -193,7 +200,9 @@ class TestElements:
             "ActionRelationError permuted summands must have equal sizes\n"
             "ZeroDivisionError division by zero in Q(zeta_m)\n"
             "ValueError phi must be a bijection\n"
-            "ValueError links lemma check expects a triangular base\n")
+            "ValueError links lemma check expects a triangular base\n"
+            "ValueError coefficient vector too long; reduce first\n"
+            "ValueError need exactly one generator map per group factor\n")
 
     def test_block_multiplication_and_power(self):
         x = Element(0, {(0, 1, 2): 2, (0, 2, 3): 3, (1, 1, 1): 1})
