@@ -58,38 +58,30 @@ class MonomialAlgebra:
             self._traces[key] = t
         return self._traces[key]
 
-    def gram(self) -> list[list]:
-        """Gram matrix of (x, y) -> trace(L_{xy}) on the basis."""
-        n = self.dim
-        rows = [[self.zero] * n for _ in range(n)]
-        for i, a in enumerate(self.basis):
+    def gram(self) -> list[dict]:
+        """Sparse rows of the Gram matrix of (x, y) -> trace(L_{xy})."""
+        rows = []
+        for a in self.basis:
+            row = {}
             for j, b in enumerate(self.basis):
                 r = self.prod(a, b)
                 if r is not None:
                     s, k = r
                     t = self.trace_left_mult(k)
                     if t:
-                        rows[i][j] = s * t
+                        row[j] = s * t
+            rows.append(row)
         return rows
 
     def radical_basis(self) -> list[dict]:
         """Jacobson radical basis vectors (canonical rref order)."""
-        null = linalg.nullspace(self.gram(), self.dim, self.one)
-        red, _ = linalg.rref(null)
-        out = []
-        for row in red:
-            if any(row):
-                out.append({self.basis[i]: c for i, c in enumerate(row) if c})
-        return out
+        red, _ = linalg.rref(linalg.nullspace(self.gram(), self.dim, self.one))
+        return [{self.basis[c]: x for c, x in sorted(row.items())}
+                for row in red]
 
-    def vectors_to_rows(self, vectors: list[dict]) -> list[list]:
-        rows = []
-        for v in vectors:
-            row = [self.zero] * self.dim
-            for k, c in v.items():
-                row[self.index[k]] = c
-            rows.append(row)
-        return rows
+    def vectors_to_rows(self, vectors: list[dict]) -> list[dict]:
+        """Sparse `linalg` rows over the basis index; zeros are dropped."""
+        return [{self.index[k]: c for k, c in v.items() if c} for v in vectors]
 
     def span_equal(self, vecs_a: list[dict], vecs_b: list[dict]) -> bool:
         return linalg.same_span(self.vectors_to_rows(vecs_a),

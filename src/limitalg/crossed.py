@@ -281,31 +281,30 @@ def base_radical(shape, triangular: bool = True) -> list[dict]:
     return multi_matrix_algebra(tuple(shape), triangular).radical_basis()
 
 
-def _identity_slice(a: CrossedAlgebra, rows: list[list]) -> list[dict]:
+def _identity_slice(a: CrossedAlgebra, rows: list[dict]) -> list[dict]:
     """Basis of (row span) intersected with the g = identity coordinate slice."""
     if not rows:
         return []
     ident = a.group.identity
-    other_cols = [c for c, (_, g) in enumerate(a.alg.basis) if g != ident]
+    # the transpose restricted to the non-identity columns: one sparse row
+    # per column, over the row indices
+    restricted = {c: {} for c, (_, g) in enumerate(a.alg.basis) if g != ident}
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            if c in restricted:
+                restricted[c][r] = x
     # left combinations c with c . rows vanishing on the non-identity columns
-    mat = [[rows[r][o] for r in range(len(rows))] for o in other_cols]
-    combos = linalg.nullspace(mat, len(rows), a.alg.one)
+    combos = linalg.nullspace(list(restricted.values()), len(rows), a.alg.one)
     vecs = []
-    zero = a.alg.zero
-    for c in combos:
-        v = [zero] * a.dim
-        for r, cr in enumerate(c):
-            if cr:
-                for j, x in enumerate(rows[r]):
-                    if x:
-                        v[j] = v[j] + cr * x
-        vecs.append(v)
+    for combo in combos:
+        v: dict = {}
+        for r, cr in combo.items():
+            for j, x in rows[r].items():
+                v[j] = v.get(j, a.alg.zero) + cr * x
+        vecs.append({j: x for j, x in v.items() if x})
     red, _ = linalg.rref(vecs)
-    out = []
-    for row in red:
-        if any(row):
-            out.append({a.alg.basis[j][0]: x for j, x in enumerate(row) if x})
-    return out
+    return [{a.alg.basis[j][0]: x for j, x in sorted(row.items())}
+            for row in red]
 
 
 def radical_tightness_check(shape, group: FiniteAbelianGroup,
@@ -565,14 +564,8 @@ def _model_matrices(a: CrossedAlgebra) -> tuple[list[dict], int]:
     return [rep(key) for key in a.alg.basis], size
 
 
-def _mats_to_rows(mats: list[dict], size: int, zero) -> list[list]:
-    rows = []
-    for m in mats:
-        row = [zero] * (size * size)
-        for (r, c), v in m.items():
-            row[r * size + c] = v
-        rows.append(row)
-    return rows
+def _mats_to_rows(mats: list[dict], size: int) -> list[dict]:
+    return [{r * size + c: v for (r, c), v in m.items()} for m in mats]
 
 
 def _adjoint(mat: dict) -> dict:
@@ -588,10 +581,10 @@ def _kron(mat: dict, size: int, n: int) -> list[dict]:
     return out
 
 
-def _diag_dims(mats: list[dict], size: int, expected: list[dict], zero) -> dict:
-    rows_b = _mats_to_rows(mats, size, zero)
-    rows_bstar = _mats_to_rows([_adjoint(m) for m in mats], size, zero)
-    rows_exp = _mats_to_rows(expected, size, zero)
+def _diag_dims(mats: list[dict], size: int, expected: list[dict]) -> dict:
+    rows_b = _mats_to_rows(mats, size)
+    rows_bstar = _mats_to_rows([_adjoint(m) for m in mats], size)
+    rows_exp = _mats_to_rows(expected, size)
     rb, rbs = linalg.rank(rows_b), linalg.rank(rows_bstar)
     r_union = linalg.rank(rows_b + rows_bstar)
     dim_diag = rb + rbs - r_union
@@ -611,16 +604,15 @@ def diag_check(shape, group: FiniteAbelianGroup, action: LevelAction,
     """
     a = build_crossed(shape, group, action, triangular)
     mats, size = _model_matrices(a)
-    zero = a.alg.zero
     diag_keys = [i for i, ((s, r, c), g) in enumerate(a.alg.basis) if r == c]
     expected = [mats[i] for i in diag_keys]
-    main = _diag_dims(mats, size, expected, zero)
+    main = _diag_dims(mats, size, expected)
     if ampliation is None:
         return {"crossed": main, "ok": main["ok"]}
 
     amp_mats = [m2 for m in mats for m2 in _kron(m, size, ampliation)]
     amp_expected = [m2 for m in expected for m2 in _kron(m, size, ampliation)]
-    amp = _diag_dims(amp_mats, size * ampliation, amp_expected, zero)
+    amp = _diag_dims(amp_mats, size * ampliation, amp_expected)
     return {"crossed": main, "ampliation": {"n": ampliation, **amp},
             "ok": main["ok"] and amp["ok"]}
 

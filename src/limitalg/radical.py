@@ -330,10 +330,11 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
             return NotInRadical(cc)
     # (3) uniform nilpotency with pattern closure.  A bad exponent is
     # rejected even where none is tried (0 asks for the default range);
-    # on an infinite tower only a pattern-closed rule earns a certificate
+    # on an infinite tower only a pattern-closed rule earns a certificate,
+    # and a unit above the expand horizon has no level to try
     if exponent is not None and exponent < 0:
         raise ValueError("exponent must be >= 1")
-    if tower.finite or tower.rule.pattern_closed:
+    if e.level <= top and (tower.finite or tower.rule.pattern_closed):
         max_block = max(max(tower.shape(n)) for n in range(e.level, top + 1))
         exponents = [exponent] if exponent else list(range(2, max_block + 1))
         for k in exponents:

@@ -27,6 +27,19 @@ TRIANGULAR_Z3 = ("--base", "2", "--group", "3", "--action", "diag=0,1")
 PAIR_Z2xZ2 = ("--base", "2,2", "--group", "2x2",
               "--action", "perm=1,0", "--action", "diag=0,1|0,1")
 
+
+def _two_level_spec(shape_0: str, shape_1: str, word: str) -> str:
+    """A two-level tower with one embedding word into level 1."""
+    return (f"level 0 = [{shape_0}]\nlevel 1 = [{shape_1}]\n"
+            f"embed 0 -> 1 {{\n  target 0 : {word}\n}}\n")
+
+
+SHAPE_SPEC = _two_level_spec("2", "4", "(0,1) (0,2) (0,1) (0,2) (0,1) (0,2)")
+LABEL_SPEC = _two_level_spec("2", "5", "(0,1) (0,2) (0,1) (0,2) (1,1)")
+COUNT_SPEC = _two_level_spec("2", "4", "(0,1) (0,1) (0,1) (0,2)")
+LATTICE_SPEC = _two_level_spec("2", "4", "(0,2) (0,1) (0,1) (0,2)")
+INJECTIVE_SPEC = _two_level_spec("2,1", "4", "(0,1) (0,2) (0,1) (0,2)")
+
 # name -> (argv, stdin text or None)
 CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     # links: every status and certificate
@@ -89,6 +102,11 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "radical-unknown-prefix": (("radical", "@prefix.tower", "--unit", "0:0:1:2",
                                 "--expand-horizon", "0", "--horizon", "4"),
                                None),
+    "radical-above-expand-horizon": (("radical", "paper-example-taf",
+                                      "--unit", "7:0:1:2"), None),
+    "radical-above-expand-horizon-finite": (("radical", "@finite.tower",
+                                             "--unit", "2:0:1:2",
+                                             "--expand-horizon", "1"), None),
     # audits
     "audit-technical-action": (("audit-technical", "@action.tower", "--unit",
                                 "0:0:1:2", "--horizons", "2,3"), None),
@@ -101,6 +119,11 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "audit-order-refinement": (("audit-order", "refinement-2", "--level", "2",
                                 "--json"), None),
     "validate-action": (("validate", "@action.tower"), None),
+    # one stdin case per embedding violation kind
+    **{f"validate-{kind}": (("validate", "-"), spec)
+       for kind, spec in (("shape", SHAPE_SPEC), ("label", LABEL_SPEC),
+                          ("count", COUNT_SPEC), ("lattice", LATTICE_SPEC),
+                          ("injective", INJECTIVE_SPEC))},
     # crossed products with Z3 and Z2 x Z2
     **{f"crossed-{what}-{label}": (("crossed", what, *system, "--json"), None)
        for what in ("tight", "lattice", "radical", "links-lemma", "diag")
@@ -116,6 +139,16 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                              "--action", "diag=0,0,1|0,1,1"), None),
     "crossed-tight-full": (("crossed", "tight", "--full", *TRIANGULAR_Z3),
                            None),
+    "crossed-tight-full-swap": (("crossed", "tight", "--full", "--base",
+                                 "2,2", "--group", "2", "--action",
+                                 "perm=1,0", "--json"), None),
+    "crossed-tight-z3-3": (("crossed", "tight", "--base", "3", "--group", "3",
+                            "--action", "diag=0,1,2", "--json"), None),
+    "crossed-radical-196": (("crossed", "radical", "--base", "3,3", "--group",
+                             "2x2", "--action", "diag=0,1,1|0,0,1",
+                             "--action", "diag=0,0,1|0,1,1", "--json"), None),
+    "crossed-diag-222": (("crossed", "diag", "--base", "2,2,2", "--group", "2",
+                          "--action", "perm=1,0,2", "--json"), None),
     "crossed-permanence-z3": (("crossed", "permanence", "--full",
                                *TRIANGULAR_Z3), None),
     "crossed-permanence-z2xz2": (("crossed", "permanence", "--full", "--base",
@@ -138,6 +171,7 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "peters-not-bijective": (("peters", "@not-bijective.sys", "enum"), None),
     "peters-partial-phi": (("peters", "@partial.sys", "enum"), None),
     "peters-bad-pair": (("peters", "@bad-pair.sys", "enum"), None),
+    "preset": (("preset", "standard-2"), None),
 }
 
 

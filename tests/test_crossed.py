@@ -121,6 +121,11 @@ class TestCrossedAlgebra:
         assert a.alg.span_equal(rad, expected)
         assert a.contains_in_radical(a.alg.vec(((0, 1, 2), (1,))))
         assert not a.contains_in_radical(a.alg.vec(((0, 1, 1), (0,))))
+        # a zero coefficient is no entry
+        zero = {((0, 1, 1), (0,)): Cyc.zero(2)}
+        assert a.contains_in_radical(zero)
+        assert a.contains_in_radical({**a.alg.vec(((0, 1, 2), (1,))), **zero})
+        assert a.alg.span_equal(rad, rad + [zero])
 
     def test_base_radical_oracle(self):
         assert len(base_radical((2,))) == 1

@@ -1,4 +1,9 @@
-"""Exact linear algebra sanity checks over Fraction and Cyc scalars."""
+"""Exact linear algebra sanity checks over Fraction and Cyc scalars.
+
+`linalg` takes and returns sparse rows, dicts column -> nonzero scalar.
+The cases are written as dense lists and converted at the call boundary,
+so the dense Gauss-Jordan reference below reads the same matrices.
+"""
 import random
 from fractions import Fraction
 
@@ -12,8 +17,17 @@ def frac_rows(rows):
     return [[Fraction(x) for x in r] for r in rows]
 
 
+def sparse(rows):
+    """Dense rows as sparse rows: every zero entry dropped."""
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+def dense(row, ncols, zero):
+    return [row.get(c, zero) for c in range(ncols)]
+
+
 def test_rref_and_rank():
-    rows = frac_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rows = sparse(frac_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
     red, pivots = linalg.rref(rows)
     assert pivots == [0, 1]
     assert linalg.rank(rows) == 2
@@ -22,38 +36,38 @@ def test_rref_and_rank():
 def test_nullspace_is_annihilated():
     rng = random.Random(7)
     for _ in range(20):
-        rows = frac_rows([[rng.randint(-3, 3) for _ in range(5)]
-                          for _ in range(3)])
+        rows = sparse(frac_rows([[rng.randint(-3, 3) for _ in range(5)]
+                                 for _ in range(3)]))
         null = linalg.nullspace(rows, 5, Fraction(1))
         assert linalg.rank(rows) + len(null) == 5
         for v in null:
             for r in rows:
-                assert sum(a * b for a, b in zip(r, v)) == 0
+                assert sum(x * r.get(c, 0) for c, x in v.items()) == 0
 
 
 def in_row_space(rows, vec):
-    return linalg.rank(rows + [list(vec)]) == linalg.rank(rows)
+    return linalg.rank(rows + [vec]) == linalg.rank(rows)
 
 
 def test_span_membership_and_equality():
-    rows = frac_rows([[1, 0, 1], [0, 1, 1]])
+    rows = sparse(frac_rows([[1, 0, 1], [0, 1, 1]]))
     span = linalg.Span(rows)
     for vec, inside in (([2, 3, 5], True), ([1, 0, 0], False)):
-        vec = frac_rows([vec])[0]
+        [vec] = sparse(frac_rows([vec]))
         assert span.contains(vec) is inside
         assert in_row_space(rows, vec) is inside
-    assert linalg.same_span(rows, frac_rows([[1, 1, 2], [1, -1, 0]]))
-    assert not linalg.same_span(rows, frac_rows([[1, 0, 1]]))
+    assert linalg.same_span(rows, sparse(frac_rows([[1, 1, 2], [1, -1, 0]])))
+    assert not linalg.same_span(rows, sparse(frac_rows([[1, 0, 1]])))
 
 
 def test_span_checker_matches_row_space_contains():
     rng = random.Random(11)
-    rows = frac_rows([[rng.randint(-2, 2) for _ in range(6)]
-                      for _ in range(3)])
+    rows = sparse(frac_rows([[rng.randint(-2, 2) for _ in range(6)]
+                             for _ in range(3)]))
     span = linalg.Span(rows)
     assert span.dim == linalg.rank(rows)
     for _ in range(30):
-        v = [Fraction(rng.randint(-2, 2)) for _ in range(6)]
+        [v] = sparse(frac_rows([[rng.randint(-2, 2) for _ in range(6)]]))
         assert span.contains(v) == in_row_space(rows, v)
 
 
@@ -62,11 +76,11 @@ def test_cyclotomic_scalars():
     i = Cyc.zeta(m)
     one = Cyc.one(m)
     zero = Cyc.zero(m)
-    rows = [[one, i], [i, -one]]  # second row = i * first row
+    rows = sparse([[one, i], [i, -one]])  # second row = i * first row
     assert linalg.rank(rows) == 1
     null = linalg.nullspace(rows, 2, one)
     assert len(null) == 1
-    a, b = null[0]
+    a, b = dense(null[0], 2, zero)
     assert one * a + i * b == zero
 
 
@@ -131,20 +145,61 @@ def test_sparse_rref_matches_dense_reference(name, scalar, zero, one):
     for nrows, ncols in SHAPES:
         for density in (0.1, 0.3, 0.7):
             cases.append(random_sparse(rng, nrows, ncols, density, scalar, zero))
-    for rows in cases:
-        ncols = len(rows[0])
+    for dense_rows in cases:
+        ncols = len(dense_rows[0])
+        rows = sparse(dense_rows)
         red, pivots = linalg.rref(rows)
-        ref_red, ref_pivots = dense_rref(rows)
+        ref_red, ref_pivots = dense_rref(dense_rows)
         assert pivots == ref_pivots
-        assert red == ref_red
-        assert len(red) == len(rows)
+        # the reference's nonzero rows, and no zero stored
+        assert [dense(r, ncols, zero) for r in red] == ref_red[:len(pivots)]
+        assert not any(x for r in ref_red[len(pivots):] for x in r)
+        assert all(x for r in red for x in r.values())
         null = linalg.nullspace(rows, ncols, one)
         assert linalg.rank(rows) + len(null) == ncols
+        assert all(x for v in null for x in v.values())
         for v in null:
-            for r in rows:
-                assert sum((a * b for a, b in zip(r, v)), zero) == zero
+            for r in dense_rows:
+                assert sum((r[c] * x for c, x in v.items()), zero) == zero
         span = linalg.Span(rows)
-        probes = rows[:2] + random_sparse(rng, 3, ncols, 0.4, scalar, zero)
-        probes.append([x + y for x, y in zip(rows[0], rows[-1])])
-        for v in probes:
+        probes = dense_rows[:2] + random_sparse(rng, 3, ncols, 0.4, scalar,
+                                                zero)
+        probes.append([x + y for x, y in zip(dense_rows[0], dense_rows[-1])])
+        for v in sparse(probes):
             assert span.contains(v) == in_row_space(rows, v)
+
+
+@pytest.mark.parametrize("name,scalar,zero,one", SCALARS,
+                         ids=[s[0] for s in SCALARS])
+def test_inputs_are_left_unchanged(name, scalar, zero, one):
+    # callers pass the same row dicts to several calls (crossed._diag_dims)
+    rng = random.Random(f"inputs-{name}")
+    rows = [r for r in sparse(random_sparse(rng, 6, 8, 0.5, scalar, zero))
+            if r]
+    rows += [dict(rows[0]), {}]  # the copy reduces to zero against rows[0]
+    [probe] = sparse([[x + y for x, y in zip(dense(rows[0], 8, zero),
+                                             dense(rows[1], 8, zero))]])
+    snapshot = [dict(r) for r in rows + [probe]]
+    linalg.rref(rows)
+    linalg.rank(rows)
+    linalg.nullspace(rows, 8, one)
+    assert linalg.same_span(rows, rows[::-1])
+    assert linalg.Span(rows).contains(probe)
+    assert [dict(r) for r in rows + [probe]] == snapshot
+
+
+@pytest.mark.parametrize("one", [s[3] for s in SCALARS],
+                         ids=[s[0] for s in SCALARS])
+def test_empty_and_zero_rows(one):
+    identity = [{c: one} for c in range(3)]
+    for rows in ([], [{}], [{}, {}, {}]):
+        assert linalg.rref(rows) == ([], [])
+        assert linalg.rank(rows) == 0
+        assert linalg.nullspace(rows, 3, one) == identity
+        assert linalg.nullspace(rows, 0, one) == []
+        assert linalg.same_span(rows, [])
+        assert not linalg.same_span(rows, [{1: one}])
+        span = linalg.Span(rows)
+        assert span.dim == 0 and span.pivots == []
+        assert span.contains({})
+        assert not span.contains({2: one})

@@ -245,6 +245,18 @@ class TestMembership:
                                 expand_horizon=2, link_horizon=3)
         assert isinstance(st, Unknown)
 
+    def test_unknown_above_the_expand_horizon(self):
+        # no level from e.level up to the expand horizon is left to try
+        finite = TowerSpec([(2,), (4,), (8,)],
+                           [(((0, 1), (0, 1), (0, 2), (0, 2)),),
+                            (((0, 1), (0, 2), (0, 1), (0, 2),
+                              (0, 3), (0, 4), (0, 3), (0, 4)),)])
+        for t, e, expand in ((preset("paper-example-taf"),
+                              MatrixUnit(7, 0, 1, 2), 6),
+                             (finite, MatrixUnit(2, 0, 1, 2), 1)):
+            st = radical_membership(t, e, expand_horizon=expand)
+            assert st == Unknown(expand, radical.DEFAULT_LINK_HORIZON)
+
     def test_no_exponent_loop_without_pattern_closure(self, monkeypatch):
         # an infinite tower whose rule is not pattern-closed can earn no
         # nilpotency certificate, so radical_membership does not try one

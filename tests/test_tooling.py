@@ -1,10 +1,16 @@
 """Source-level rules for the library package."""
+import argparse
 import ast
+import sys
 from pathlib import Path
 
 import limitalg
+from limitalg import cli, links
 
 PACKAGE = Path(limitalg.__file__).resolve().parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+import replay  # noqa: E402
 
 
 def test_library_has_no_assert_statements():
@@ -16,3 +22,20 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_golden_corpus_covers_every_command():
+    # every subcommand, and every `what` of `crossed` and `peters`, has
+    # output pinned by at least one golden case
+    parser = cli._build_parser(links.DEFAULT_HORIZON)
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    wanted = {(name, None) for name in sub.choices}
+    for name in ("crossed", "peters"):
+        [what] = [a for a in sub.choices[name]._actions if a.dest == "what"]
+        wanted |= {(name, choice) for choice in what.choices}
+    seen = set()
+    for argv, _ in replay.CASES.values():
+        args = parser.parse_args(replay._argv(argv))
+        seen |= {(args.cmd, None), (args.cmd, getattr(args, "what", None))}
+    assert sorted(wanted - seen) == []
