@@ -104,6 +104,9 @@ class LevelAction:
         if len(gens) != len(group.orders):
             raise ActionRelationError(
                 f"{len(gens)} generators for {len(group.orders)} group factors")
+        if any(k < 1 for k in shape):
+            raise ValueError(
+                f"block sizes must be at least 1, got {list(shape)}")
         self.group = group
         self.shape = tuple(shape)
         self.m = group.exponent
@@ -558,7 +561,7 @@ def _model_matrices(a: CrossedAlgebra) -> tuple[list[dict], int]:
             c, (s2, i2, j2) = a.action.table(a.group.inverse(h))[(s, i, j)]
             r = gidx[h] * s_total + offs[s2] + i2 - 1
             cc = gidx[k] * s_total + offs[s2] + j2 - 1
-            mat[(r, cc)] = mat.get((r, cc), a.alg.zero) + c
+            mat[(r, cc)] = c  # h = g k differs per k: no entry repeats
         return mat
 
     return [rep(key) for key in a.alg.basis], size

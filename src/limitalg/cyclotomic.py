@@ -3,11 +3,18 @@
 Elements are coefficient vectors over Fraction in the power basis
 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic
 polynomial.  Everything is exact; no floats anywhere.
+
+The Galois group of Q(zeta_m) is {sigma_k : zeta -> zeta^k, gcd(k, m) = 1}
+(`Cyc._galois`).  Complex conjugation is sigma_(-1), and 1/a is the
+product of the other conjugates sigma_k(a), k != 1, divided by the
+rational norm N(a) = prod_k sigma_k(a).
 """
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 
 def divisors(m: int) -> list[int]:
@@ -134,25 +141,18 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse: 1/c for a rational c, else extended
-        Euclid in Q[x] mod Phi_m."""
+        """Multiplicative inverse: 1/c for a rational c, else the product
+        of the other Galois conjugates over the rational norm."""
         if not self:
             raise ZeroDivisionError("division by zero in Q(zeta_m)")
         if not any(self.c[1:]):
             return Cyc(self.m, [1 / self.c[0]])
-        phi = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        a = list(self.c)
-        # extended gcd of a and phi over Q[x]
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 = gcd (a nonzero constant, since Phi_m is irreducible)
-        if len(r0) != 1 or r0[0] == 0:
-            raise AssertionError(f"gcd with Phi_{self.m} is not a unit")
-        return _reduced(self.m, [x / r0[0] for x in s0])
+        rest = reduce(operator.mul, (self._galois(k) for k in range(2, self.m)
+                                     if math.gcd(k, self.m) == 1))
+        norm = self * rest
+        if any(norm.c[1:]):
+            raise AssertionError(f"norm of {self!r} is not rational")
+        return Cyc(self.m, [x / norm.c[0] for x in rest.c])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -160,12 +160,16 @@ class Cyc:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation: zeta -> zeta^(m-1)."""
+    def _galois(self, k: int) -> "Cyc":
+        """The automorphism zeta -> zeta^k (k prime to m) applied to self."""
         poly = [Fraction(0)] * self.m
         for i, a in enumerate(self.c):
-            poly[(self.m - i) % self.m] = a
+            poly[i * k % self.m] = a
         return _reduced(self.m, poly)
+
+    def conjugate(self) -> "Cyc":
+        """Complex conjugation: zeta -> zeta^(m-1)."""
+        return self._galois(-1)
 
     # -- comparisons ----------------------------------------------------
     def __bool__(self):
@@ -200,46 +204,3 @@ def _reduced(m: int, poly: list[Fraction]) -> Cyc:
                 out[j] += coef * row[j]
     return Cyc(m, out)
 
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _trim(b)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [Fraction(0)], _trim(a)
-    q = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        c = a[i] / b[-1]
-        q[i - db] = c
-        for j, bj in enumerate(b):
-            a[i - db + j] -= c * bj
-    return _trim(q), _trim(a)

@@ -199,6 +199,8 @@ def linkless_units_at(tower: TowerSpec, level: int,
 def donsig_report(tower: TowerSpec, level: int,
                   horizon: int = DEFAULT_HORIZON) -> dict:
     """Classify all units at levels <= `level`; Donsig's criterion verdict."""
+    if level < 0:
+        raise LevelRangeError(f"level must be at least 0, got {level}")
     if level > horizon:
         raise LevelRangeError("level exceeds horizon")
     entries = []

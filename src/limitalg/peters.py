@@ -137,6 +137,8 @@ def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]
     X_horizon must be phi-invariant so the constant continuation still
     satisfies (star).
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
     out: set[SubsetSequence] = set()
 
     def subsets(s: frozenset):
@@ -217,6 +219,10 @@ class TruncatedSemicrossed:
     """
     sys: FiniteDynSys
     n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"matrix size must be at least 1, got {self.n}")
 
     def entries(self):
         return [(i, j) for i in range(self.n) for j in range(i + 1)]

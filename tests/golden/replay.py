@@ -149,6 +149,12 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                              "--action", "diag=0,0,1|0,1,1", "--json"), None),
     "crossed-diag-222": (("crossed", "diag", "--base", "2,2,2", "--group", "2",
                           "--action", "perm=1,0,2", "--json"), None),
+    # irrational pivots in Q(zeta_m) for m = 4, 6 and 8 (phi(8) = 4)
+    **{f"crossed-diag-z{m}": (("crossed", "diag", "--base", base, "--group",
+                               str(m), "--action", f"diag={exps}", "--json"),
+                              None)
+       for m, base, exps in ((4, "2", "0,1"), (6, "3", "0,1,3"),
+                             (8, "2", "0,1"))},
     "crossed-permanence-z3": (("crossed", "permanence", "--full",
                                *TRIANGULAR_Z3), None),
     "crossed-permanence-z2xz2": (("crossed", "permanence", "--full", "--base",
@@ -172,6 +178,18 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "peters-partial-phi": (("peters", "@partial.sys", "enum"), None),
     "peters-bad-pair": (("peters", "@bad-pair.sys", "enum"), None),
     "preset": (("preset", "standard-2"), None),
+    # sizes with nothing in them: one error line each
+    "peters-enum-negative-horizon": (("peters", "@swap.sys", "enum",
+                                      "--horizon", "-1"), None),
+    "peters-truncate-negative-n": (("peters", "@swap.sys", "truncate",
+                                    "--sets", "a", "--n", "-2"), None),
+    "peters-truncate-zero-n": (("peters", "@swap.sys", "truncate", "--sets",
+                                "a", "--n", "0"), None),
+    "donsig-negative-level": (("donsig", "standard-2", "--level", "-1"), None),
+    "crossed-lattice-empty-block": (("crossed", "lattice", "--base", "2,0",
+                                     "--group", "1"), None),
+    "crossed-diag-empty-block": (("crossed", "diag", "--base", "0", "--group",
+                                  "1"), None),
 }
 
 

@@ -1,14 +1,21 @@
 """Command-line interface: exit codes, JSON determinism, pipelines."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import limitalg
 from limitalg import cli
 from limitalg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, run
 from limitalg.links import DEFAULT_HORIZON
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = str(Path(limitalg.__file__).resolve().parents[1])
 
 
 def out_json(capsys):
@@ -228,6 +235,19 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: LIMITALG_HORIZON") and err.count("\n") == 1
+
+    def test_negative_enum_horizon_exits_instead_of_hanging(self):
+        # the worklist of a negative horizon grew without bound; the
+        # timeout turns a regression into a failure, not a stuck suite
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "limitalg.cli", "peters",
+             str(GOLDEN / "swap.sys"), "enum", "--horizon", "-1"],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_ERROR, "", "error: horizon must be at least 0, got -1\n")
 
 
 UNIT_COMMANDS = {

@@ -81,6 +81,11 @@ class TestLevelActions:
         with pytest.raises(ValueError, match="at least 1"):
             FiniteAbelianGroup((2, 0))
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (-1, 2)])
+    def test_empty_blocks_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="block sizes must be at least 1"):
+            trivial_action(TRIVIAL, shape)
+
 
 class TestCrossedAlgebra:
     def test_mismatched_inputs_are_value_errors(self):

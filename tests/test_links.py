@@ -1,11 +1,13 @@
 """Link detection and linkless certificates, cross-checked by brute force."""
 import random
 
+import pytest
+
 from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
                             donsig_report, has_link_at, link_status,
                             linkless_units_at)
-from limitalg.tower import (Element, MatrixUnit, TowerSpec, embed_element,
-                            preset, random_lattice_word)
+from limitalg.tower import (Element, LevelRangeError, MatrixUnit, TowerSpec,
+                            embed_element, preset, random_lattice_word)
 
 
 def brute_force_link(tower, e, level):
@@ -102,3 +104,9 @@ def test_linkless_units_and_donsig_verdicts():
     assert donsig_report(std, 2)["verdict"] == "semisimple (evidence)"
     taf = preset("paper-example-taf")
     assert donsig_report(taf, 2)["verdict"] == "not semisimple"
+
+
+def test_donsig_rejects_a_negative_level():
+    # level -1 has no units: a "semisimple" verdict over them says nothing
+    with pytest.raises(LevelRangeError, match="at least 0"):
+        donsig_report(preset("standard-2"), -1)

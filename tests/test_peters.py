@@ -189,3 +189,8 @@ class TestTruncatedModel:
         model = TruncatedSemicrossed(s, 3)
         assert validate_ideal(model, model.full_ideal())["ok"]
         assert validate_ideal(model, model.zero_ideal())["ok"]
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_model_is_rejected(self, n):
+        with pytest.raises(ValueError, match="matrix size must be at least 1"):
+            TruncatedSemicrossed(swap(), n)

@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 import argparse
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -39,3 +40,35 @@ def test_golden_corpus_covers_every_command():
         args = parser.parse_args(replay._argv(argv))
         seen |= {(args.cmd, None), (args.cmd, getattr(args, "what", None))}
     assert sorted(wanted - seen) == []
+
+
+def test_every_benchmark_tracer_hook_resolves():
+    # the benchmark's tracer wraps library functions by name: a function
+    # deleted or renamed here would make every traced run fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import limitalg.cli  # noqa: F401 - the tracer patches imported modules
+
+    targets = [(m, p) for m, p in tracing.SPANNED]
+    targets += [(m, p) for m, p, _ in tracing.COUNTED]
+
+    def current():
+        out = {}
+        for modname, path in targets:
+            owner, attr = tracing._resolve(
+                sys.modules[f"limitalg.{modname}"], path)
+            out[modname, path] = owner.__dict__[attr] \
+                if isinstance(owner, type) else getattr(owner, attr)
+        return out
+
+    originals = current()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = current()
+    finally:
+        tracer.uninstall()
+    assert [t for t in targets if patched[t] is originals[t]] == []
+    assert current() == originals
