@@ -1,4 +1,4 @@
-"""Line-oriented parsers for tower spec files and finite system files.
+r"""Line-oriented parsers for tower spec files and finite system files.
 
 Tower spec format::
 
@@ -16,7 +16,16 @@ Tower spec format::
     }
 
 '#' starts a comment.  `repeat` requires the last two level shapes to be
-equal so the final word collection can be reused verbatim.
+equal so the final word collection can be reused verbatim.  Every summand
+size must be at least 1.
+
+A word is gated by one `fullmatch` against its grammar
+`(?:\s*\(\d+\s*,\s*\d+\))*\s*`.  Once the text is known to hold only
+labels and whitespace, blanking `(),` and splitting yields exactly the
+label numbers in order (`str.split` and `\s` share one definition of
+whitespace), so no per-label regex runs.  Only a word that fails the gate
+is scanned label by label, to report the line column of its first
+character that no label covers.
 
 System file format (a finite set and a permutation of it)::
 
@@ -49,15 +58,34 @@ class ActionSpecData:
 
 
 _LABEL_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
+_WORD_RE = re.compile(r"(?:\s*\(\d+\s*,\s*\d+\))*\s*")
+_LABEL_PUNCTUATION = str.maketrans("(),", "   ")
 
 
-def _parse_word(text: str, lineno: int) -> Word:
-    stripped = _LABEL_RE.sub("", text).strip()
-    if stripped:
-        col = text.find(stripped[0]) + 1
-        raise TowerSyntaxError(f"unexpected token {stripped.split()[0]!r} in word",
-                               lineno, col)
-    return tuple((int(s), int(p)) for s, p in _LABEL_RE.findall(text))
+class _Ints(dict):
+    """Digit string -> int, each distinct string converted once."""
+
+    def __missing__(self, digits: str) -> int:
+        value = self[digits] = int(digits)
+        return value
+
+
+def _parse_word(text: str, lineno: int, column: int, ints: _Ints) -> Word:
+    """The labels of a word that starts at line column `column`.
+
+    The text must match the word grammar (labels and whitespace only);
+    after that check, blanking the punctuation and splitting leaves
+    exactly the label numbers, in order.
+    """
+    if not _WORD_RE.fullmatch(text):
+        # the first character that no label covers
+        blanked = _LABEL_RE.sub(lambda m: " " * len(m.group()), text)
+        offset = len(blanked) - len(blanked.lstrip())
+        token = _LABEL_RE.sub("", text).split()[0]
+        raise TowerSyntaxError(f"unexpected token {token!r} in word",
+                               lineno, column + offset)
+    numbers = map(ints.__getitem__, text.translate(_LABEL_PUNCTUATION).split())
+    return tuple(zip(numbers, numbers))
 
 
 def _parse_shape(text: str, lineno: int) -> tuple[int, ...]:
@@ -77,6 +105,7 @@ def parse_tower_file(text: str):
     preset_name: str | None = None
 
     i = 0
+    ints = _Ints()
 
     def syntax(msg: str, lineno: int, column: int = 1):
         raise TowerSyntaxError(msg, lineno, column)
@@ -89,7 +118,8 @@ def parse_tower_file(text: str):
         j = start
         targets: dict[int, Word] = {}
         while j < len(lines):
-            s = strip(lines[j])
+            line = lines[j]
+            s = strip(line)
             j += 1
             if not s:
                 continue
@@ -106,7 +136,9 @@ def parse_tower_file(text: str):
             t = int(m.group(1))
             if t in targets:
                 syntax(f"duplicate target {t}", j)
-            targets[t] = _parse_word(m.group(2), j)
+            indent = len(line) - len(line.lstrip())
+            targets[t] = _parse_word(m.group(2), j, indent + m.start(2) + 1,
+                                     ints)
         syntax("unterminated block", len(lines))
 
     while i < len(lines):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import lt
 
 from .algebra import multi_matrix_units
 
@@ -163,6 +165,9 @@ class Element:
 class ValidationReport:
     ok: bool
     violations: list[dict] = field(default_factory=list)
+    # per target summand: the occurrence index of its word (empty when
+    # the word count does not match the target shape)
+    occurrences: tuple[OccurrenceIndex, ...] = field(default=(), repr=False)
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
@@ -176,49 +181,91 @@ def index_word(word: Word) -> OccurrenceIndex:
     return index
 
 
+def _first_ballot_break(index: OccurrenceIndex, s: int) -> tuple[int, int] | None:
+    """(prefix, p) for the first position where the labels (s, p) seen so
+    far outnumber the labels (s, p-1), or None if no prefix does."""
+    first = None
+    for (s2, p), cur in index.items():
+        if s2 != s or not p > 1:
+            continue
+        prev = index.get((s, p - 1), ())
+        # the r-th (s,p) breaks the ballot iff the r-th (s,p-1) is later
+        for r, q in enumerate(cur):
+            if r >= len(prev) or prev[r] > q:
+                if first is None or q < first[0]:
+                    first = (q, p)
+                break
+    return first
+
+
 def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
                        words: tuple[Word, ...]) -> ValidationReport:
-    """Check COUNT, LATTICE, INJECTIVE and shape invariants; report-style."""
+    """Check COUNT, LATTICE, INJECTIVE and shape invariants; report-style.
+
+    Every check reads the occurrence index of each word, which the report
+    keeps.  COUNT compares the lengths of the per-label position lists, and
+    positions are scanned for LABEL only when the valid labels do not cover
+    the whole word.  LATTICE (the ballot condition) asks that every prefix
+    hold at least as many (s, p-1) as (s, p).  When source s has m of
+    every label, concatenate its position lists in p order into `flat`;
+    the condition is then exactly flat[i] < flat[i+m] for all i.  The first
+    violating prefix is searched for only when a violation must be named,
+    which covers unequal counts and out-of-range labels of s as well.
+    """
     violations: list[dict] = []
     if len(words) != len(target):
         violations.append({"kind": "SHAPE",
                            "detail": "one word per target summand required"})
         return ValidationReport(False, violations)
+    indexes = []
+    reached: set[int] = set()
     for t, word in enumerate(words):
+        index = index_word(word)
+        indexes.append(index)
         if len(word) != target[t]:
             violations.append({"kind": "SHAPE", "target": t,
                                "detail": f"word length {len(word)} != target size {target[t]}"})
-        for q, (s, p) in enumerate(word):
-            if not (0 <= s < len(source)) or not (1 <= p <= source[s]):
-                violations.append({"kind": "LABEL", "target": t,
-                                   "position": q + 1, "label": [s, p]})
-        counts: dict[Label, int] = {}
-        for lab in word:
-            counts[lab] = counts.get(lab, 0) + 1
-        for s in range(len(source)):
-            per_pos = [counts.get((s, p), 0) for p in range(1, source[s] + 1)]
+        # lists[s][p-1]: the positions of (s, p) in the word
+        lists = [list(map(index.get, zip(repeat(s), range(1, size + 1)),
+                          repeat(())))
+                 for s, size in enumerate(source)]
+        counts = [list(map(len, row)) for row in lists]
+        # sources with a label outside the shape, in range or not
+        stray: set[int] = set()
+        breaks = []
+        if sum(map(sum, counts)) != len(word):
+            for q, (s, p) in enumerate(word):
+                if not (0 <= s < len(source)) or not (1 <= p <= source[s]):
+                    violations.append({"kind": "LABEL", "target": t,
+                                       "position": q + 1, "label": [s, p]})
+                    stray.add(s)
+            reached.update(stray)
+            for s in stray.difference(range(len(source))):
+                brk = _first_ballot_break(index, s)
+                if brk is not None:
+                    breaks.append((brk, s))
+        for s, per_pos in enumerate(counts):
+            if any(per_pos):
+                reached.add(s)
             if len(set(per_pos)) > 1:
                 violations.append({"kind": "COUNT", "target": t, "source": s,
                                    "counts": per_pos})
-        # LATTICE (ballot): every prefix has #(s,p) >= #(s,q) for p < q
-        running: dict[Label, int] = {}
-        witness_done = set()
-        for q, (s, p) in enumerate(word):
-            running[(s, p)] = running.get((s, p), 0) + 1
-            if p > 1 and (t, s) not in witness_done:
-                if running[(s, p)] > running.get((s, p - 1), 0):
-                    violations.append({"kind": "LATTICE", "target": t, "source": s,
-                                       "positions": [p - 1, p],
-                                       "prefix": q + 1})
-                    witness_done.add((t, s))
-    # INJECTIVE over all targets
-    reached = set()
-    for word in words:
-        reached.update(s for s, _ in word)
+            elif s not in stray:
+                m = per_pos[0] if per_pos else 0
+                flat = list(chain.from_iterable(lists[s]))
+                if all(map(lt, flat, flat[m:])):
+                    continue
+            brk = _first_ballot_break(index, s)
+            if brk is not None:
+                breaks.append((brk, s))
+        if breaks:
+            for (prefix, p), s in sorted(breaks):
+                violations.append({"kind": "LATTICE", "target": t, "source": s,
+                                   "positions": [p - 1, p], "prefix": prefix})
     for s in range(len(source)):
         if s not in reached:
             violations.append({"kind": "INJECTIVE", "source": s})
-    return ValidationReport(not violations, violations)
+    return ValidationReport(not violations, violations, tuple(indexes))
 
 
 def identity_carry(shape: tuple[int, ...], words: tuple[Word, ...],
@@ -359,11 +406,17 @@ class TowerSpec:
             raise TowerValidationError("tower needs levels or a rule")
         if self.levels and len(self.steps) != len(self.levels) - 1:
             raise TowerValidationError("need exactly one embedding per level pair")
+        for n, shape in enumerate(self.levels):
+            if any(k < 1 for k in shape):
+                raise TowerValidationError(
+                    f"level {n} summand sizes must be at least 1, "
+                    f"got {list(shape)}")
         for n, words in enumerate(self.steps):
             rep = validate_embedding(self.levels[n], self.levels[n + 1], words)
             if not rep.ok:
                 raise TowerValidationError(
                     f"embedding {n}->{n + 1} invalid: {rep.violations}")
+            self._occurrences[n] = rep.occurrences
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -409,8 +462,9 @@ class TowerSpec:
     def occurrences(self, n: int) -> tuple[OccurrenceIndex, ...]:
         """Per target summand of step n -> n+1: label -> occurrence positions.
 
-        Built from `words(n)` on first use and kept for the tower's life,
-        keyed by the absolute level n.
+        An explicit step keeps the index its validation built; a rule step
+        is indexed from `words(n)` on first use.  Either is kept for the
+        tower's life, keyed by the absolute level n.
         """
         index = self._occurrences.get(n)
         if index is None:

@@ -39,6 +39,23 @@ LABEL_SPEC = _two_level_spec("2", "5", "(0,1) (0,2) (0,1) (0,2) (1,1)")
 COUNT_SPEC = _two_level_spec("2", "4", "(0,1) (0,1) (0,1) (0,2)")
 LATTICE_SPEC = _two_level_spec("2", "4", "(0,2) (0,1) (0,1) (0,2)")
 INJECTIVE_SPEC = _two_level_spec("2,1", "4", "(0,1) (0,2) (0,1) (0,2)")
+# counts [1,0,2,1] add up to 1 * 4 but are unequal
+UNEQUAL_COUNT_SPEC = _two_level_spec("4", "4", "(0,1) (0,3) (0,3) (0,4)")
+# (0,3) lies past the source size and also breaks the ballot order
+LABEL_LATTICE_SPEC = _two_level_spec("2", "4", "(0,1) (0,3) (0,2) (0,2)")
+OUT_OF_RANGE_SOURCE_SPEC = _two_level_spec("2", "4",
+                                           "(0,1) (0,2) (1,2) (1,1)")
+MULTI_TARGET_SPEC = ("level 0 = [2,1]\nlevel 1 = [4,2,3]\nembed 0 -> 1 {\n"
+                     "  target 0 : (0,2) (0,1) (0,1) (0,2)\n"
+                     "  target 1 : (0,1) (0,3)\n"
+                     "  target 2 : (0,1) (0,1)\n}\n")
+# one valid tower written with adjacent labels, inner blanks, tabs and comments
+SPACING_SPEC = ("level 0 = [2]  # base\nlevel 1 = [2,4]\nembed 0 -> 1 {\n"
+                "  target 0 : (0,1)(0,2)# adjacent\n"
+                "\ttarget 1 :\t(0 , 1)\t(0 ,2)(0, 1)  (0,2)   # tabs\n}\n")
+ZERO_SIZE_SPEC = "level 0 = [0]\n"
+ZERO_SUMMAND_SPEC = ("level 0 = [2]\nlevel 1 = [2,0]\nembed 0 -> 1 {\n"
+                     "  target 0 : (0,1) (0,2)\n  target 1 :\n}\n")
 
 # name -> (argv, stdin text or None)
 CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
@@ -123,7 +140,14 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     **{f"validate-{kind}": (("validate", "-"), spec)
        for kind, spec in (("shape", SHAPE_SPEC), ("label", LABEL_SPEC),
                           ("count", COUNT_SPEC), ("lattice", LATTICE_SPEC),
-                          ("injective", INJECTIVE_SPEC))},
+                          ("injective", INJECTIVE_SPEC),
+                          ("unequal-count", UNEQUAL_COUNT_SPEC),
+                          ("label-lattice", LABEL_LATTICE_SPEC),
+                          ("out-of-range-source", OUT_OF_RANGE_SOURCE_SPEC),
+                          ("multi-target", MULTI_TARGET_SPEC),
+                          ("spacing", SPACING_SPEC))},
+    "embed-spacing": (("embed", "-", "--unit", "0:0:1:2", "--level", "1"),
+                      SPACING_SPEC),
     # crossed products with Z3 and Z2 x Z2
     **{f"crossed-{what}-{label}": (("crossed", what, *system, "--json"), None)
        for what in ("tight", "lattice", "radical", "links-lemma", "diag")
@@ -190,6 +214,15 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                                      "--group", "1"), None),
     "crossed-diag-empty-block": (("crossed", "diag", "--base", "0", "--group",
                                   "1"), None),
+    "validate-zero-size": (("validate", "-"), ZERO_SIZE_SPEC),
+    "donsig-zero-size": (("donsig", "-", "--level", "0"), ZERO_SIZE_SPEC),
+    "radical-zero-size-summand": (("radical", "-", "--unit", "0:0:1:2"),
+                                  ZERO_SUMMAND_SPEC),
+    # a word syntax error names the line column of the first stray character
+    **{f"validate-stray-{name}": (("validate", "-"),
+                                  _two_level_spec("2", "2", word))
+       for name, word in (("token", "(0,1) x"), ("digits", "(0,1) 1x"),
+                          ("comma", "(0,1)(0,2) ,"))},
 }
 
 

@@ -3,9 +3,11 @@
 The cases and their inputs live in `tests/golden/`; see `replay.py`
 there for how the corpus is recorded.
 """
+import contextlib
 import difflib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,32 @@ import replay  # noqa: E402
 
 EXPECTED = json.loads((GOLDEN / "corpus.json").read_text())
 FIELDS = ("exit", "stdout", "stderr")
+# the slowest case takes about 0.5 s; one still running after ten times
+# that is hung (a hung case can hold over 1 GB by then)
+CASE_DEADLINE_S = 5
+
+
+class _PastDeadline(BaseException):
+    """Raised in a hung case; no `except Exception` in the CLI catches it."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Interrupt the main thread once `seconds` of wall-clock time pass."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise _PastDeadline
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _mismatch(name: str, actual: dict) -> str:
@@ -44,7 +72,13 @@ def test_corpus_lists_every_case():
 @pytest.mark.parametrize("name", sorted(replay.CASES))
 def test_case_replays(name, monkeypatch):
     monkeypatch.delenv("LIMITALG_HORIZON", raising=False)
-    diff = _mismatch(name, replay.run_case(*replay.CASES[name]))
+    try:
+        with _deadline(CASE_DEADLINE_S):
+            actual = replay.run_case(*replay.CASES[name])
+    except _PastDeadline:
+        pytest.fail(f"{name} still ran after {CASE_DEADLINE_S} s",
+                    pytrace=False)
+    diff = _mismatch(name, actual)
     if diff:
         pytest.fail(diff, pytrace=False)
 

@@ -1,4 +1,6 @@
 """Tower spec file parsing, rendering, and error reporting."""
+import random
+import re
 import sys
 
 import pytest
@@ -7,6 +9,7 @@ from limitalg import tower as tower_mod
 from limitalg.parser import (TowerSyntaxError, parse_tower, parse_tower_file,
                              render_tower)
 from limitalg.tower import MatrixUnit, TowerValidationError, embed_unit
+from test_tower import random_word_collection, reference_validate
 
 BASIC = """
 # a two-level tower
@@ -72,6 +75,110 @@ def test_syntax_errors_carry_line_numbers():
         parse_tower("bogus directive\n")
     with pytest.raises(TowerSyntaxError):
         parse_tower(BASIC.replace("(0,2) (0,1) (0,2)", "(0,2) x (0,2)"))
+
+
+def test_word_syntax_error_names_the_line_column():
+    # the column of the first character that no label covers, counted
+    # from the start of the line
+    for word, column, token in (("(0,1) x", 20, "x"), ("(0,1) 1x", 20, "1x"),
+                                ("(0,1)(0,2) ,", 25, ","),
+                                ("(0,1)\t(0,2)y(0,1)", 25, "y")):
+        text = ("level 0 = [2]\nlevel 1 = [2]\nembed 0 -> 1 {\n"
+                f"  target 0 : {word}\n}}\n")
+        with pytest.raises(TowerSyntaxError) as exc:
+            parse_tower(text)
+        assert (exc.value.line, exc.value.column) == (4, column), word
+        assert str(exc.value) == (
+            f"line 4, column {column}: unexpected token {token!r} in word")
+
+
+_REFERENCE_LABEL = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
+
+
+def reference_parse_word(text):
+    """The regex parse that the grammar gate replaced: the word's labels,
+    or the token it reported for text outside the grammar."""
+    stripped = _REFERENCE_LABEL.sub("", text).strip()
+    if stripped:
+        return stripped.split()[0]
+    return tuple((int(s), int(p)) for s, p in _REFERENCE_LABEL.findall(text))
+
+
+def reference_column(text):
+    """0-based offset of the first character of `text` that is neither
+    blank nor inside a label."""
+    i = 0
+    while i < len(text):
+        m = _REFERENCE_LABEL.match(text, i)
+        if m:
+            i = m.end()
+        elif text[i].isspace():
+            i += 1
+        else:
+            return i
+    return None
+
+
+STRAYS = ("x", ",", "1", "(", ")", "(1,)", "( 1,2)", "(1,2 )", "-", "#c")
+
+
+def _render_word(word, rng):
+    """`word` as spec text with random blanks, tabs, zero padding and,
+    now and then, a stray token."""
+    parts = []
+    for s, p in word:
+        a, b = (f"{n:0{rng.choice((1, 1, 1, 3))}d}" if n >= 0 else str(n)
+                for n in (s, p))
+        parts.append(rng.choice(("({},{})", "({} , {})", "({},\t{})",
+                                 "({}  ,{})")).format(a, b))
+    if rng.random() < 0.15:
+        parts.insert(rng.randint(0, len(parts)), rng.choice(STRAYS))
+    return "".join(rng.choice(("", " ", "\t", "  ")) + part
+                   for part in parts) + rng.choice(("", " ", "\t# note"))
+
+
+def _expected_outcome(source, target, lines):
+    """What parsing a tower with these target lines must give, from the
+    reference parse and the reference validator."""
+    words = []
+    for lineno, line in lines:
+        text = line.split("#", 1)[0].strip().split(":", 1)[1]
+        word = reference_parse_word(text)
+        if isinstance(word, str):
+            start = line.index(":") + 1
+            column = start + reference_column(line[start:].split("#", 1)[0]) + 1
+            return (TowerSyntaxError,
+                    f"line {lineno}, column {column}: "
+                    f"unexpected token {word!r} in word")
+        words.append(word)
+    for n, shape in enumerate((source, target)):
+        if any(k < 1 for k in shape):
+            return (TowerValidationError,
+                    f"level {n} summand sizes must be at least 1, "
+                    f"got {list(shape)}")
+    ok, violations, indexes = reference_validate(source, target, tuple(words))
+    if not ok:
+        return TowerValidationError, f"embedding 0->1 invalid: {violations}"
+    return tuple(words), indexes
+
+
+def test_parse_matches_the_regex_reference_on_seeded_words():
+    rng = random.Random(7031)
+    for _ in range(1500):
+        source, target, words = random_word_collection(rng)
+        lines = [(5 + t, rng.choice(("  ", "\t", "")) + f"target {t} : "
+                  + _render_word(w, rng)) for t, w in enumerate(words)]
+        text = (f"level 0 = [{','.join(map(str, source))}]\n"
+                f"level 1 = [{','.join(map(str, target))}]\n"
+                "# one step\nembed 0 -> 1 {\n"
+                + "".join(line + "\n" for _, line in lines) + "}\n")
+        expected = _expected_outcome(source, target, lines)
+        try:
+            tower = parse_tower(text)
+        except (TowerSyntaxError, TowerValidationError) as exc:
+            assert (type(exc), str(exc)) == expected, text
+        else:
+            assert (tower.steps[0], tower.occurrences(0)) == expected, text
 
 
 def test_invalid_embedding_is_rejected():

@@ -11,13 +11,114 @@ import limitalg
 from limitalg.links import Linked, link_status
 from limitalg.radical import radical_membership
 from limitalg.tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
-                            LevelRangeError, UnitShapeError, embed_element,
+                            LevelRangeError, TowerValidationError,
+                            UnitShapeError, embed_element,
                             embed_unit, decompose, preset, random_lattice_word,
                             validate_embedding, verify_embedding_order)
 
 
 def kinds(report):
     return {v["kind"] for v in report.violations}
+
+
+def reference_validate(source, target, words):
+    """The position-by-position validator that the indexed one replaced:
+    (ok, violations, per-word occurrence indexes)."""
+    violations = []
+    if len(words) != len(target):
+        violations.append({"kind": "SHAPE",
+                           "detail": "one word per target summand required"})
+        return False, violations, ()
+    for t, word in enumerate(words):
+        if len(word) != target[t]:
+            violations.append({"kind": "SHAPE", "target": t,
+                               "detail": f"word length {len(word)} != target size {target[t]}"})
+        for q, (s, p) in enumerate(word):
+            if not (0 <= s < len(source)) or not (1 <= p <= source[s]):
+                violations.append({"kind": "LABEL", "target": t,
+                                   "position": q + 1, "label": [s, p]})
+        counts = {}
+        for lab in word:
+            counts[lab] = counts.get(lab, 0) + 1
+        for s in range(len(source)):
+            per_pos = [counts.get((s, p), 0) for p in range(1, source[s] + 1)]
+            if len(set(per_pos)) > 1:
+                violations.append({"kind": "COUNT", "target": t, "source": s,
+                                   "counts": per_pos})
+        running = {}
+        witness_done = set()
+        for q, (s, p) in enumerate(word):
+            running[(s, p)] = running.get((s, p), 0) + 1
+            if p > 1 and (t, s) not in witness_done:
+                if running[(s, p)] > running.get((s, p - 1), 0):
+                    violations.append({"kind": "LATTICE", "target": t, "source": s,
+                                       "positions": [p - 1, p],
+                                       "prefix": q + 1})
+                    witness_done.add((t, s))
+    reached = set()
+    for word in words:
+        reached.update(s for s, _ in word)
+    for s in range(len(source)):
+        if s not in reached:
+            violations.append({"kind": "INJECTIVE", "source": s})
+    indexes = []
+    for word in words:
+        index = {}
+        for q, lab in enumerate(word, start=1):
+            index.setdefault(lab, []).append(q)
+        indexes.append(index)
+    return not violations, violations, tuple(indexes)
+
+
+def _mutated(word, source, rng):
+    """`word` after a few random edits: swaps, relabels inside and outside
+    the source, deletions, insertions and reversed segments."""
+    word = list(word)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        edit = rng.randrange(6)
+        q = rng.randrange(len(word)) if word else 0
+        if edit == 0 and word:
+            r = rng.randrange(len(word))
+            word[q], word[r] = word[r], word[q]
+        elif edit == 1 and word:
+            s = word[q][0]
+            size = source[s] if 0 <= s < len(source) else 2
+            word[q] = (s, rng.randint(1, max(size, 1)))
+        elif edit == 2 and word:
+            word[q] = (rng.randint(-1, len(source)),
+                       rng.randint(0, max(source) + 1))
+        elif edit == 3 and word:
+            del word[q]
+        elif edit == 4:
+            word.insert(q, (rng.randrange(len(source)),
+                            rng.randint(1, max(source) + 1)))
+        elif word:
+            r = rng.randint(q, len(word))
+            word[q:r] = word[q:r][::-1]
+    return tuple(word)
+
+
+def random_word_collection(rng):
+    """(source, target, words): near-valid ballot words with random edits,
+    or random junk, covering every violation kind."""
+    source = [rng.choice((1, 2, 2, 3, 4, 4)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.05:
+        source[rng.randrange(len(source))] = 0
+    source = tuple(source)
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.1:
+            word = tuple((rng.randint(-1, len(source)),
+                          rng.randint(0, max(source) + 1))
+                         for _ in range(rng.randrange(8)))
+        else:
+            reps = {s: rng.randint(0, 2) for s in range(len(source))}
+            word = _mutated(random_lattice_word(source, reps, rng), source, rng)
+        words.append(word)
+    target = [len(w) + (rng.random() < 0.1) for w in words]
+    if rng.random() < 0.05:
+        target.append(rng.randint(1, 4))
+    return source, tuple(target), tuple(words)
 
 
 class TestValidation:
@@ -51,6 +152,18 @@ class TestValidation:
         w = ((0, 1), (0, 2), (0, 1), (0, 2))
         rep = validate_embedding((2, 3), (4,), (w,))
         assert not rep.ok and "INJECTIVE" in kinds(rep)
+
+    def test_matches_the_position_scan_on_seeded_words(self):
+        rng = random.Random(20240909)
+        seen = set()
+        for _ in range(3000):
+            source, target, words = random_word_collection(rng)
+            rep = validate_embedding(source, target, words)
+            ok, violations, indexes = reference_validate(source, target, words)
+            assert (rep.ok, rep.violations, rep.occurrences) == (
+                ok, violations, indexes), (source, target, words)
+            seen.update(v["kind"] for v in violations)
+        assert seen == {"SHAPE", "LABEL", "COUNT", "LATTICE", "INJECTIVE"}
 
 
 class TestImages:
@@ -122,6 +235,14 @@ class TestImages:
         with pytest.raises(LevelRangeError):
             embed_unit(finite, MatrixUnit(0, 0, 1, 1), 2)
 
+
+    def test_zero_size_summands_are_rejected(self):
+        with pytest.raises(TowerValidationError, match=r"level 0 summand "
+                           r"sizes must be at least 1, got \[0\]"):
+            TowerSpec([(0,)], [])
+        with pytest.raises(TowerValidationError, match=r"level 1 summand "
+                           r"sizes must be at least 1, got \[2, 0\]"):
+            TowerSpec([(2,), (2, 0)], [(((0, 1), (0, 2)), ())])
 
     def test_negative_levels_are_out_of_range(self):
         finite = TowerSpec([(2,), (4,)],
