@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from .crossed import FiniteAbelianGroup
-from .links import has_link_at, least_link
+from .links import first_link, least_link
 from .tower import (MatrixUnit, MatrixUnitSum, OccurrenceIndex, TowerSpec,
                     TowerValidationError, Word, embed_unit, index_word,
                     pair_occurrences, validate_embedding)
@@ -59,6 +59,7 @@ class TowerAction:
                     raise ActionCompatibilityError(
                         f"generator {self.names[i]} at level {n}: "
                         f"{rep.violations}")
+                self._index[(i, n)] = (tgt, rep.occurrences)
 
     def map_at(self, gen: int, level: int) -> tuple[int, tuple[Word, ...]]:
         gmap = self.gen_maps[gen]
@@ -230,8 +231,7 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
         raise TowerValidationError("index audit requires a TUHF tower")
     h1, h2 = (tower.top(h) for h in horizons)
     # the theorem's starting hypothesis: e itself has no self-link
-    if any(has_link_at(tower, e, n) is not None
-           for n in range(e.level, h2 + 1)):
+    if first_link(tower, e, h2) is not None:
         return {"applicable": False,
                 "reason": "unit has a link; hypothesis e A e = 0 fails",
                 "tuples": []}

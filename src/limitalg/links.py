@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit
+from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit, images
 
 DEFAULT_HORIZON = 12
 
@@ -91,6 +91,22 @@ def has_link_at(tower: TowerSpec, e: MatrixUnit, level: int) -> MatrixUnit | Non
     return MatrixUnit(level, a.summand, a.col, b.row)
 
 
+def first_link(tower: TowerSpec, e: MatrixUnit,
+               top: int) -> tuple[MatrixUnit, MatrixUnit] | None:
+    """(S, T') at the least level n <= top where e has a link, or None.
+
+    S is the least witness at n and T' = embed(e) S embed(e) != 0 the
+    unit it leaves; a Donsig chain steps from e to T'.
+    """
+    for n, img in images(tower, e, top):
+        link = least_link(img, img)
+        if link is not None:
+            a, b = link
+            return (MatrixUnit(n, a.summand, a.col, b.row),
+                    MatrixUnit(n, a.summand, a.row, b.col))
+    return None
+
+
 def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
     """Certificate (F): e's summand is identity-carried forever.
 
@@ -154,20 +170,18 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
 
 def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
     """Sound linkless certificate, or None when no certificate applies."""
-    # any certificate needs no link at the unit's own level
-    if has_link_at(tower, e, e.level) is not None:
+    # any certificate needs no link at the unit's own level; a finite
+    # tower IS the finite algebra, so searching all of it decides
+    top = tower.max_level if tower.finite else e.level
+    if first_link(tower, e, top) is not None:
         return None
+    if tower.finite:
+        return CertifiedLinkless("finite-tower")
     if _reachable_frozen(tower, e):
         return CertifiedLinkless("frozen")
     trace = _separation_certificate(tower, e)
     if trace is not None:
         return CertifiedLinkless("separation", trace)
-    if tower.finite:
-        # the tower IS the finite algebra: exhaustive search decides
-        top = tower.max_level
-        if all(has_link_at(tower, e, n) is None for n in range(e.level, top + 1)):
-            return CertifiedLinkless("finite-tower")
-        return None
     return None
 
 
@@ -179,10 +193,9 @@ def link_status(tower: TowerSpec, e: MatrixUnit,
     cert = certify_linkless(tower, e)
     if cert is not None:
         return cert
-    for n in range(e.level, tower.top(horizon) + 1):
-        w = has_link_at(tower, e, n)
-        if w is not None:
-            return Linked(n, w)
+    link = first_link(tower, e, tower.top(horizon))
+    if link is not None:
+        return Linked(link[0].level, link[0])
     return NotLinkedUpTo(horizon)
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import multi_matrix_algebra, multi_matrix_units
-from .links import CertifiedLinkless, least_link, link_status
-from .tower import (Element, MatrixUnit, TowerSpec, decompose, embed_element,
-                    embed_unit)
+from .algebra import multi_matrix_units
+from .links import CertifiedLinkless, first_link, link_status
+from .tower import Element, MatrixUnit, TowerSpec, decompose, embed_unit, images
 
 DEFAULT_EXPAND_HORIZON = 6
 DEFAULT_LINK_HORIZON = 12
@@ -116,26 +115,14 @@ RadicalStatus = InRadical | NotInRadical | Unknown
 # Donsig chains
 
 
-def _chain_step(tower: TowerSpec, t: MatrixUnit,
-                horizon: int) -> tuple[MatrixUnit, MatrixUnit] | None:
-    """Least-level canonical (S, T') with T' = embed(T) S embed(T) != 0."""
-    for n in range(t.level, tower.top(horizon) + 1):
-        img = embed_unit(tower, t, n).units
-        link = least_link(img, img)
-        if link is not None:
-            a, b = link
-            return (MatrixUnit(n, a.summand, a.col, b.row),
-                    MatrixUnit(n, a.summand, a.row, b.col))
-    return None
-
-
 def donsig_chain(tower: TowerSpec, t0: MatrixUnit, depth: int,
                  horizon: int = DEFAULT_LINK_HORIZON) -> DonsigChain | None:
     """Chain T_{l+1} = T_l S_{l+1} T_l with canonical connecting units."""
+    tower.check_unit(t0)  # a chain of depth 0 walks no level
     ts = [t0]
     ss: list[MatrixUnit] = []
     for _ in range(depth):
-        step = _chain_step(tower, ts[-1], horizon)
+        step = first_link(tower, ts[-1], tower.top(horizon))
         if step is None:
             return None
         s, t_next = step
@@ -167,6 +154,7 @@ def chain_cycle_certificate(tower: TowerSpec, e: MatrixUnit,
     """Recurrent Donsig chain witnessing an infinite chain (e not radical)."""
     if tower.finite or not tower.rule.self_similar:
         raise ValueError("chain-cycle certificates require a stationary tower")
+    tower.check_unit(e)  # the diagonal shortcut walks no level
     if e.diagonal:
         # T0 S=T0 T0 = T0: the chain is constant from the start
         chain = DonsigChain((e, e), (e,))
@@ -176,7 +164,7 @@ def chain_cycle_certificate(tower: TowerSpec, e: MatrixUnit,
     ss: list[MatrixUnit] = []
     states = [_anchored_state(tower, e, k0)]
     for depth in range(1, max_depth + 1):
-        step = _chain_step(tower, ts[-1], horizon)
+        step = first_link(tower, ts[-1], tower.top(horizon))
         if step is None:
             return None
         s, t_next = step
@@ -217,16 +205,16 @@ class NilpotencyReport:
         return out
 
 
-def _support_nilpotent(tower: TowerSpec, e: MatrixUnit, level: int,
+def _support_nilpotent(tower: TowerSpec, img: list[MatrixUnit], level: int,
                        k: int) -> bool:
-    """Boolean-support check: (e x)^k = 0 for every x, mixed terms included."""
-    img = embed_element(tower, Element.from_unit(e), level)
+    """Boolean-support check on e's image `img` at `level`: (e x)^k = 0
+    for every x, mixed terms included."""
     shape = tower.shape(level)
     # reachability pairs (i -> j) of the support pattern e * (anything)
     per_summand_rows: dict[int, set[int]] = {}
     per_summand: dict[int, set[tuple[int, int]]] = {}
-    for (s, i, j), _ in img.coeffs.items():
-        per_summand_rows.setdefault(s, set()).add((i, j))
+    for u in img:
+        per_summand_rows.setdefault(u.summand, set()).add((u.row, u.col))
     for s, pairs in per_summand_rows.items():
         size = shape[s]
         # e*b has support {(i, l): (i, j) in supp(e), j <= l} for upper b
@@ -283,8 +271,8 @@ def uniform_nilpotency(tower: TowerSpec, e: MatrixUnit, exponent: int,
     if pattern_closure:
         closed = (not tower.finite and tower.rule.pattern_closed
                   and e.level <= top
-                  and all(_support_nilpotent(tower, e, lv, exponent)
-                          for lv in range(e.level, top + 1)))
+                  and all(_support_nilpotent(tower, img, lv, exponent)
+                          for lv, img in images(tower, e, top)))
     cert = None
     if nilpotent and (tower.finite or closed):
         cert = UniformNilpotency(exponent, horizon, closed)
@@ -294,12 +282,6 @@ def uniform_nilpotency(tower: TowerSpec, e: MatrixUnit, exponent: int,
 
 # ---------------------------------------------------------------------------
 # finite-level oracle
-
-
-def finite_level_radical(shape: tuple[int, ...],
-                         triangular: bool = True) -> list[dict]:
-    """Radical basis of the finite-level algebra by the trace-form oracle."""
-    return multi_matrix_algebra(shape, triangular).radical_basis()
 
 
 def strictly_upper_units(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -314,15 +296,14 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
                        expand_horizon: int = DEFAULT_EXPAND_HORIZON,
                        link_horizon: int = DEFAULT_LINK_HORIZON,
                        exponent: int | None = None) -> RadicalStatus:
-    # every route below may stop before it embeds e, so check it here
-    tower.check_unit(e)
     top = tower.top(expand_horizon)
-    # (1) all-linkless decomposition (TUHF criterion; sound for TAF too)
-    for n in range(e.level, top + 1):
-        dec = decompose(tower, e, n)
+    # (1) all-linkless decomposition (TUHF criterion; sound for TAF too);
+    # the walk checks e even when it yields no level
+    for n, img in images(tower, e, top):
+        units = tuple(sorted(img))
         if all(isinstance(link_status(tower, u, link_horizon), CertifiedLinkless)
-               for u in dec.units):
-            return InRadical(LinklessDecomposition(n, dec.units))
+               for u in units):
+            return InRadical(LinklessDecomposition(n, units))
     # (2) recurrent Donsig chain
     if not tower.finite and tower.rule.self_similar:
         cc = chain_cycle_certificate(tower, e, horizon=link_horizon)

@@ -95,10 +95,6 @@ class Element:
     def from_unit(u: MatrixUnit, one=Fraction(1)) -> "Element":
         return Element(u.level, {u.key(): one})
 
-    @staticmethod
-    def zero(level: int) -> "Element":
-        return Element(level, {})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -119,9 +115,6 @@ class Element:
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
         return Element(self.level, out)
-
-    def scale(self, scalar) -> "Element":
-        return Element(self.level, {k: scalar * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "Element") -> "Element":
         if self.level != other.level:
@@ -148,9 +141,6 @@ class Element:
             if n:
                 base = base * base
         return result
-
-    def support(self) -> set[tuple[int, int, int]]:
-        return set(self.coeffs)
 
     def __repr__(self):
         items = ", ".join(f"{k}:{v}" for k, v in sorted(self.coeffs.items()))
@@ -407,6 +397,8 @@ class TowerSpec:
         if self.levels and len(self.steps) != len(self.levels) - 1:
             raise TowerValidationError("need exactly one embedding per level pair")
         for n, shape in enumerate(self.levels):
+            if not shape:
+                raise TowerValidationError(f"level {n} has no summands")
             if any(k < 1 for k in shape):
                 raise TowerValidationError(
                     f"level {n} summand sizes must be at least 1, "
@@ -518,15 +510,28 @@ def pair_occurrences(index: tuple[OccurrenceIndex, ...],
     return out
 
 
+def images(tower: TowerSpec, e: MatrixUnit, top: int):
+    """Yield (n, units of e's image at level n) for n = e.level..top.
+
+    Each level is paired from the one before, and `e` is checked
+    (`TowerSpec.check_unit`) on the first step even when top < e.level,
+    where nothing is yielded.
+    """
+    tower.check_unit(e)
+    units = [e]
+    for n in range(e.level, top + 1):
+        if n > e.level:
+            units = pair_occurrences(tower.occurrences(n - 1), units, n)
+        yield n, units
+
+
 def embed_unit(tower: TowerSpec, e: MatrixUnit, target_level: int) -> MatrixUnitSum:
     """Image of a matrix unit at a later level (r-th-occurrence pairing)."""
     if target_level < e.level or not tower.has_level(target_level):
         raise LevelRangeError(
             f"target level {target_level} out of range for unit at {e.level}")
-    tower.check_unit(e)
-    units = [e]
-    for n in range(e.level, target_level):
-        units = pair_occurrences(tower.occurrences(n), units, n + 1)
+    for _, units in images(tower, e, target_level):
+        pass
     return MatrixUnitSum(target_level, tuple(units))
 
 

@@ -75,6 +75,12 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "links-lower-unit": (("links", "standard-2", "--unit", "0:0:2:1"), None),
     "links-compact": (("links", "refinement-2", "--unit", "1:0:2:3",
                        "--json"), None),
+    # a finite tower whose only link lies above the horizon, then at it
+    "links-two-summand-below-link": (("links", "@two-summand.tower", "--unit",
+                                      "0:0:1:2", "--horizon", "1"), None),
+    "links-two-summand-linked": (("links", "@two-summand.tower", "--unit",
+                                  "0:0:1:2", "--horizon", "2", "--json"),
+                                 None),
     "embed": (("embed", "paper-example-taf", "--unit", "0:0:1:2",
                "--level", "3"), None),
     # donsig
@@ -88,6 +94,8 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "donsig-finite-clamped": (("donsig", "@finite.tower", "--level", "5",
                                "--json"), None),
     "donsig-stdin": (("donsig", "-", "--level", "0"), "preset standard-2\n"),
+    "donsig-two-summand": (("donsig", "@two-summand.tower", "--level", "1",
+                            "--json"), None),
     # radical: every route
     "radical-linkless-decomposition": (("radical", "refinement-2", "--unit",
                                         "0:0:1:2"), None),
@@ -112,6 +120,10 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                                    "0:0:1:2", "--exponent", "-1",
                                    "--expand-horizon", "0", "--horizon", "3"),
                                   None),
+    # linkless units at level 1 across both summands, in sorted order
+    "radical-two-summand-decomposition": (("radical", "@two-summand.tower",
+                                           "--unit", "0:0:1:2", "--json"),
+                                          None),
     "radical-lower-unit": (("radical", "@two-summand.tower", "--unit",
                             "0:0:2:1"), None),
     "radical-unknown": (("radical", "paper-example-taf", "--unit", "0:0:1:1",

@@ -52,6 +52,17 @@ def test_apply_action_and_order_two():
     assert apply_action(t, act, (0,), e).units == (e,)
 
 
+def test_mapped_levels_reuse_the_validation_index(monkeypatch):
+    t = swap_tower()
+    act = swap_action(t)
+    calls = []
+    monkeypatch.setattr("limitalg.dynamics.index_word",
+                        lambda word: calls.append(word))
+    units, level = act.apply_gen(0, [MatrixUnit(0, 0, 1, 2)], 0)
+    assert (units, level) == ([MatrixUnit(0, 1, 1, 2)], 0)
+    assert calls == []
+
+
 def test_map_fallback_reuses_same_shape_entry():
     t = swap_tower()
     act = swap_action(t)

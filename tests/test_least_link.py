@@ -1,20 +1,27 @@
-"""The shared least-link scan against all-pairs reference scans.
+"""The shared least-link scan and level walk against reference scans.
 
-`links.has_link_at`, `radical._chain_step` and `dynamics.twisted_link`
-all read their witness from `links.least_link`.  The references below
-try every pair of units, as each of those scans once did on its own.
+`links.has_link_at`, `links.first_link` and `dynamics.twisted_link` all
+read their witness from `links.least_link`.  The references below try
+every pair of units, as each of those scans once did on its own.
+`links.first_link` walks the levels of `tower.images`; `link_status` and
+`certify_linkless` are checked against the per-level loops they once ran.
 """
 import random
 
 import pytest
 
+from limitalg import links
 from limitalg.crossed import FiniteAbelianGroup
-from limitalg.dynamics import TowerAction, twisted_link
-from limitalg.links import has_link_at, least_link
+from limitalg.dynamics import (TowerAction, technical_index_audit,
+                               trivial_tower_action, twisted_link)
+from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
+                            certify_linkless, first_link, has_link_at,
+                            least_link, link_status)
 from limitalg.parser import parse_tower
-from limitalg.radical import _chain_step
-from limitalg.tower import (MatrixUnit, TowerSpec, embed_unit, preset,
-                            random_lattice_word)
+from limitalg.radical import (chain_cycle_certificate, donsig_chain,
+                              radical_membership)
+from limitalg.tower import (MatrixUnit, TowerSpec, UnitShapeError, embed_unit,
+                            images, preset, random_lattice_word)
 
 TOP = 6
 
@@ -106,12 +113,95 @@ def test_has_link_at_matches_all_pairs(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chain_step_matches_all_pairs(seed):
+    # a Donsig chain step is `first_link` up to the horizon
     tower, _ = random_tower(seed)
     for start in range(3):
         for t in tower.units_at(start):
             for horizon in (start, start + 2, TOP):
-                assert _chain_step(tower, t, horizon) == \
+                assert first_link(tower, t, tower.top(horizon)) == \
                     reference_chain_step(tower, t, horizon), (t, horizon)
+
+
+PRESETS = ("standard-2", "refinement-2", "paper-example-taf")
+
+
+def walk_towers():
+    return [random_tower(seed)[0] for seed in SEEDS] + \
+        [preset(name) for name in PRESETS]
+
+
+def test_images_match_embed_unit_at_every_level():
+    for tower in walk_towers():
+        for start in range(3):
+            for e in tower.units_at(start):
+                walked = list(images(tower, e, tower.top(start + 4)))
+                assert [n for n, _ in walked] == \
+                    list(range(start, tower.top(start + 4) + 1))
+                for n, units in walked:
+                    assert tuple(sorted(units)) == \
+                        embed_unit(tower, e, n).units, (e, n)
+                assert list(images(tower, e, start - 1)) == []
+
+
+def reference_certify_linkless(tower, e):
+    """`certify_linkless` as one `has_link_at` call per level."""
+    if has_link_at(tower, e, e.level) is not None:
+        return None
+    if links._reachable_frozen(tower, e):
+        return CertifiedLinkless("frozen")
+    trace = links._separation_certificate(tower, e)
+    if trace is not None:
+        return CertifiedLinkless("separation", trace)
+    if tower.finite and all(has_link_at(tower, e, n) is None
+                            for n in range(e.level, tower.max_level + 1)):
+        return CertifiedLinkless("finite-tower")
+    return None
+
+
+def reference_link_status(tower, e, horizon):
+    """`link_status` as one `has_link_at` call per level."""
+    cert = reference_certify_linkless(tower, e)
+    if cert is not None:
+        return cert
+    for n in range(e.level, tower.top(horizon) + 1):
+        w = has_link_at(tower, e, n)
+        if w is not None:
+            return Linked(n, w)
+    return NotLinkedUpTo(horizon)
+
+
+def test_link_verdicts_match_per_level_loops():
+    for tower in walk_towers():
+        for start in range(3):
+            for e in tower.units_at(start):
+                assert certify_linkless(tower, e) == \
+                    reference_certify_linkless(tower, e), e
+                for horizon in range(start, 9):
+                    assert link_status(tower, e, horizon) == \
+                        reference_link_status(tower, e, horizon), (e, horizon)
+
+
+@pytest.mark.parametrize("unit, message", [
+    (MatrixUnit(0, 0, 2, 1), "row > col is not upper triangular"),
+    (MatrixUnit(0, 0, 1, 3), r"row and col must lie in 1\.\.2"),
+    (MatrixUnit(0, 0, 3, 3), r"row and col must lie in 1\.\.2"),
+    (MatrixUnit(0, 1, 1, 2), "no summand 1"),
+])
+def test_walk_entry_points_check_the_unit(unit, message):
+    # the unit check runs in `tower.images`, and up front where a
+    # shortcut (a diagonal unit, a chain of depth 0) walks no level
+    t = preset("standard-2")
+    action = trivial_tower_action(t, FiniteAbelianGroup((2,)))
+    calls = [lambda: link_status(t, unit),
+             lambda: certify_linkless(t, unit),
+             lambda: donsig_chain(t, unit, 2),
+             lambda: donsig_chain(t, unit, 0),
+             lambda: chain_cycle_certificate(t, unit),
+             lambda: technical_index_audit(t, action, unit),
+             lambda: radical_membership(t, unit)]
+    for call in calls:
+        with pytest.raises(UnitShapeError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

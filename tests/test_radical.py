@@ -4,13 +4,13 @@ import random
 import pytest
 
 from limitalg import radical
+from limitalg.crossed import base_radical
 from limitalg.links import link_status
 from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
                               chain_cycle_certificate, donsig_chain,
-                              extremal_subordinate_check, finite_level_radical,
-                              radical_membership, strictly_upper_units,
-                              uniform_nilpotency)
+                              extremal_subordinate_check, radical_membership,
+                              strictly_upper_units, uniform_nilpotency)
 from limitalg.tower import (ConstantRule, Element, MatrixUnit, TowerRule,
                             TowerSpec, UnitShapeError, embed_element, preset)
 from test_occurrence_index import permutation_words, random_prefix
@@ -51,15 +51,15 @@ def nilpotency_towers():
 class TestFiniteOracle:
     def test_triangular_radical_is_strictly_upper(self):
         for shape in ((2,), (3,), (2, 2), (1, 3)):
-            rad = finite_level_radical(shape)
+            rad = base_radical(shape)
             keys = sorted(k for v in rad for k in v)
             assert all(len(v) == 1 for v in rad)
             assert keys == sorted(strictly_upper_units(shape))
 
     def test_semisimple_algebras_have_zero_radical(self):
-        assert finite_level_radical((2,), triangular=False) == []
-        assert finite_level_radical((1, 1), triangular=False) == []
-        assert finite_level_radical((2, 3), triangular=False) == []
+        assert base_radical((2,), triangular=False) == []
+        assert base_radical((1, 1), triangular=False) == []
+        assert base_radical((2, 3), triangular=False) == []
 
 
 class TestDonsigChains:

@@ -244,6 +244,15 @@ class TestImages:
                            r"sizes must be at least 1, got \[2, 0\]"):
             TowerSpec([(2,), (2, 0)], [(((0, 1), (0, 2)), ())])
 
+    def test_levels_without_summands_are_rejected(self):
+        # an empty level would leave every report vacuously true
+        with pytest.raises(TowerValidationError,
+                           match="level 0 has no summands"):
+            TowerSpec([()], [])
+        with pytest.raises(TowerValidationError,
+                           match="level 1 has no summands"):
+            TowerSpec([(2,), ()], [()])
+
     def test_negative_levels_are_out_of_range(self):
         finite = TowerSpec([(2,), (4,)],
                            [(((0, 1), (0, 2), (0, 1), (0, 2)),)])
