@@ -10,7 +10,7 @@ from .tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
                     TowerValidationError, embed_element, embed_unit, preset,
                     validate_embedding)
 from .links import (CertifiedLinkless, Linked, NotLinkedUpTo, donsig_report,
-                    has_link_at, link_status, linkless_units_at)
+                    has_link_at, link_status)
 from .radical import (ChainCycle, InRadical, NotInRadical, Unknown,
                       donsig_chain, radical_membership, uniform_nilpotency)
 from .crossed import (Character, CrossedAlgebra, FiniteAbelianGroup,
@@ -18,8 +18,8 @@ from .crossed import (Character, CrossedAlgebra, FiniteAbelianGroup,
                       enumerate_invariant_ideals, links_lemma_check,
                       perm_action, radical_tightness_check, trivial_action,
                       verify_lattice_iso)
-from .dynamics import (TowerAction, apply_action, technical_index_audit,
-                       twisted_link, validate_action)
+from .dynamics import (TowerAction, technical_index_audit, twisted_link,
+                       validate_action)
 from .peters import (FiniteDynSys, IdealSequence, SubsetSequence,
                      TruncatedSemicrossed, check_star, enumerate_sequences,
                      extract_bigstar, ideal_from_sequence, sets_to_ideals)

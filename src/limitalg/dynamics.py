@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice
 
 from .crossed import FiniteAbelianGroup
 from .links import first_link, least_link
-from .tower import (MatrixUnit, MatrixUnitSum, OccurrenceIndex, TowerSpec,
-                    TowerValidationError, Word, embed_unit, index_word,
-                    pair_occurrences, validate_embedding)
+from .tower import (MatrixUnit, OccurrenceIndex, TowerSpec,
+                    TowerValidationError, Word, embed_unit, images,
+                    index_word, pair_occurrences, validate_embedding)
 
 
 class ActionCompatibilityError(ValueError):
@@ -95,13 +96,6 @@ def trivial_tower_action(tower: TowerSpec,
     return TowerAction(tower, group, [{} for _ in group.orders])
 
 
-def apply_action(tower: TowerSpec, action: TowerAction, g,
-                 e: MatrixUnit) -> MatrixUnitSum:
-    """Image of e under alpha_g, at the level the generator maps dictate."""
-    units, level = action.apply_units(g, [e], e.level)
-    return MatrixUnitSum(level, tuple(units))
-
-
 def validate_action(tower: TowerSpec, action: TowerAction,
                     horizon: int = 3) -> dict:
     """Exact checks up to `horizon`: compatibility squares, orders, commuting.
@@ -115,11 +109,9 @@ def validate_action(tower: TowerSpec, action: TowerAction,
     top = tower.top(horizon)
     ngens = len(action.group.orders)
 
-    def embed_set(units, level, target):
-        out = []
-        for u in units:
-            out.extend(embed_unit(tower, u, target).units)
-        return sorted(out)
+    def embed_set(units, target):
+        *_, (_, img) = images(tower, units, target)
+        return sorted(img)
 
     for n in range(top):
         for u in tower.units_at(n):
@@ -129,7 +121,7 @@ def validate_action(tower: TowerSpec, action: TowerAction,
                 common = max(la, ra)
                 if not tower.has_level(common):
                     continue
-                if embed_set(left, la, common) != embed_set(right, ra, common):
+                if embed_set(left, common) != embed_set(right, common):
                     problems.append({"kind": "square", "generator": i,
                                      "unit": [u.level, u.summand, u.row, u.col]})
     for n in range(top + 1):
@@ -148,7 +140,7 @@ def validate_action(tower: TowerSpec, action: TowerAction,
                     a2, l2 = action.apply_gen(j, [u], n)
                     a2, l2 = action.apply_gen(i, a2, l2)
                     common = max(l1, l2)
-                    if embed_set(a1, l1, common) != embed_set(a2, l2, common):
+                    if embed_set(a1, common) != embed_set(a2, common):
                         problems.append({"kind": "commute", "generators": [i, j],
                                          "unit": [u.level, u.summand, u.row, u.col]})
     return {"ok": not problems, "horizon": top, "problems": problems}
@@ -160,11 +152,16 @@ def validate_action(tower: TowerSpec, action: TowerAction,
 
 def twisted_link(tower: TowerSpec, action: TowerAction, e: MatrixUnit, g,
                  horizon: int) -> MatrixUnit | None:
-    """Least witness f with embed(e) f embed(alpha_g(e)) != 0, level <= horizon."""
+    """Least witness f with embed(e) f embed(alpha_g(e)) != 0, level <= horizon.
+
+    e's walk, from the level where alpha_g(e) lands, runs beside the walk
+    of alpha_g(e)'s units.
+    """
     img_g, lvl_g = action.apply_units(g, [e], e.level)
-    for n in range(max(e.level, lvl_g), tower.top(horizon) + 1):
-        right = [v for u in img_g for v in embed_unit(tower, u, n).units]
-        link = least_link(embed_unit(tower, e, n).units, right)
+    top = tower.top(horizon)
+    left = islice(images(tower, [e], top), lvl_g - e.level, None)
+    for (n, a), (_, b) in zip(left, images(tower, img_g, top)):
+        link = least_link(a, b)
         if link is not None:
             a, b = link
             return MatrixUnit(n, a.summand, a.col, b.row)
@@ -196,22 +193,15 @@ class AuditTuple:
                 "all_satisfied": self.all_satisfied}
 
 
-def _diag_positions(tower: TowerSpec, level: int, idx: int,
-                    target: int) -> list[int]:
-    """Sorted subordinate diagonal indices of e_idx at a later TUHF level."""
-    img = embed_unit(tower, MatrixUnit(level, 0, idx, idx), target)
-    return sorted(u.row for u in img.units)
-
-
 def _twisted_positions(tower: TowerSpec, action: TowerAction, level: int,
                        idx: int, g, target: int) -> list[int] | None:
+    """Sorted diagonal indices of alpha_g(e_idx)'s image at a later TUHF
+    level, or None when alpha_g lands above it."""
     units, lvl = action.apply_units(g, [MatrixUnit(level, 0, idx, idx)], level)
     if lvl > target:
         return None
-    out = []
-    for u in units:
-        out.extend(v.row for v in embed_unit(tower, u, target).units)
-    return sorted(out)
+    *_, (_, img) = images(tower, units, target)
+    return sorted(u.row for u in img)
 
 
 def technical_index_audit(tower: TowerSpec, action: TowerAction,
@@ -236,10 +226,13 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
                 "reason": "unit has a link; hypothesis e A e = 0 fails",
                 "tuples": []}
 
-    # the loops below ask for the same few position lists many times
-    diag_positions = functools.cache(functools.partial(_diag_positions, tower))
+    # the loops below ask for the same few position lists many times; a
+    # diagonal unit's own positions are its twisted ones at the identity
     twisted_positions = functools.cache(
         functools.partial(_twisted_positions, tower, action))
+
+    def diag_positions(level, idx, target):
+        return twisted_positions(level, idx, action.group.identity, target)
 
     def separated(level, lo, hi, bound):
         # e_hi T e_lo = 0 up to `bound`: first subordinate of hi past last of lo

@@ -98,7 +98,7 @@ def first_link(tower: TowerSpec, e: MatrixUnit,
     S is the least witness at n and T' = embed(e) S embed(e) != 0 the
     unit it leaves; a Donsig chain steps from e to T'.
     """
-    for n, img in images(tower, e, top):
+    for n, img in images(tower, [e], top):
         link = least_link(img, img)
         if link is not None:
             a, b = link
@@ -168,45 +168,48 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
     return None
 
 
-def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
-    """Sound linkless certificate, or None when no certificate applies."""
-    # any certificate needs no link at the unit's own level; a finite
-    # tower IS the finite algebra, so searching all of it decides
+def _certify(tower: TowerSpec, e: MatrixUnit) -> tuple[
+        CertifiedLinkless | None, tuple[MatrixUnit, MatrixUnit] | None]:
+    """(certificate, link): a sound linkless certificate, or None with the
+    least link (S, T') the search met, if any.
+
+    Any certificate needs no link at the unit's own level; a finite tower
+    IS the finite algebra, so one walk to its top decides, and a link it
+    finds is the unit's least link.
+    """
     top = tower.max_level if tower.finite else e.level
-    if first_link(tower, e, top) is not None:
-        return None
+    link = first_link(tower, e, top)
+    if link is not None:
+        return None, link
     if tower.finite:
-        return CertifiedLinkless("finite-tower")
+        return CertifiedLinkless("finite-tower"), None
     if _reachable_frozen(tower, e):
-        return CertifiedLinkless("frozen")
+        return CertifiedLinkless("frozen"), None
     trace = _separation_certificate(tower, e)
     if trace is not None:
-        return CertifiedLinkless("separation", trace)
-    return None
+        return CertifiedLinkless("separation", trace), None
+    return None, None
+
+
+def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
+    """Sound linkless certificate, or None when no certificate applies."""
+    return _certify(tower, e)[0]
 
 
 def link_status(tower: TowerSpec, e: MatrixUnit,
                 horizon: int = DEFAULT_HORIZON) -> LinkStatus:
     if horizon < e.level:
         raise LevelRangeError("horizon below the unit's level")
-    # certificates are sound, so they short-circuit the horizon scan
-    cert = certify_linkless(tower, e)
+    # certificates are sound, so they short-circuit the horizon scan; a
+    # link met on the way is the least one
+    cert, link = _certify(tower, e)
     if cert is not None:
         return cert
-    link = first_link(tower, e, tower.top(horizon))
-    if link is not None:
+    if link is None:
+        link = first_link(tower, e, tower.top(horizon))
+    if link is not None and link[0].level <= horizon:
         return Linked(link[0].level, link[0])
     return NotLinkedUpTo(horizon)
-
-
-def linkless_units_at(tower: TowerSpec, level: int,
-                      horizon: int = DEFAULT_HORIZON) -> list[MatrixUnit]:
-    """Units at `level` with linkless certificates, canonical order."""
-    out = []
-    for u in tower.units_at(level):
-        if isinstance(link_status(tower, u, horizon), CertifiedLinkless):
-            out.append(u)
-    return out
 
 
 def donsig_report(tower: TowerSpec, level: int,

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import multi_matrix_units
-from .links import CertifiedLinkless, first_link, link_status
-from .tower import Element, MatrixUnit, TowerSpec, decompose, embed_unit, images
+from .links import certify_linkless, first_link
+from .tower import (Element, LevelRangeError, MatrixUnit, TowerSpec, embed_unit,
+                    images)
 
 DEFAULT_EXPAND_HORIZON = 6
 DEFAULT_LINK_HORIZON = 12
@@ -272,7 +273,7 @@ def uniform_nilpotency(tower: TowerSpec, e: MatrixUnit, exponent: int,
         closed = (not tower.finite and tower.rule.pattern_closed
                   and e.level <= top
                   and all(_support_nilpotent(tower, img, lv, exponent)
-                          for lv, img in images(tower, e, top)))
+                          for lv, img in images(tower, [e], top)))
     cert = None
     if nilpotent and (tower.finite or closed):
         cert = UniformNilpotency(exponent, horizon, closed)
@@ -296,13 +297,14 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
                        expand_horizon: int = DEFAULT_EXPAND_HORIZON,
                        link_horizon: int = DEFAULT_LINK_HORIZON,
                        exponent: int | None = None) -> RadicalStatus:
+    tower.check_unit(e)  # a bad unit is named before a bad horizon
+    if link_horizon < e.level:
+        raise LevelRangeError("horizon below the unit's level")
     top = tower.top(expand_horizon)
-    # (1) all-linkless decomposition (TUHF criterion; sound for TAF too);
-    # the walk checks e even when it yields no level
-    for n, img in images(tower, e, top):
+    # (1) all-linkless decomposition (TUHF criterion; sound for TAF too)
+    for n, img in images(tower, [e], top):
         units = tuple(sorted(img))
-        if all(isinstance(link_status(tower, u, link_horizon), CertifiedLinkless)
-               for u in units):
+        if all(certify_linkless(tower, u) is not None for u in units):
             return InRadical(LinklessDecomposition(n, units))
     # (2) recurrent Donsig chain
     if not tower.finite and tower.rule.self_similar:
@@ -324,40 +326,3 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
             if rep.ok and rep.certificate is not None:
                 return InRadical(rep.certificate)
     return Unknown(expand_horizon, link_horizon)
-
-
-# ---------------------------------------------------------------------------
-# extremal subordinate factorization audit
-
-
-def extremal_subordinate_check(tower: TowerSpec, e: MatrixUnit,
-                               level: int) -> dict:
-    """Verify e_{i_k,I} e_{I,J} e_{J,j_k} = e_{i_k,j_k} per summand.
-
-    I is the max subordinate row, J the min subordinate col; the lemma's
-    hypothesis configuration needs I >= J, which is flagged per summand.
-    The products are verified in the full matrix algebra (e_{I,J} may be
-    lower-triangular).
-    """
-    dec = decompose(tower, e, level)
-    summands: list[dict] = []
-    by_summand: dict[int, list[MatrixUnit]] = {}
-    for u in dec.units:
-        by_summand.setdefault(u.summand, []).append(u)
-    all_ok = True
-    for s in sorted(by_summand):
-        big_i, small_j = dec.extremal[s]
-        checks = []
-        for u in by_summand[s]:
-            left = Element(level, {(s, u.row, big_i): Fraction(1)})
-            mid = Element(level, {(s, big_i, small_j): Fraction(1)})
-            right = Element(level, {(s, small_j, u.col): Fraction(1)})
-            prod = left * mid * right
-            ok = prod == Element.from_unit(u)
-            checks.append({"subordinate": [u.row, u.col], "ok": ok})
-            all_ok &= ok
-        summands.append({"summand": s, "I": big_i, "J": small_j,
-                         "lemma_configuration": big_i >= small_j,
-                         "factorizations": checks})
-    return {"unit": [e.level, e.summand, e.row, e.col], "level": level,
-            "summands": summands, "ok": all_ok}

@@ -510,17 +510,19 @@ def pair_occurrences(index: tuple[OccurrenceIndex, ...],
     return out
 
 
-def images(tower: TowerSpec, e: MatrixUnit, top: int):
-    """Yield (n, units of e's image at level n) for n = e.level..top.
+def images(tower: TowerSpec, units: list[MatrixUnit], top: int):
+    """Yield (n, images of `units` at level n) for n = level..top, where
+    `units` is a non-empty list of units of one level.
 
-    Each level is paired from the one before, and `e` is checked
-    (`TowerSpec.check_unit`) on the first step even when top < e.level,
+    Each level is paired from the one before, and every unit is checked
+    (`TowerSpec.check_unit`) on the first step even when top < level,
     where nothing is yielded.
     """
-    tower.check_unit(e)
-    units = [e]
-    for n in range(e.level, top + 1):
-        if n > e.level:
+    level = units[0].level
+    for u in units:
+        tower.check_unit(u)
+    for n in range(level, top + 1):
+        if n > level:
             units = pair_occurrences(tower.occurrences(n - 1), units, n)
         yield n, units
 
@@ -530,7 +532,7 @@ def embed_unit(tower: TowerSpec, e: MatrixUnit, target_level: int) -> MatrixUnit
     if target_level < e.level or not tower.has_level(target_level):
         raise LevelRangeError(
             f"target level {target_level} out of range for unit at {e.level}")
-    for _, units in images(tower, e, target_level):
+    for _, units in images(tower, [e], target_level):
         pass
     return MatrixUnitSum(target_level, tuple(units))
 

@@ -136,6 +136,11 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "radical-above-expand-horizon-finite": (("radical", "@finite.tower",
                                              "--unit", "2:0:1:2",
                                              "--expand-horizon", "1"), None),
+    # a link horizon below the expand horizon, and one below the unit
+    "radical-horizon-below-expand": (("radical", "standard-2", "--unit",
+                                      "0:0:1:2", "--horizon", "2"), None),
+    "radical-negative-horizon": (("radical", "standard-2", "--unit",
+                                  "0:0:1:2", "--horizon", "-1"), None),
     # audits
     "audit-technical-action": (("audit-technical", "@action.tower", "--unit",
                                 "0:0:1:2", "--horizons", "2,3"), None),

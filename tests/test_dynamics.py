@@ -5,11 +5,13 @@ import pytest
 
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import (ActionCompatibilityError, TowerAction,
-                               apply_action, identity_words,
+                               identity_words,
                                technical_index_audit, trivial_tower_action,
                                twisted_link, validate_action)
+from limitalg import dynamics
 from limitalg.tower import (ConstantRule, MatrixUnit, TowerSpec,
-                            TowerValidationError, preset, random_lattice_word)
+                            TowerValidationError, embed_unit, preset,
+                            random_lattice_word)
 
 Z2 = FiniteAbelianGroup((2,))
 
@@ -45,11 +47,10 @@ def test_apply_action_and_order_two():
     t = swap_tower()
     act = swap_action(t)
     e = MatrixUnit(0, 0, 1, 2)
-    img = apply_action(t, act, (1,), e)
-    assert img.units == (MatrixUnit(0, 1, 1, 2),)
+    assert act.apply_units((1,), [e], 0) == ([MatrixUnit(0, 1, 1, 2)], 0)
     # g^2 = identity because exponents reduce mod the generator order
-    assert apply_action(t, act, (2,), e).units == (e,)
-    assert apply_action(t, act, (0,), e).units == (e,)
+    assert act.apply_units((2,), [e], 0) == ([e], 0)
+    assert act.apply_units((0,), [e], 0) == ([e], 0)
 
 
 def test_mapped_levels_reuse_the_validation_index(monkeypatch):
@@ -70,7 +71,7 @@ def test_map_fallback_reuses_same_shape_entry():
     # level-preserving pattern is reused rather than defaulting to identity
     assert act.map_at(0, 5) == (5, SWAP_WORDS)
     e5 = MatrixUnit(5, 0, 2, 2)
-    assert apply_action(t, act, (1,), e5).units == (MatrixUnit(5, 1, 2, 2),)
+    assert act.apply_units((1,), [e5], 5) == ([MatrixUnit(5, 1, 2, 2)], 5)
 
 
 def test_incompatible_action_is_reported_by_validation():
@@ -149,3 +150,52 @@ def test_random_tuhf_audits_hold():
             rep = technical_index_audit(t, act, e, horizons=(2, 3))
             if rep["applicable"]:
                 assert rep["ok"]
+
+
+# position helpers as the audit once had them: one embed_unit per unit
+def reference_diag_positions(tower, level, idx, target):
+    img = embed_unit(tower, MatrixUnit(level, 0, idx, idx), target)
+    return sorted(u.row for u in img.units)
+
+
+def reference_twisted_positions(tower, action, level, idx, g, target):
+    units, lvl = action.apply_units(g, [MatrixUnit(level, 0, idx, idx)], level)
+    if lvl > target:
+        return None
+    return sorted(v.row for u in units
+                  for v in embed_unit(tower, u, target).units)
+
+
+# the trivial action and both order-2 words into level 1 of the benchmark
+REFINEMENT_ACTIONS = [{}] + [
+    {0: (1, (tuple((0, p) for p in word),))}
+    for word in ((1, 2, 1, 2), (1, 1, 2, 2))]
+
+
+@pytest.mark.parametrize("gen_map", REFINEMENT_ACTIONS)
+def test_index_audit_matches_per_unit_positions(gen_map, monkeypatch):
+    t = preset("refinement-2")
+    act = TowerAction(t, Z2, [gen_map])
+    for level in range(3):
+        for idx in range(1, t.shape(level)[0] + 1):
+            for target in range(level, 5):
+                assert dynamics._twisted_positions(
+                    t, act, level, idx, Z2.identity, target) == \
+                    reference_diag_positions(t, level, idx, target)
+                for g in Z2.elements():
+                    assert dynamics._twisted_positions(
+                        t, act, level, idx, g, target) == \
+                        reference_twisted_positions(t, act, level, idx, g,
+                                                    target)
+    e = MatrixUnit(0, 0, 1, 2)
+    reports = [technical_index_audit(t, act, e, (3, 4))]
+
+    def reference(tower, action, level, idx, g, target):
+        if g == action.group.identity:
+            return reference_diag_positions(tower, level, idx, target)
+        return reference_twisted_positions(tower, action, level, idx, g,
+                                           target)
+
+    monkeypatch.setattr(dynamics, "_twisted_positions", reference)
+    reports.append(technical_index_audit(t, act, e, (3, 4)))
+    assert reports[0] == reports[1]

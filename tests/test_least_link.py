@@ -7,10 +7,12 @@ every pair of units, as each of those scans once did on its own.
 `certify_linkless` are checked against the per-level loops they once ran.
 """
 import random
+from pathlib import Path
 
 import pytest
 
-from limitalg import links
+from limitalg import dynamics, links
+from limitalg import tower as tower_module
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import (TowerAction, technical_index_audit,
                                trivial_tower_action, twisted_link)
@@ -24,6 +26,7 @@ from limitalg.tower import (MatrixUnit, TowerSpec, UnitShapeError, embed_unit,
                             images, preset, random_lattice_word)
 
 TOP = 6
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def all_pairs(left, right, level):
@@ -134,13 +137,24 @@ def test_images_match_embed_unit_at_every_level():
     for tower in walk_towers():
         for start in range(3):
             for e in tower.units_at(start):
-                walked = list(images(tower, e, tower.top(start + 4)))
+                walked = list(images(tower, [e], tower.top(start + 4)))
                 assert [n for n, _ in walked] == \
                     list(range(start, tower.top(start + 4) + 1))
                 for n, units in walked:
                     assert tuple(sorted(units)) == \
                         embed_unit(tower, e, n).units, (e, n)
-                assert list(images(tower, e, start - 1)) == []
+                assert list(images(tower, [e], start - 1)) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_images_of_a_unit_list_are_the_images_of_its_units(seed):
+    tower, _ = random_tower(seed)
+    for start in range(3):
+        units = list(tower.units_at(start))
+        walks = [dict(images(tower, [u], TOP)) for u in units]
+        for n, img in images(tower, units, TOP):
+            assert sorted(img) == \
+                sorted(v for walk in walks for v in walk[n]), n
 
 
 def reference_certify_linkless(tower, e):
@@ -198,6 +212,7 @@ def test_walk_entry_points_check_the_unit(unit, message):
              lambda: donsig_chain(t, unit, 0),
              lambda: chain_cycle_certificate(t, unit),
              lambda: technical_index_audit(t, action, unit),
+             lambda: twisted_link(t, action, unit, (1,), 3),
              lambda: radical_membership(t, unit)]
     for call in calls:
         with pytest.raises(UnitShapeError, match=message):
@@ -213,6 +228,47 @@ def test_twisted_link_matches_all_pairs(seed):
             for g in ((0,), (1,)):
                 assert twisted_link(tower, action, e, g, TOP) == \
                     reference_twisted_link(tower, action, e, g, TOP), (e, g)
+
+
+def count_pairing_steps(monkeypatch):
+    """A list that grows by one per `pair_occurrences` call, from the level
+    walk or from a generator step."""
+    steps = []
+    original = tower_module.pair_occurrences
+
+    def counting(*args):
+        steps.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(tower_module, "pair_occurrences", counting)
+    monkeypatch.setattr(dynamics, "pair_occurrences", counting)
+    return steps
+
+
+def test_twisted_link_walks_each_side_once(monkeypatch):
+    # one generator step, then 12 levels for e and 12 for alpha_g(e); a
+    # re-embedding from each unit's own level made 1 + 2 * (0 + ... + 12)
+    t = preset("refinement-2")
+    action = trivial_tower_action(t, FiniteAbelianGroup((2,)))
+    steps = count_pairing_steps(monkeypatch)
+    assert twisted_link(t, action, MatrixUnit(0, 0, 1, 2), (1,), 12) is None
+    assert len(steps) == 25
+    steps.clear()
+    twisted_link(t, action, MatrixUnit(0, 0, 1, 2), (1,), 6)
+    assert len(steps) == 13
+
+
+def test_link_status_walks_a_finite_tower_once(monkeypatch):
+    # the link at level 2 is found by the certificate search; the answer
+    # reuses it instead of walking levels 0..2 again
+    t = parse_tower((GOLDEN / "two-summand.tower").read_text())
+    steps = count_pairing_steps(monkeypatch)
+    e = MatrixUnit(0, 0, 1, 2)
+    assert link_status(t, e, 2) == Linked(2, MatrixUnit(2, 0, 2, 5))
+    assert len(steps) == 2
+    steps.clear()
+    assert link_status(t, e, 1) == NotLinkedUpTo(1)
+    assert len(steps) == 2
 
 
 def test_least_link_with_repeated_rows_and_cols():

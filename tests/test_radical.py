@@ -9,7 +9,7 @@ from limitalg.links import link_status
 from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
                               chain_cycle_certificate, donsig_chain,
-                              extremal_subordinate_check, radical_membership,
+                              radical_membership,
                               strictly_upper_units, uniform_nilpotency)
 from limitalg.tower import (ConstantRule, Element, MatrixUnit, TowerRule,
                             TowerSpec, UnitShapeError, embed_element, preset)
@@ -272,21 +272,3 @@ class TestMembership:
         st = radical_membership(t, MatrixUnit(0, 0, 1, 2),
                                 expand_horizon=0, link_horizon=4)
         assert isinstance(st, Unknown) and calls == []
-
-
-class TestExtremalFactorization:
-    def test_growing_taf_lemma_configuration(self):
-        t = preset("paper-example-taf")
-        rep = extremal_subordinate_check(t, MatrixUnit(1, 0, 1, 2), 2)
-        assert rep["ok"]
-        by_summand = {s["summand"]: s for s in rep["summands"]}
-        assert by_summand[1]["I"] == 3 and by_summand[1]["J"] == 2
-        assert by_summand[1]["lemma_configuration"]
-
-    def test_refinement_has_no_lemma_configuration(self):
-        t = preset("refinement-2")
-        rep = extremal_subordinate_check(t, MatrixUnit(0, 0, 1, 2), 1)
-        assert rep["ok"]
-        assert rep["summands"][0]["I"] == 2
-        assert rep["summands"][0]["J"] == 3
-        assert not rep["summands"][0]["lemma_configuration"]

@@ -25,6 +25,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_pairing_runs_only_in_the_walk_and_the_generator_step():
+    # one level walk: every other caller steps through `tower.images`
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        # (node, qualified name of the def or class around it)
+        stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            if isinstance(node, ast.Call) and "pair_occurrences" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.append(scope)
+            stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+    assert sorted(callers) == ["dynamics.TowerAction.apply_gen",
+                               "tower.images"]
+
+
 def test_golden_corpus_covers_every_command():
     # every subcommand, and every `what` of `crossed` and `peters`, has
     # output pinned by at least one golden case

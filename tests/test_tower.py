@@ -368,3 +368,6 @@ def test_decompose_extremal_indices():
     dec = decompose(t, MatrixUnit(0, 0, 1, 2), 1)
     assert dec.units == (MatrixUnit(1, 0, 1, 3), MatrixUnit(1, 0, 2, 4))
     assert dec.extremal == {0: (2, 3)}
+    # the growing TAF example: in summand 1 the max row passes the min col
+    taf = preset("paper-example-taf")
+    assert decompose(taf, MatrixUnit(1, 0, 1, 2), 2).extremal[1] == (3, 2)
