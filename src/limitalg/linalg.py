@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over Fraction or Cyc scalars.
+"""Exact Gaussian elimination over int, Fraction or Cyc scalars.
 
 A row (or vector) is a sparse dict, column -> nonzero scalar: a zero is
 never stored, and `{}` is the zero row.  A row update touches only the
@@ -11,8 +11,11 @@ from fractions import Fraction
 
 
 def _inv(x):
-    if isinstance(x, Fraction):
+    """1/x exactly: a Fraction for an int or Fraction, else `x.inverse()`."""
+    if isinstance(x, (int, Fraction)):
         return Fraction(1) / x
+    if isinstance(x, float):
+        raise TypeError("no exact inverse of a float")
     return x.inverse()
 
 

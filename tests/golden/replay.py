@@ -196,6 +196,16 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                               None)
        for m, base, exps in ((4, "2", "0,1"), (6, "3", "0,1,3"),
                              (8, "2", "0,1"))},
+    # Q(zeta_4) and Q(zeta_6) beyond `diag`: radical, tightness of a swap
+    # with a twist, and the links lemma
+    "crossed-radical-z4": (("crossed", "radical", "--base", "3", "--group",
+                            "4", "--action", "diag=0,1,3", "--json"), None),
+    "crossed-tight-z6": (("crossed", "tight", "--base", "2,2", "--group", "6",
+                          "--action", "perm=1,0;diag=0,1|0,1", "--json"),
+                         None),
+    "crossed-links-lemma-z6": (("crossed", "links-lemma", "--base", "3",
+                                "--group", "6", "--action", "diag=0,1,3",
+                                "--json"), None),
     "crossed-permanence-z3": (("crossed", "permanence", "--full",
                                *TRIANGULAR_Z3), None),
     "crossed-permanence-z2xz2": (("crossed", "permanence", "--full", "--base",

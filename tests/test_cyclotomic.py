@@ -1,7 +1,9 @@
 """Exact cyclotomic arithmetic against number-theoretic ground truth."""
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import pytest
 
@@ -80,6 +82,14 @@ def test_scalar_interop_with_int_and_fraction():
     assert 1 / z == z.conjugate()
     with pytest.raises(ValueError, match="mixed cyclotomic moduli"):
         z + Cyc.one(3)
+    # no float is taken at its binary value
+    for bad in (lambda: Cyc(3, [0.1]), lambda: Cyc(3, [1, "1/2"]),
+                lambda: Cyc.from_rational(3, 0.5), lambda: Cyc.one(2) + 0.1,
+                lambda: 0.1 + Cyc.one(2), lambda: z * 0.5, lambda: z - 0.5,
+                lambda: 0.5 / z):
+        with pytest.raises(TypeError):
+            bad()
+    assert z != 0.5
 
 
 # -- the Galois action, against the extended-Euclid inverse ----------------
@@ -185,3 +195,190 @@ def test_inverse_rejects_a_norm_that_is_not_rational(monkeypatch):
         (Cyc.one(3) + Cyc.zeta(3)).inverse()
     # a rational element never reaches the Galois path
     assert Cyc.from_rational(3, 4).inverse() == Fraction(1, 4)
+
+
+# -- integer numerators over one denominator, against Fraction coefficients --
+#
+# `FractionCyc` is the representation `Cyc` had before it stored integer
+# numerators over one denominator: a tuple of Fractions, rebuilt through
+# `Fraction` on every operation.  Every operation of `Cyc` must give the
+# same coefficients, repr and comparisons, in canonical form.
+
+
+@lru_cache(maxsize=None)
+def _fraction_reduction_table(m):
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    rows = []
+    cur = [Fraction(0)] * deg
+    cur[0] = Fraction(1)
+    for _ in range(2 * m):
+        rows.append(tuple(cur))
+        carry = cur[-1]
+        nxt = [Fraction(0)] + cur[:-1]
+        if carry:
+            for j in range(deg):
+                nxt[j] -= carry * phi[j]
+        cur = nxt
+    return tuple(rows)
+
+
+def _fraction_reduced(m, poly):
+    table = _fraction_reduction_table(m)
+    deg = len(table[0])
+    out = [Fraction(0)] * deg
+    for k, coef in enumerate(poly):
+        if coef:
+            for j in range(deg):
+                out[j] += coef * table[k][j]
+    return FractionCyc(m, out)
+
+
+class FractionCyc:
+    __slots__ = ("m", "c")
+
+    def __init__(self, m, coeffs):
+        deg = len(cyclotomic_polynomial(m)) - 1
+        c = [Fraction(x) for x in coeffs]
+        c += [Fraction(0)] * (deg - len(c))
+        self.m = m
+        self.c = tuple(c)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyc):
+            return other
+        return FractionCyc(self.m, [Fraction(other)])
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionCyc(self.m, [a + b for a, b in zip(self.c, o.c)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyc(self.m, [-a for a in self.c])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        prod = [Fraction(0)] * (2 * len(self.c) - 1)
+        for i, a in enumerate(self.c):
+            if not a:
+                continue
+            for j, b in enumerate(o.c):
+                if b:
+                    prod[i + j] += a * b
+        return _fraction_reduced(self.m, prod)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not any(self.c[1:]):
+            return FractionCyc(self.m, [1 / self.c[0]])
+        rest = reduce(operator.mul, (self._galois(k) for k in range(2, self.m)
+                                     if math.gcd(k, self.m) == 1))
+        norm = self * rest
+        assert not any(norm.c[1:])
+        return FractionCyc(self.m, [x / norm.c[0] for x in rest.c])
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def _galois(self, k):
+        poly = [Fraction(0)] * self.m
+        for i, a in enumerate(self.c):
+            poly[i * k % self.m] = a
+        return _fraction_reduced(self.m, poly)
+
+    def conjugate(self):
+        return self._galois(-1)
+
+    def __bool__(self):
+        return any(self.c)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionCyc(self.m, [other])
+        return self.m == other.m and self.c == other.c
+
+    def __repr__(self):
+        return f"Cyc({self.m}, {[str(x) for x in self.c]})"
+
+    def as_coeff_strings(self):
+        return [str(x) for x in self.c]
+
+
+def _random_coeffs(rng, m):
+    """Sparse coefficients with denominators up to 12, signs mixed."""
+    deg = len(cyclotomic_polynomial(m)) - 1
+    return [Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            if rng.random() < 0.6 else 0 for _ in range(deg)]
+
+
+def _agrees(x, ref):
+    """x is canonical and has the coefficients, repr and hash of ref."""
+    assert isinstance(x, Cyc) and x.m == ref.m
+    assert x.c == ref.c
+    assert repr(x) == repr(ref)
+    assert x.as_coeff_strings() == ref.as_coeff_strings()
+    assert bool(x) == bool(ref)
+    # canonical: d > 0, gcd(d, *n) = 1, one integer per basis element
+    assert len(x.n) == len(ref.c)
+    assert all(type(a) is int for a in (x.d, *x.n))
+    assert x.d > 0 and math.gcd(x.d, *x.n) == 1
+    # the same value built from its Fraction coefficients is the same Cyc
+    same = Cyc(x.m, ref.c)
+    assert same == x and hash(same) == hash(x)
+    assert (same.n, same.d) == (x.n, x.d)
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_integer_form_matches_fraction_reference(m):
+    rng = random.Random(f"fraction-reference-{m}")
+    deg = len(cyclotomic_polynomial(m)) - 1
+    coeffs = [[], [7], [Fraction(-3, 4)], ([Fraction(5, 6)] + [0] * 7)[:deg]]
+    coeffs += [_random_coeffs(rng, m) for _ in range(3)]
+    pairs = [(Cyc(m, c), FractionCyc(m, c)) for c in coeffs]
+    # a divisor that is irrational for m > 2; the reference's inverses, the
+    # costly step, are taken once (its `a / b` is `a * b.inverse()`)
+    y, ry = next(p for p in reversed(pairs) if p[0])
+    ry_inv = ry.inverse()
+    for x, rx in pairs:
+        _agrees(x, rx)
+        _agrees(-x, -rx)
+        _agrees(x.conjugate(), rx.conjugate())
+        for k in (k for k in range(1, m) if math.gcd(k, m) == 1):
+            _agrees(x._galois(k), rx._galois(k))
+        for q in (0, 1, -2, Fraction(-3, 4), Fraction(7, 2)):
+            _agrees(x + q, rx + q)
+            _agrees(q + x, q + rx)
+            _agrees(x - q, rx - q)
+            _agrees(q - x, q - rx)
+            _agrees(x * q, rx * q)
+            _agrees(q * x, q * rx)
+            if q:
+                _agrees(x / q, rx / q)
+        for q in (0, 1, 7, Fraction(-3, 4), Fraction(5, 6), *rx.c[:1]):
+            assert (x == q) is (rx == q)
+        if x:
+            rx_inv = rx.inverse()
+            _agrees(x.inverse(), rx_inv)
+            _agrees(Fraction(7, 2) / x, Fraction(7, 2) * rx_inv)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        _agrees(x / y, rx * ry_inv)
+        for z, rz in pairs:
+            _agrees(x + z, rx + rz)
+            _agrees(x - z, rx - rz)
+            _agrees(x * z, rx * rz)
+            assert (x == z) is (rx == rz)
+            assert (x == z) is (hash(x) == hash(z))

@@ -1,4 +1,4 @@
-"""Exact linear algebra sanity checks over Fraction and Cyc scalars.
+"""Exact linear algebra sanity checks over int, Fraction and Cyc scalars.
 
 `linalg` takes and returns sparse rows, dicts column -> nonzero scalar.
 The cases are written as dense lists and converted at the call boundary,
@@ -31,6 +31,9 @@ def test_rref_and_rank():
     red, pivots = linalg.rref(rows)
     assert pivots == [0, 1]
     assert linalg.rank(rows) == 2
+    # no float pivot is inverted inexactly
+    with pytest.raises(TypeError, match="float"):
+        linalg.rref([{0: 0.5, 1: 1}])
 
 
 def test_nullspace_is_annihilated():
@@ -99,7 +102,7 @@ def dense_rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]  # exact for an int pivot too
         rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -110,6 +113,10 @@ def dense_rref(rows):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def int_scalar(rng):
+    return rng.randint(-3, 3)
 
 
 def fraction_scalar(rng):
@@ -132,7 +139,8 @@ def random_sparse(rng, nrows, ncols, density, scalar, zero):
     return rows
 
 
-SCALARS = [("fraction", fraction_scalar, Fraction(0), Fraction(1))] + [
+SCALARS = [("int", int_scalar, 0, 1),
+           ("fraction", fraction_scalar, Fraction(0), Fraction(1))] + [
     (f"cyc{m}", cyc_scalar(m), Cyc.zero(m), Cyc.one(m)) for m in (3, 4, 8)]
 SHAPES = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (8, 14), (14, 6)]
 

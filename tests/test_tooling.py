@@ -25,23 +25,38 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_pairing_runs_only_in_the_walk_and_the_generator_step():
-    # one level walk: every other caller steps through `tower.images`
+def _callers(paths, name: str) -> list[str]:
+    """Qualified scope (module.def/class...) of every call to `name`."""
     callers = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         # (node, qualified name of the def or class around it)
         stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
         while stack:
             node, scope = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 scope = f"{scope}.{node.name}"
-            if isinstance(node, ast.Call) and "pair_occurrences" in (
+            if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
                 callers.append(scope)
             stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+    return callers
+
+
+def test_pairing_runs_only_in_the_walk_and_the_generator_step():
+    # one level walk: every other caller steps through `tower.images`
+    callers = _callers(sorted(PACKAGE.glob("*.py")), "pair_occurrences")
     assert sorted(callers) == ["dynamics.TowerAction.apply_gen",
                                "tower.images"]
+
+
+def test_cyclotomic_builds_fractions_only_at_its_public_boundary():
+    # Cyc arithmetic runs on integer numerators over one denominator; a
+    # `Fraction(...)` inside it would bring back a gcd per coefficient
+    boundary = {"cyclotomic.Cyc.__init__", "cyclotomic.Cyc.from_rational",
+                "cyclotomic.Cyc.c", "cyclotomic.Cyc.__eq__"}
+    callers = _callers([PACKAGE / "cyclotomic.py"], "Fraction")
+    assert sorted(set(callers) - boundary) == []
 
 
 def test_golden_corpus_covers_every_command():
