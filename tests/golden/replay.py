@@ -183,6 +183,18 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "crossed-tight-full-swap": (("crossed", "tight", "--full", "--base",
                                  "2,2", "--group", "2", "--action",
                                  "perm=1,0", "--json"), None),
+    # every report on a full base too
+    "crossed-radical-full-swap": (("crossed", "radical", "--full", "--base",
+                                   "2,2", "--group", "2", "--action",
+                                   "perm=1,0", "--json"), None),
+    "crossed-lattice-full-z3": (("crossed", "lattice", "--full", "--base", "3",
+                                 "--group", "3", "--action", "diag=0,1,2"),
+                                None),
+    "crossed-links-lemma-full": (("crossed", "links-lemma", "--full",
+                                  *TRIANGULAR_Z3), None),
+    "crossed-diag-full": (("crossed", "diag", "--full", "--base", "2",
+                           "--group", "2", "--action", "diag=0,1", "--json"),
+                          None),
     "crossed-tight-z3-3": (("crossed", "tight", "--base", "3", "--group", "3",
                             "--action", "diag=0,1,2", "--json"), None),
     "crossed-radical-196": (("crossed", "radical", "--base", "3,3", "--group",

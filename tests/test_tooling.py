@@ -61,19 +61,25 @@ def test_cyclotomic_builds_fractions_only_at_its_public_boundary():
 
 def test_golden_corpus_covers_every_command():
     # every subcommand, and every `what` of `crossed` and `peters`, has
-    # output pinned by at least one golden case
+    # output pinned by at least one golden case; every `crossed` report
+    # on a triangular and on a full base
     parser = cli._build_parser(links.DEFAULT_HORIZON)
     [sub] = [a for a in parser._actions
              if isinstance(a, argparse._SubParsersAction)]
-    wanted = {(name, None) for name in sub.choices}
+    wanted = {(name, None, None) for name in sub.choices}
     for name in ("crossed", "peters"):
         [what] = [a for a in sub.choices[name]._actions if a.dest == "what"]
-        wanted |= {(name, choice) for choice in what.choices}
+        wanted |= {(name, choice, None) for choice in what.choices}
+    [what] = [a for a in sub.choices["crossed"]._actions if a.dest == "what"]
+    wanted |= {("crossed", choice, full) for choice in what.choices
+               for full in (False, True)}
     seen = set()
     for argv, _ in replay.CASES.values():
         args = parser.parse_args(replay._argv(argv))
-        seen |= {(args.cmd, None), (args.cmd, getattr(args, "what", None))}
-    assert sorted(wanted - seen) == []
+        what = getattr(args, "what", None)
+        seen |= {(args.cmd, None, None), (args.cmd, what, None),
+                 (args.cmd, what, getattr(args, "full", None))}
+    assert sorted(wanted - seen, key=str) == []
 
 
 def test_every_benchmark_tracer_hook_resolves():
