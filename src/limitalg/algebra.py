@@ -10,19 +10,25 @@ trace form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
 
 class MonomialAlgebra:
-    def __init__(self, basis: list, prod, one=Fraction(1)):
-        """`prod(a, b)` returns (scalar, key) or None for a zero product."""
+    def __init__(self, basis: list, right, one=Fraction(1)):
+        """`right(a)` yields (b, scalar, key) for each nonzero a b = scalar key."""
         self.basis = list(basis)
         self.index = {k: i for i, k in enumerate(self.basis)}
-        self.prod = prod
+        self.right = right
         self.one = one
         self.zero = one - one
-        self._traces: dict = {}
+
+    @cached_property
+    def rows(self) -> dict:
+        """The nonzero products, a -> {b: (scalar, key)}; built on first use."""
+        return {a: {b: (s, k) for b, s, k in self.right(a)}
+                for a in self.basis}
 
     @property
     def dim(self) -> int:
@@ -35,8 +41,9 @@ class MonomialAlgebra:
     def multiply(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for a, ca in x.items():
+            row = self.rows[a]
             for b, cb in y.items():
-                r = self.prod(a, b)
+                r = row.get(b)
                 if r is None:
                     continue
                 s, k = r
@@ -47,29 +54,19 @@ class MonomialAlgebra:
                     del out[k]
         return out
 
-    def trace_left_mult(self, key) -> object:
-        """Trace of left multiplication by a basis element (memoized)."""
-        if key not in self._traces:
-            t = self.zero
-            for w in self.basis:
-                r = self.prod(key, w)
-                if r is not None and r[1] == w:
-                    t = t + r[0]
-            self._traces[key] = t
-        return self._traces[key]
-
     def gram(self) -> list[dict]:
         """Sparse rows of the Gram matrix of (x, y) -> trace(L_{xy})."""
+        # trace(L_k) sums the scalars of the products k b = s b
+        trace = {k: sum((s for b, (s, kb) in row.items() if kb == b),
+                        self.zero)
+                 for k, row in self.rows.items()}
         rows = []
         for a in self.basis:
             row = {}
-            for j, b in enumerate(self.basis):
-                r = self.prod(a, b)
-                if r is not None:
-                    s, k = r
-                    t = self.trace_left_mult(k)
-                    if t:
-                        row[j] = s * t
+            for b, (s, k) in self.rows[a].items():
+                t = trace[k]
+                if t:
+                    row[self.index[b]] = s * t
             rows.append(row)
         return rows
 
@@ -112,15 +109,13 @@ def multi_matrix_units(shape: tuple[int, ...], triangular: bool):
                 yield (s, i, j)
 
 
-def multi_matrix_prod(a, b):
-    (s, i, j), (s2, k, l) = a, b
-    if s == s2 and j == k:
-        return (Fraction(1), (s, i, l))
-    return None
+def multi_matrix_algebra(shape: tuple[int, ...], triangular: bool = True,
+                         one=Fraction(1)) -> MonomialAlgebra:
+    """Matrix units e_ij e_jl = e_il of a direct sum of (triangular) blocks."""
+    def right(a):
+        s, i, j = a
+        # products of upper-triangular units stay upper-triangular
+        for col in range(j if triangular else 1, shape[s] + 1):
+            yield (s, j, col), one, (s, i, col)
 
-
-def multi_matrix_algebra(shape: tuple[int, ...],
-                         triangular: bool = True) -> MonomialAlgebra:
-    # products of upper-triangular units stay upper-triangular
-    return MonomialAlgebra(multi_matrix_units(shape, triangular),
-                           multi_matrix_prod)
+    return MonomialAlgebra(multi_matrix_units(shape, triangular), right, one)

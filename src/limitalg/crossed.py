@@ -10,6 +10,7 @@ ideals, where both sides of the lattice correspondence are finite.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,9 +170,6 @@ class LevelAction:
                 if self._compose(ti, tj) != self._compose(tj, ti):
                     raise ActionRelationError(f"generators {i},{j} do not commute")
 
-    def apply_support(self, g, key: UnitKey) -> UnitKey:
-        return self.table(g)[key][1]
-
 
 def trivial_action(group: FiniteAbelianGroup,
                    shape: tuple[int, ...]) -> LevelAction:
@@ -198,7 +196,12 @@ def perm_action(group: FiniteAbelianGroup, shape: tuple[int, ...],
 
 
 class CrossedAlgebra:
-    """Basis {(unit, g)}, product ((e,g),(f,h)) -> (e * alpha_g(f), gh)."""
+    """Basis {(unit, g)}, product ((e,g),(f,h)) -> (e * alpha_g(f), gh).
+
+    The rows come from the base's rows and the action's tables: for each
+    e f' = k in the base, alpha_g(f) = c f' gives (e U_g)(f U_h) = c k U_gh.
+    Base matrix units multiply with scalar 1, so c is the whole scalar.
+    """
 
     def __init__(self, shape: tuple[int, ...], group: FiniteAbelianGroup,
                  action: LevelAction, triangular: bool = True):
@@ -209,19 +212,22 @@ class CrossedAlgebra:
         self.action = action
         self.triangular = triangular
         self.m = group.exponent
-        units = multi_matrix_units(self.shape, triangular)
+        base = multi_matrix_algebra(self.shape, triangular)
         gs = group.elements()
-        basis = [(u, g) for u in units for g in gs]
+        basis = [(u, g) for u in base.basis for g in gs]
 
-        def prod(a, b):
-            (s, i, j), g = a
-            f, h = b
-            c, (s2, k, l) = action.table(g)[f]
-            if s == s2 and j == k and (not triangular or i <= l):
-                return (c, ((s, i, l), group.op(g, h)))
-            return None
+        @functools.cache
+        def preimages(g) -> dict:  # f' -> (c, f) where alpha_g(f) = c f'
+            return {f2: (c, f) for f, (c, f2) in action.table(g).items()}
 
-        self.alg = MonomialAlgebra(basis, prod, one=Cyc.one(self.m))
+        def right(a):
+            e, g = a
+            for f2, (_, k) in base.rows[e].items():
+                c, f = preimages(g)[f2]
+                for h in gs:
+                    yield (f, h), c, (k, group.op(g, h))
+
+        self.alg = MonomialAlgebra(basis, right, one=Cyc.one(self.m))
         self._radical = None
         self._radical_span = None
 
@@ -255,24 +261,14 @@ def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
     """Construct the crossed algebra, verifying the action is multiplicative.
 
     The covariance identity holds by the definition of the product; the
-    check here is that alpha_g(e f) = alpha_g(e) alpha_g(f) on all unit
-    pairs, which makes that product associative.
+    check here is that alpha_g(e f) = alpha_g(e) alpha_g(f) for each
+    generator on the full matrix units, which makes that product
+    associative.
     """
     a = CrossedAlgebra(shape, group, action, triangular)
-    units = list(multi_matrix_units(a.shape, triangular=False))
+    full = multi_matrix_algebra(a.shape, False, Cyc.one(a.m))
     for i_gen in range(len(group.orders)):
-        t = action.table(group.generator(i_gen))
-        for (s, i, j) in units:
-            for (s2, k, l) in units:
-                if s != s2 or j != k:
-                    continue
-                c1, (sa, ia, ja) = t[(s, i, j)]
-                c2, (sb, kb, lb) = t[(s2, k, l)]
-                c3, (sc, ic, jc) = t[(s, i, l)]
-                if sa != sb or ja != kb:
-                    raise AssertionError("action broke a nonzero product")
-                if (sc, ic, jc) != (sa, ia, lb) or c1 * c2 != c3:
-                    raise AssertionError("action is not multiplicative")
+        _verify_multiplicative(full, action.table(group.generator(i_gen)))
     return a
 
 
@@ -371,20 +367,24 @@ def dual_action(a: CrossedAlgebra, gamma: Character) -> dict:
 
 
 def _verify_multiplicative(alg: MonomialAlgebra, table: dict):
-    for x in alg.basis:
-        for y in alg.basis:
-            r = alg.prod(x, y)
-            cx, x2 = table[x]
+    """T(x) T(y) = T(x y) on basis pairs, for T: key -> (scalar, key)."""
+    preimages: dict = {}  # key -> the keys T sends to it
+    for y, (_, y2) in table.items():
+        preimages.setdefault(y2, []).append(y)
+    rows = alg.rows
+    for x, row in rows.items():
+        cx, x2 = table[x]
+        row2 = rows[x2]
+        for y, (s, k) in row.items():
             cy, y2 = table[y]
-            r2 = alg.prod(x2, y2)
-            if r is None:
-                if r2 is not None:
-                    raise AssertionError("automorphism created a product")
-            else:
-                s, k = r
-                ck, k2 = table[k]
-                if r2 is None or r2[1] != k2 or cx * cy * r2[0] != ck * s:
-                    raise AssertionError("map is not multiplicative")
+            ck, k2 = table[k]
+            r2 = row2.get(y2)
+            if r2 is None:
+                raise AssertionError("map lost a product")
+            if r2[1] != k2 or cx * cy * r2[0] != ck * s:
+                raise AssertionError("map is not multiplicative")
+        if any(y not in row for y2 in row2 for y in preimages.get(y2, ())):
+            raise AssertionError("map created a product")
 
 
 def apply_table(alg: MonomialAlgebra, table: dict, v: dict) -> dict:
@@ -397,16 +397,6 @@ def apply_table(alg: MonomialAlgebra, table: dict, v: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # invariant ideal lattices
-
-
-def _ideal_hull(shape, triangular: bool, key: UnitKey) -> set[UnitKey]:
-    """Support of the two-sided ideal generated by one matrix unit."""
-    s, i, j = key
-    k = shape[s]
-    if not triangular:
-        return {(s, a, b) for a in range(1, k + 1) for b in range(1, k + 1)}
-    return {(s, a, b) for a in range(1, i + 1) for b in range(j, k + 1)
-            if a <= b}
 
 
 def _mask(indices) -> int:
@@ -459,23 +449,28 @@ def _decode(masks, keys: list) -> list[frozenset]:
     return sorted(ideals, key=lambda f: (len(f), sorted(f)))
 
 
-def _base_units(shape, triangular: bool) -> tuple[list[UnitKey], dict]:
-    """Base units in `multi_matrix_units` order, and unit -> bit index."""
-    units = list(multi_matrix_units(tuple(shape), triangular))
-    return units, {u: n for n, u in enumerate(units)}
+def _ideal_lattice(alg: MonomialAlgebra, maps: list[dict]) -> list[frozenset]:
+    """All basis-spanned ideals of `alg` that each map (key -> (scalar, key))
+    carries into themselves."""
+    index = alg.index
+    # neighbours[n]: x b and b x over every basis b, and each image of x
+    neighbours = [_mask(index[t[x][1]] for t in maps) for x in alg.basis]
+    for x, row in alg.rows.items():
+        for y, (_, k) in row.items():
+            bit = 1 << index[k]
+            neighbours[index[x]] |= bit
+            neighbours[index[y]] |= bit
+    principal = [_closure(1 << n, neighbours) for n in range(alg.dim)]
+    return _decode(_union_lattice(principal), alg.basis)
 
 
 def enumerate_invariant_ideals(shape, action: LevelAction,
                                triangular: bool = True) -> list[frozenset]:
     """All alpha-invariant matrix-unit-spanned ideals of the base."""
-    gens = [action.group.generator(i) for i in range(len(action.group.orders))]
-    units, index = _base_units(shape, triangular)
-    # the ideal a unit generates, and its images under the generators
-    neighbours = [_mask(index[k] for k in (
-        *_ideal_hull(shape, triangular, u),
-        *(action.apply_support(g, u) for g in gens))) for u in units]
-    principal = [_closure(1 << n, neighbours) for n in range(len(units))]
-    return _decode(_union_lattice(principal), units)
+    group = action.group
+    return _ideal_lattice(
+        multi_matrix_algebra(tuple(shape), triangular),
+        [action.table(group.generator(i)) for i in range(len(group.orders))])
 
 
 def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
@@ -485,19 +480,7 @@ def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
     elements is dual-invariant for free; closure under two-sided
     multiplication by basis elements is what is enumerated.
     """
-    basis, index, prod = a.alg.basis, a.alg.index, a.alg.prod
-    # neighbours[n]: the supports of b x and x b over every basis b, x = basis[n]
-    neighbours = [0] * len(basis)
-    for x in basis:
-        nx = index[x]
-        for y in basis:
-            r = prod(x, y)
-            if r is not None:
-                bit = 1 << index[r[1]]
-                neighbours[nx] |= bit
-                neighbours[index[y]] |= bit
-    principal = [_closure(1 << index[k], neighbours) for k in basis]
-    return _decode(_union_lattice(principal), basis)
+    return _ideal_lattice(a.alg, [])
 
 
 def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
@@ -506,7 +489,8 @@ def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
     base_lattice = enumerate_invariant_ideals(shape, action, triangular)
     a = build_crossed(shape, group, action, triangular)
     crossed_lattice = enumerate_dual_invariant_ideals(a)
-    units, unit_index = _base_units(shape, triangular)
+    units = list(multi_matrix_units(tuple(shape), triangular))
+    unit_index = {u: n for n, u in enumerate(units)}
     gs = group.elements()
     # the mask of {u} x G, per base unit
     blocks = [_mask(a.alg.index[(u, g)] for g in gs) for u in units]
@@ -526,11 +510,12 @@ def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
     bijection = (len(set(image)) == len(base)
                  and set(image) == {_mask(a.alg.index[k] for k in j)
                                     for j in crossed_lattice})
-    # meets and joins are intersections and unions on both sides
+    # meets and joins are intersections and unions on both sides; both
+    # commute and phi(j & j) = phi(j), so each unordered pair is enough
     pairs = list(zip(base, image))
     preserves = all(
         phi(j1 & j2) == p1 & p2 and phi(j1 | j2) == p1 | p2
-        for j1, p1 in pairs for j2, p2 in pairs)
+        for n, (j1, p1) in enumerate(pairs) for j2, p2 in pairs[n + 1:])
     return {"base_count": len(base_lattice),
             "crossed_count": len(crossed_lattice),
             "bijection": bijection, "preserves_lattice_ops": preserves,
@@ -607,8 +592,9 @@ def diag_check(shape, group: FiniteAbelianGroup, action: LevelAction,
     """
     a = build_crossed(shape, group, action, triangular)
     mats, size = _model_matrices(a)
-    diag_keys = [i for i, ((s, r, c), g) in enumerate(a.alg.basis) if r == c]
-    expected = [mats[i] for i in diag_keys]
+    # diag(A) is the diagonal units of a triangular base, all of a full one
+    expected = [m for m, ((_, r, c), _) in zip(mats, a.alg.basis)
+                if r == c or not triangular]
     main = _diag_dims(mats, size, expected)
     if ampliation is None:
         return {"crossed": main, "ok": main["ok"]}

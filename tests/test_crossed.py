@@ -232,6 +232,22 @@ class TestDiagonal:
         rep = diag_check((2,), Z2, t2_flip(), ampliation=None)
         assert rep["ok"] and "ampliation" not in rep
 
+    def test_full_base_diag_is_the_whole_crossed_product(self):
+        # a full block is self-adjoint: diag(A) = A, so diag(A x G) = A x G
+        rep = diag_check((2,), Z2, t2_flip(), triangular=False)
+        assert rep["crossed"] == {"diag_dim": 8, "expected_dim": 8, "ok": True}
+        assert rep["ampliation"]["diag_dim"] == \
+            rep["ampliation"]["expected_dim"] == 32
+        assert rep["ok"]
+
+    def test_full_base_diag_across_the_family(self, family):
+        for shape, group, action in family:
+            rep = diag_check(shape, group, action, triangular=False,
+                             ampliation=None)
+            dim = sum(k * k for k in shape) * group.size
+            assert rep["crossed"] == {"diag_dim": dim, "expected_dim": dim,
+                                      "ok": True}, (shape, group)
+
 
 class TestPermanenceAndLinks:
     def test_c2_flip_stays_semisimple(self):

@@ -69,11 +69,25 @@ def ref_invariant_ideals(shape, action, triangular):
          for u in multi_matrix_units(tuple(shape), triangular)])
 
 
+def ref_prod(a):
+    """The crossed product of `a` as one rule on a pair of basis keys:
+    (scalar, key), or None for a zero product."""
+    def prod(x, y):
+        (s, i, j), g = x
+        f, h = y
+        c, (s2, k, l) = a.action.table(g)[f]
+        if s == s2 and j == k and (not a.triangular or i <= l):
+            return (c, ((s, i, l), a.group.op(g, h)))
+        return None
+
+    return prod
+
+
 def ref_dual_ideals(a):
-    basis = a.alg.basis
+    basis, prod = a.alg.basis, ref_prod(a)
 
     def neighbours(x):
-        return [p[1] for b in basis for p in (a.alg.prod(b, x), a.alg.prod(x, b))
+        return [p[1] for b in basis for p in (prod(b, x), prod(x, b))
                 if p is not None]
 
     return ref_union_lattice([ref_closure(k, neighbours) for k in basis])
@@ -177,7 +191,7 @@ def test_masks_follow_the_index_not_the_basis_order(monkeypatch):
 
     def reversed_build(*args, **kwargs):
         a = build(*args, **kwargs)
-        a.alg = MonomialAlgebra(a.alg.basis[::-1], a.alg.prod, a.alg.one)
+        a.alg = MonomialAlgebra(a.alg.basis[::-1], a.alg.right, a.alg.one)
         return a
 
     monkeypatch.setattr(C, "build_crossed", reversed_build)
