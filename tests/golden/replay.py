@@ -53,6 +53,15 @@ MULTI_TARGET_SPEC = ("level 0 = [2,1]\nlevel 1 = [4,2,3]\nembed 0 -> 1 {\n"
 SPACING_SPEC = ("level 0 = [2]  # base\nlevel 1 = [2,4]\nembed 0 -> 1 {\n"
                 "  target 0 : (0,1)(0,2)# adjacent\n"
                 "\ttarget 1 :\t(0 , 1)\t(0 ,2)(0, 1)  (0,2)   # tabs\n}\n")
+# two sources: tabs, a blank before a comma, adjacent and leading-zero labels
+LAYOUT_SPEC = ("level 0 = [2,2]\nlevel 1 = [4,4]\nembed 0 -> 1 {\n"
+               "\ttarget 0 :\t(0,1)(0,2)\t(1,1) (1  ,2)\n"
+               "  target 1 : (0,01) (1,1)(0,2)\t(1,02)\n}\n")
+# labels past a source size, p = 0, and a p of max(source) + 1 or more:
+# (0,3) would read as (1,0) if labels were numbered s * 3 + p
+ALIAS_SPEC = ("level 0 = [2,2]\nlevel 1 = [4,4]\nembed 0 -> 1 {\n"
+              "  target 0 : (0,1) (0,3) (1,1) (1,2)\n"
+              "  target 1 : (1,0) (0,2) (0,1) (1,5)\n}\n")
 ZERO_SIZE_SPEC = "level 0 = [0]\n"
 ZERO_SUMMAND_SPEC = ("level 0 = [2]\nlevel 1 = [2,0]\nembed 0 -> 1 {\n"
                      "  target 0 : (0,1) (0,2)\n  target 1 :\n}\n")
@@ -162,9 +171,13 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                           ("label-lattice", LABEL_LATTICE_SPEC),
                           ("out-of-range-source", OUT_OF_RANGE_SOURCE_SPEC),
                           ("multi-target", MULTI_TARGET_SPEC),
-                          ("spacing", SPACING_SPEC))},
+                          ("spacing", SPACING_SPEC), ("layout", LAYOUT_SPEC),
+                          ("alias", ALIAS_SPEC))},
     "embed-spacing": (("embed", "-", "--unit", "0:0:1:2", "--level", "1"),
                       SPACING_SPEC),
+    "links-layout": (("links", "-", "--unit", "0:1:1:2"), LAYOUT_SPEC),
+    "embed-two-summand": (("embed", "@two-summand.tower", "--unit", "0:0:1:2",
+                           "--level", "2"), None),
     # crossed products with Z3 and Z2 x Z2
     **{f"crossed-{what}-{label}": (("crossed", what, *system, "--json"), None)
        for what in ("tight", "lattice", "radical", "links-lemma", "diag")
