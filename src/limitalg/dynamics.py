@@ -15,9 +15,9 @@ from itertools import islice
 
 from .crossed import FiniteAbelianGroup
 from .links import first_link, least_link
-from .tower import (MatrixUnit, OccurrenceIndex, TowerSpec,
-                    TowerValidationError, Word, embed_unit, images,
-                    index_word, pair_occurrences, validate_embedding)
+from .tower import (MatrixUnit, TowerSpec, TowerValidationError, Word,
+                    WordIndex, embed_unit, images, index_step,
+                    pair_occurrences, validate_embedding)
 
 
 class ActionCompatibilityError(ValueError):
@@ -49,7 +49,7 @@ class TowerAction:
         self.names = names or [f"g{i}" for i in range(len(gen_maps))]
         # (generator, level) -> (target level, occurrence index of the words)
         self._index: dict[tuple[int, int],
-                          tuple[int, tuple[OccurrenceIndex, ...]]] = {}
+                          tuple[int, tuple[WordIndex, ...]]] = {}
         for i, gmap in enumerate(self.gen_maps):
             for n, (tgt, words) in gmap.items():
                 if tgt < n:
@@ -75,11 +75,15 @@ class TowerAction:
 
     def apply_gen(self, gen: int, units: list[MatrixUnit],
                   level: int) -> tuple[list[MatrixUnit], int]:
+        for u in units:
+            self.tower.check_unit(u)
         cached = self._index.get((gen, level))
         if cached is None:
+            # a recorded map of the same shape, validated in __init__, or
+            # identity words: either is a valid step
             target, words = self.map_at(gen, level)
-            cached = self._index[(gen, level)] = (
-                target, tuple(index_word(w) for w in words))
+            cached = self._index[(gen, level)] = (target, index_step(
+                self.tower.shape(level), self.tower.shape(target), words))
         target, index = cached
         return pair_occurrences(index, units, target), target
 

@@ -156,12 +156,10 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
         seen[norm] = step
         if not tower.is_tuhf_at(level + 1):
             return None
-        occ = tower.occurrences(level)[0]
-        rows = [qs[-1] for (_, p), qs in occ.items() if p <= max_row]
-        cols = [qs[0] for (_, p), qs in occ.items() if p >= min_col]
-        if not rows or not cols:
-            return None
-        max_row, min_col = max(rows), min(cols)
+        # the last occurrences of (0, 1..I) and the first of (0, J..size)
+        order, ((a, m, size),) = tower.occurrences(level)[0]
+        max_row = max(order[a + m - 1:a + max_row * m:m])
+        min_col = min(order[a + (min_col - 1) * m:a + size * m:m])
         if min_col <= max_row:
             return None
         level += 1

@@ -62,15 +62,16 @@ _WORD_RE = re.compile(r"(?:\s*\(\d+\s*,\s*\d+\))*\s*")
 _LABEL_PUNCTUATION = str.maketrans("(),", "   ")
 
 
-class _Ints(dict):
-    """Digit string -> int, each distinct string converted once."""
+class _Labels(dict):
+    """(s, p) digit-string pair -> label tuple, each distinct pair converted
+    once, so a file holds one tuple per label spelling."""
 
-    def __missing__(self, digits: str) -> int:
-        value = self[digits] = int(digits)
+    def __missing__(self, digits: tuple[str, str]) -> tuple[int, int]:
+        value = self[digits] = (int(digits[0]), int(digits[1]))
         return value
 
 
-def _parse_word(text: str, lineno: int, column: int, ints: _Ints) -> Word:
+def _parse_word(text: str, lineno: int, column: int, labels: _Labels) -> Word:
     """The labels of a word that starts at line column `column`.
 
     The text must match the word grammar (labels and whitespace only);
@@ -84,8 +85,8 @@ def _parse_word(text: str, lineno: int, column: int, ints: _Ints) -> Word:
         token = _LABEL_RE.sub("", text).split()[0]
         raise TowerSyntaxError(f"unexpected token {token!r} in word",
                                lineno, column + offset)
-    numbers = map(ints.__getitem__, text.translate(_LABEL_PUNCTUATION).split())
-    return tuple(zip(numbers, numbers))
+    numbers = iter(text.translate(_LABEL_PUNCTUATION).split())
+    return tuple(map(labels.__getitem__, zip(numbers, numbers)))
 
 
 def _parse_shape(text: str, lineno: int) -> tuple[int, ...]:
@@ -105,7 +106,7 @@ def parse_tower_file(text: str):
     preset_name: str | None = None
 
     i = 0
-    ints = _Ints()
+    labels = _Labels()
 
     def syntax(msg: str, lineno: int, column: int = 1):
         raise TowerSyntaxError(msg, lineno, column)
@@ -138,7 +139,7 @@ def parse_tower_file(text: str):
                 syntax(f"duplicate target {t}", j)
             indent = len(line) - len(line.lstrip())
             targets[t] = _parse_word(m.group(2), j, indent + m.start(2) + 1,
-                                     ints)
+                                     labels)
         syntax("unterminated block", len(lines))
 
     while i < len(lines):

@@ -11,16 +11,22 @@ criterion implemented here.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import lt
+from operator import itemgetter, lt
+from typing import NamedTuple
 
 from .algebra import multi_matrix_units
 
 Label = tuple[int, int]  # (source summand index, 1-based diagonal position)
 Word = tuple[Label, ...]
-OccurrenceIndex = dict[Label, list[int]]  # label -> 1-based positions in a word
+# A word's 1-based positions stably sorted by label, and per source s the
+# span (start, m, size): the m positions of (s, p) are
+# order[start + (p-1)*m : start + p*m], in increasing order.
+Span = tuple[int, int, int]
+WordIndex = tuple[list[int], tuple[Span, ...]]
 
 
 class LevelRangeError(ValueError):
@@ -39,8 +45,7 @@ class TowerValidationError(ValueError):
 # matrix units and exact elements
 
 
-@dataclass(frozen=True, order=True)
-class MatrixUnit:
+class MatrixUnit(NamedTuple):
     level: int
     summand: int
     row: int
@@ -54,6 +59,11 @@ class MatrixUnit:
         return self.row == self.col
 
 
+_new_unit = tuple.__new__  # _new_unit(MatrixUnit, fields): no Python frame
+_ROW_SUPPORT = itemgetter(1, 2)  # (summand, row)
+_COL_SUPPORT = itemgetter(1, 3)  # (summand, col)
+
+
 @dataclass(frozen=True)
 class MatrixUnitSum:
     level: int
@@ -62,15 +72,12 @@ class MatrixUnitSum:
     def __post_init__(self):
         if any(u.level != self.level for u in self.units):
             raise ValueError("level mismatch in MatrixUnitSum")
-        object.__setattr__(self, "units", tuple(sorted(set(self.units))))
+        units = tuple(sorted(set(self.units)))
+        object.__setattr__(self, "units", units)
         # orthogonal supports per summand
-        for axis in (lambda u: (u.summand, u.row), lambda u: (u.summand, u.col)):
-            seen = set()
-            for u in self.units:
-                k = axis(u)
-                if k in seen:
-                    raise ValueError("overlapping supports in MatrixUnitSum")
-                seen.add(k)
+        for axis in (_ROW_SUPPORT, _COL_SUPPORT):
+            if len(set(map(axis, units))) != len(units):
+                raise ValueError("overlapping supports in MatrixUnitSum")
 
     def to_element(self, one=Fraction(1)) -> "Element":
         return Element(self.level, {u.key(): one for u in self.units})
@@ -153,25 +160,91 @@ class Element:
 
 @dataclass
 class ValidationReport:
+    """The verdict on one embedding step.
+
+    `violations` names every broken invariant of a rejected step.
+    `occurrences` holds, per target summand, the sorted index of its word
+    (`index_step`) when the step is valid, and is empty otherwise.
+    """
+
     ok: bool
     violations: list[dict] = field(default_factory=list)
-    # per target summand: the occurrence index of its word (empty when
-    # the word count does not match the target shape)
-    occurrences: tuple[OccurrenceIndex, ...] = field(default=(), repr=False)
+    occurrences: tuple[WordIndex, ...] = field(default=(), repr=False)
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
 
 
-def index_word(word: Word) -> OccurrenceIndex:
+def index_step(source: tuple[int, ...], target: tuple[int, ...],
+               words: tuple[Word, ...]) -> tuple[WordIndex, ...] | None:
+    """The sorted index of every word of a valid step, or None.
+
+    Label (s, p) gets the code s*big + p with big = max(source) + 1, and
+    a label with p outside 1..big-1 gets -1, so distinct labels in range
+    get distinct codes and source s owns the codes s*big+1 .. s*big+big-1.
+    One stable sort of the positions by code gives `order`.  In the sorted
+    codes `sc`, each source met owns one run [a, b), found by one bisect;
+    COUNT and LABEL hold for s iff the run splits into `size` blocks of m
+    whose first and last codes are s*big+1, s*big+2, ..., and the runs
+    cover the whole word.  LATTICE (every prefix holds at least as many
+    (s, p-1) as (s, p)) is then order[i] < order[i+m] across the run.
+    SHAPE and INJECTIVE are length and reach checks.  Only the list of
+    codes is built label by label, and a word takes no Python step for a
+    source it does not meet: that span stays (0, 0, size).
+    """
+    if len(words) != len(target) or min(source, default=1) < 1:
+        return None
+    big = max(source, default=0) + 1
+    top = len(source) * big
+    unmet = list(zip(repeat(0), repeat(0), source))
+    reached: set[int] = set()
+    indexes = []
+    for word, n in zip(words, target):
+        if len(word) != n:
+            return None
+        codes = [s * big + p if 0 < p < big else -1 for s, p in word]
+        sc = sorted(codes)
+        if sc and not 0 < sc[0] <= sc[-1] < top:
+            return None
+        # labels already in code order (identity and refinement words)
+        # keep their positions in place and cannot break the ballot
+        ordered = sc == codes
+        if ordered:
+            order = list(range(1, n + 1))
+        else:
+            codes.insert(0, 0)  # position q reads codes[q]
+            order = sorted(range(1, n + 1), key=codes.__getitem__)
+        spans = unmet.copy()
+        b = 0
+        while b < n:
+            a = b
+            s = sc[a] // big
+            lo, size = s * big, source[s]
+            b = bisect_left(sc, lo + big, a)
+            m, rest = divmod(b - a, size)
+            run = list(range(lo + 1, lo + size + 1))
+            if rest or sc[a:b:m] != run or sc[a + m - 1:b:m] != run:
+                return None
+            if not (ordered or all(map(lt, order[a:b], order[a + m:b]))):
+                return None
+            reached.add(s)
+            spans[s] = (a, m, size)
+        indexes.append((order, tuple(spans)))
+    if len(reached) != len(source):
+        return None
+    return tuple(indexes)
+
+
+def _index_word(word: Word) -> dict[Label, list[int]]:
     """Occurrence positions of every label of `word`, in increasing order."""
-    index: OccurrenceIndex = {}
+    index: dict[Label, list[int]] = {}
     for q, lab in enumerate(word, start=1):
         index.setdefault(lab, []).append(q)
     return index
 
 
-def _first_ballot_break(index: OccurrenceIndex, s: int) -> tuple[int, int] | None:
+def _first_ballot_break(index: dict[Label, list[int]],
+                        s: int) -> tuple[int, int] | None:
     """(prefix, p) for the first position where the labels (s, p) seen so
     far outnumber the labels (s, p-1), or None if no prefix does."""
     first = None
@@ -188,30 +261,27 @@ def _first_ballot_break(index: OccurrenceIndex, s: int) -> tuple[int, int] | Non
     return first
 
 
-def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
-                       words: tuple[Word, ...]) -> ValidationReport:
-    """Check COUNT, LATTICE, INJECTIVE and shape invariants; report-style.
+def _violations(source: tuple[int, ...], target: tuple[int, ...],
+                words: tuple[Word, ...]) -> list[dict]:
+    """Every violation of a step, named from each word's label -> positions
+    index.
 
-    Every check reads the occurrence index of each word, which the report
-    keeps.  COUNT compares the lengths of the per-label position lists, and
+    COUNT compares the lengths of the per-label position lists, and
     positions are scanned for LABEL only when the valid labels do not cover
-    the whole word.  LATTICE (the ballot condition) asks that every prefix
-    hold at least as many (s, p-1) as (s, p).  When source s has m of
-    every label, concatenate its position lists in p order into `flat`;
-    the condition is then exactly flat[i] < flat[i+m] for all i.  The first
-    violating prefix is searched for only when a violation must be named,
-    which covers unequal counts and out-of-range labels of s as well.
+    the whole word.  When source s has m of every label, concatenate its
+    position lists in p order into `flat`; LATTICE is then exactly
+    flat[i] < flat[i+m] for all i.  The first violating prefix is searched
+    for only when a violation must be named, which covers unequal counts
+    and out-of-range labels of s as well.
     """
     violations: list[dict] = []
     if len(words) != len(target):
         violations.append({"kind": "SHAPE",
                            "detail": "one word per target summand required"})
-        return ValidationReport(False, violations)
-    indexes = []
+        return violations
     reached: set[int] = set()
     for t, word in enumerate(words):
-        index = index_word(word)
-        indexes.append(index)
+        index = _index_word(word)
         if len(word) != target[t]:
             violations.append({"kind": "SHAPE", "target": t,
                                "detail": f"word length {len(word)} != target size {target[t]}"})
@@ -255,7 +325,21 @@ def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
     for s in range(len(source)):
         if s not in reached:
             violations.append({"kind": "INJECTIVE", "source": s})
-    return ValidationReport(not violations, violations, tuple(indexes))
+    return violations
+
+
+def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
+                       words: tuple[Word, ...]) -> ValidationReport:
+    """Check COUNT, LATTICE, INJECTIVE and shape invariants; report-style.
+
+    A valid step is decided and indexed by `index_step` alone, and the
+    report keeps its index.  Only a step it rejects is scanned label by
+    label, to name every violation.
+    """
+    indexes = index_step(source, target, words)
+    if indexes is not None:
+        return ValidationReport(True, [], indexes)
+    return ValidationReport(False, _violations(source, target, words))
 
 
 def identity_carry(shape: tuple[int, ...], words: tuple[Word, ...],
@@ -391,7 +475,7 @@ class TowerSpec:
         self.rule = rule
         self.rule_start = rule_start
         self.name = name
-        self._occurrences: dict[int, tuple[OccurrenceIndex, ...]] = {}
+        self._occurrences: dict[int, tuple[WordIndex, ...]] = {}
         if rule is None and not self.levels:
             raise TowerValidationError("tower needs levels or a rule")
         if self.levels and len(self.steps) != len(self.levels) - 1:
@@ -451,17 +535,25 @@ class TowerSpec:
             return self.steps[n]
         return self.rule.words(n - self.rule_start)
 
-    def occurrences(self, n: int) -> tuple[OccurrenceIndex, ...]:
-        """Per target summand of step n -> n+1: label -> occurrence positions.
+    def occurrences(self, n: int) -> tuple[WordIndex, ...]:
+        """Per target summand of step n -> n+1: the sorted index of its
+        word (`index_step`), whose slices give each label's positions.
 
         An explicit step keeps the index its validation built; a rule step
-        is indexed from `words(n)` on first use.  Either is kept for the
-        tower's life, keyed by the absolute level n.
+        is indexed from `words(n)` on first use, and raises
+        TowerValidationError there if it is not a valid embedding.  Either
+        is kept for the tower's life, keyed by the absolute level n.
         """
         index = self._occurrences.get(n)
         if index is None:
-            index = self._occurrences[n] = tuple(
-                index_word(w) for w in self.words(n))
+            words = self.words(n)
+            source, target = self.shape(n), self.shape(n + 1)
+            index = index_step(source, target, words)
+            if index is None:
+                raise TowerValidationError(
+                    f"embedding {n}->{n + 1} invalid: "
+                    f"{validate_embedding(source, target, words).violations}")
+            self._occurrences[n] = index
         return index
 
     def check_unit(self, e: MatrixUnit) -> None:
@@ -496,17 +588,24 @@ class TowerSpec:
 # embedding of units and elements
 
 
-def pair_occurrences(index: tuple[OccurrenceIndex, ...],
+def pair_occurrences(index: tuple[WordIndex, ...],
                      units: list[MatrixUnit], level: int) -> list[MatrixUnit]:
     """Images of `units` under indexed words: the r-th occurrence of the
-    row label pairs with the r-th occurrence of the column label."""
+    row label pairs with the r-th occurrence of the column label.
+
+    Every unit must lie in the source shape of the index.
+    """
     out: list[MatrixUnit] = []
-    for t, occ in enumerate(index):
-        for u in units:
-            rows = occ.get((u.summand, u.row), ())
-            cols = occ.get((u.summand, u.col), ())
-            for r, c in zip(rows, cols):
-                out.append(MatrixUnit(level, t, r, c))
+    # infinite iterators, shared by every zip below
+    cls, levels = repeat(MatrixUnit), repeat(level)
+    for t, (order, spans) in enumerate(index):
+        targets = repeat(t)
+        for _, s, i, j in units:
+            a, m, _ = spans[s]
+            if m:
+                out += map(_new_unit, cls, zip(
+                    levels, targets, order[a + (i - 1) * m:a + i * m],
+                    order[a + (j - 1) * m:a + j * m]))
     return out
 
 
@@ -581,15 +680,16 @@ def verify_embedding_order(tower: TowerSpec, level: int) -> dict:
         raise TowerValidationError("embedding-order audit requires a TUHF step")
     n = tower.shape(level)[0]
     m = tower.shape(level + 1)[0]
-    index = tower.occurrences(level)[0]
+    # each label occurs `reps` times, from order[a + (i-1)*reps] on
+    order, ((a, reps, _),) = tower.occurrences(level)[0]
     entries = []
     violations = []
     for i in range(1, n + 1):
-        occ = index[(0, i)]
+        first, last = order[a + (i - 1) * reps], order[a + i * reps - 1]
         lo_bound = Fraction(i - 1, 1) * Fraction(m, n) + 1
         hi_bound = Fraction(i, 1) * Fraction(m, n)
-        ok = Fraction(occ[0]) <= lo_bound and Fraction(occ[-1]) >= hi_bound
-        entries.append({"diagonal": i, "first": occ[0], "last": occ[-1],
+        ok = Fraction(first) <= lo_bound and Fraction(last) >= hi_bound
+        entries.append({"diagonal": i, "first": first, "last": last,
                         "first_bound": str(lo_bound), "last_bound": str(hi_bound),
                         "ok": ok})
         if not ok:

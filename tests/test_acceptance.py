@@ -16,6 +16,7 @@ from limitalg.radical import (ChainCycle, InRadical, NotInRadical,
                               radical_membership, uniform_nilpotency)
 from limitalg.tower import (Element, MatrixUnit, TowerSpec, decompose,
                             embed_element, preset, random_lattice_word)
+from test_occurrence_index import label_positions
 
 E_GROWING = MatrixUnit(1, 0, 1, 2)  # level-1 e_12 of the T_2 summand
 
@@ -99,7 +100,8 @@ class TestEmbeddingOrderBounds:
         for _ in range(count):
             word = random_lattice_word((n,), {0: ratio}, rng)
             assert len(word) == m
-            index = TowerSpec([(n,), (m,)], [(word,)]).occurrences(0)[0]
+            [index] = label_positions(
+                TowerSpec([(n,), (m,)], [(word,)]).occurrences(0))
             for i in range(1, n + 1):
                 occ = index[(0, i)]
                 assert len(occ) == ratio

@@ -57,8 +57,8 @@ def test_mapped_levels_reuse_the_validation_index(monkeypatch):
     t = swap_tower()
     act = swap_action(t)
     calls = []
-    monkeypatch.setattr("limitalg.dynamics.index_word",
-                        lambda word: calls.append(word))
+    monkeypatch.setattr("limitalg.dynamics.index_step",
+                        lambda *step: calls.append(step))
     units, level = act.apply_gen(0, [MatrixUnit(0, 0, 1, 2)], 0)
     assert (units, level) == ([MatrixUnit(0, 1, 1, 2)], 0)
     assert calls == []

@@ -202,8 +202,10 @@ def test_link_verdicts_match_per_level_loops():
     (MatrixUnit(0, 1, 1, 2), "no summand 1"),
 ])
 def test_walk_entry_points_check_the_unit(unit, message):
-    # the unit check runs in `tower.images`, and up front where a
-    # shortcut (a diagonal unit, a chain of depth 0) walks no level
+    # the unit check runs in `tower.images`, in every generator step
+    # (`TowerAction.apply_gen`, which slices the index by row and col), and
+    # up front where a shortcut (a diagonal unit, a chain of depth 0) walks
+    # no level
     t = preset("standard-2")
     action = trivial_tower_action(t, FiniteAbelianGroup((2,)))
     calls = [lambda: link_status(t, unit),
@@ -213,6 +215,7 @@ def test_walk_entry_points_check_the_unit(unit, message):
              lambda: chain_cycle_certificate(t, unit),
              lambda: technical_index_audit(t, action, unit),
              lambda: twisted_link(t, action, unit, (1,), 3),
+             lambda: action.apply_gen(0, [unit], unit.level),
              lambda: radical_membership(t, unit)]
     for call in calls:
         with pytest.raises(UnitShapeError, match=message):

@@ -3,17 +3,44 @@
 Seeded random towers (multi-summand explicit prefixes, a level-dependent
 rule tail with rule_start > 0, and a `repeat` tail) are embedded up to
 level 8; every image must equal the pairing computed by scanning the
-words directly.
+words directly.  The sorted index of each word must give every label the
+positions that a label -> positions dict gives it.
 """
 import random
+from fractions import Fraction
 
+import pytest
+
+from limitalg import links
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import TowerAction
-from limitalg.tower import (ConstantRule, MatrixUnit, TowerRule, TowerSpec,
-                            embed_unit, index_word, random_lattice_word,
-                            validate_embedding)
+from limitalg.links import CertifiedLinkless, certify_linkless, first_link
+from limitalg.tower import (PRESETS, ConstantRule, MatrixUnit, TowerRule,
+                            TowerSpec, TowerValidationError, embed_unit,
+                            index_step, random_lattice_word,
+                            validate_embedding, verify_embedding_order)
+from test_least_link import SEEDS, random_tower
 
 TOP = 8
+
+
+def index_word(word):
+    """Label -> increasing 1-based positions: the dict index that the
+    sorted one replaced."""
+    index = {}
+    for q, lab in enumerate(word, start=1):
+        index.setdefault(lab, []).append(q)
+    return index
+
+
+def label_positions(indexes):
+    """A step's sorted word indexes as label -> positions dicts."""
+    out = []
+    for order, spans in indexes:
+        out.append({(s, p): order[a + (p - 1) * m:a + p * m]
+                    for s, (a, m, size) in enumerate(spans) if m
+                    for p in range(1, size + 1)})
+    return tuple(out)
 
 
 def brute_pair(words, units, level):
@@ -146,9 +173,11 @@ class TestIndexCache:
         # absolute level 2 is rule level 0: it must not reuse step 0's entry
         for n in range(TOP):
             expected = steps[n] if n < 2 else rule.words(n - 2)
-            assert tower.occurrences(n) == tuple(index_word(w) for w in expected)
-        assert tower.occurrences(0) != tower.occurrences(2)
-        assert tower.occurrences(1) != tower.occurrences(3)
+            assert label_positions(tower.occurrences(n)) == tuple(
+                index_word(w) for w in expected)
+        for n in (0, 1):
+            assert label_positions(tower.occurrences(n)) != \
+                label_positions(tower.occurrences(n + 2))
 
     def test_words_read_once_per_level(self):
         tower = TowerSpec.from_rule(DoublingRule(1, 3))
@@ -196,3 +225,131 @@ class TestApplyGenMatchesBruteForce:
                 first = action.apply_gen(0, [e], 1)
                 assert action.apply_gen(0, [e], 1) == first
                 assert first[0] == brute_pair(up[1][1], [e], 2)
+
+
+class TestSortedIndexMatchesLabelPositions:
+    def test_seeded_multi_source_ballot_words(self):
+        rng = random.Random(4242)
+        for _ in range(400):
+            source = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+            words = tuple(
+                random_lattice_word(source, {s: rng.randint(0, 3)
+                                             for s in range(len(source))}, rng)
+                for _ in range(rng.randint(1, 3)))
+            # every source reaches the first word, so the step is injective
+            words = (random_lattice_word(
+                source, {s: 1 for s in range(len(source))}, rng),) + words
+            target = tuple(len(w) for w in words)
+            indexes = index_step(source, target, words)
+            assert indexes is not None
+            assert label_positions(indexes) == tuple(map(index_word, words))
+            for (order, spans), word in zip(indexes, words):
+                assert sorted(order) == list(range(1, len(word) + 1))
+                assert len(spans) == len(source)
+
+    def test_least_link_random_towers(self):
+        for seed in SEEDS:
+            tower, twists = random_tower(seed)
+            for n in range(tower.max_level):
+                assert label_positions(tower.occurrences(n)) == tuple(
+                    map(index_word, tower.words(n)))
+                target, words = twists[n]
+                assert label_positions(index_step(
+                    tower.shape(n), tower.shape(target), words)) == tuple(
+                        map(index_word, words))
+
+    def test_preset_levels(self):
+        for name, make in PRESETS.items():
+            tower = make()
+            for n in range(10):
+                assert label_positions(tower.occurrences(n)) == tuple(
+                    map(index_word, tower.words(n))), (name, n)
+
+    def test_invalid_rule_step_raises_on_first_use(self):
+        # the step into a rule is indexed, and so validated, on first use
+        tower = TowerSpec(rule=ConstantRule((2,), (((0, 2), (0, 1)),)))
+        with pytest.raises(TowerValidationError, match="LATTICE"):
+            tower.occurrences(0)
+
+
+def reference_separation(tower, e, max_steps=64):
+    """`links._separation_certificate` scanning a whole dict index per
+    level, as it did before the sorted index."""
+    if tower.finite or not tower.rule.self_similar:
+        return None
+    if not tower.is_tuhf_at(e.level):
+        return None
+    max_row, min_col = e.row, e.col
+    if min_col <= max_row:
+        return None
+    level = e.level
+    seen = {}
+    trace = []
+    for step in range(max_steps):
+        k = tower.shape(level)[0]
+        norm = (Fraction(max_row, k), Fraction(min_col - 1, k))
+        trace.append((level, max_row, min_col))
+        if norm in seen:
+            return tuple(trace)
+        seen[norm] = step
+        if not tower.is_tuhf_at(level + 1):
+            return None
+        occ = index_word(tower.words(level)[0])
+        rows = [qs[-1] for (_, p), qs in occ.items() if p <= max_row]
+        cols = [qs[0] for (_, p), qs in occ.items() if p >= min_col]
+        if not rows or not cols:
+            return None
+        max_row, min_col = max(rows), min(cols)
+        if min_col <= max_row:
+            return None
+        level += 1
+    return None
+
+
+def reference_certificate(tower, e):
+    """`links.certify_linkless` on the reference separation walk."""
+    if first_link(tower, e, e.level) is not None:
+        return None
+    if links._reachable_frozen(tower, e):
+        return CertifiedLinkless("frozen")
+    trace = reference_separation(tower, e)
+    return None if trace is None else CertifiedLinkless("separation", trace)
+
+
+def reference_order_audit(tower, level):
+    """`verify_embedding_order` reading a dict index's first and last
+    positions."""
+    n = tower.shape(level)[0]
+    m = tower.shape(level + 1)[0]
+    index = index_word(tower.words(level)[0])
+    entries, violations = [], []
+    for i in range(1, n + 1):
+        occ = index[(0, i)]
+        lo_bound = Fraction(i - 1, 1) * Fraction(m, n) + 1
+        hi_bound = Fraction(i, 1) * Fraction(m, n)
+        ok = Fraction(occ[0]) <= lo_bound and Fraction(occ[-1]) >= hi_bound
+        entries.append({"diagonal": i, "first": occ[0], "last": occ[-1],
+                        "first_bound": str(lo_bound),
+                        "last_bound": str(hi_bound), "ok": ok})
+        if not ok:
+            violations.append(i)
+    return {"level": level, "source": n, "target": m,
+            "entries": entries, "violations": violations, "ok": not violations}
+
+
+@pytest.mark.parametrize("name", ["standard-2", "refinement-2",
+                                  "paper-example-taf"])
+def test_walk_reads_match_the_dict_index_scans(name):
+    tower = PRESETS[name]()
+    for level in range(4):
+        for e in tower.units_at(level):
+            assert links._separation_certificate(tower, e) == \
+                reference_separation(tower, e), e
+            assert certify_linkless(tower, e) == \
+                reference_certificate(tower, e), e
+        if tower.is_tuhf_at(level) and tower.is_tuhf_at(level + 1):
+            assert verify_embedding_order(tower, level) == \
+                reference_order_audit(tower, level)
+        else:
+            with pytest.raises(TowerValidationError):
+                verify_embedding_order(tower, level)

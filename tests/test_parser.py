@@ -9,6 +9,7 @@ from limitalg import tower as tower_mod
 from limitalg.parser import (TowerSyntaxError, parse_tower, parse_tower_file,
                              render_tower)
 from limitalg.tower import MatrixUnit, TowerValidationError, embed_unit
+from test_occurrence_index import label_positions
 from test_tower import random_word_collection, reference_validate
 
 BASIC = """
@@ -178,7 +179,8 @@ def test_parse_matches_the_regex_reference_on_seeded_words():
         except (TowerSyntaxError, TowerValidationError) as exc:
             assert (type(exc), str(exc)) == expected, text
         else:
-            assert (tower.steps[0], tower.occurrences(0)) == expected, text
+            assert (tower.steps[0], label_positions(tower.occurrences(0))) \
+                == expected, text
 
 
 def test_invalid_embedding_is_rejected():

@@ -2,8 +2,14 @@
 import argparse
 import ast
 import importlib.util
+import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import limitalg
 from limitalg import cli, links
@@ -12,6 +18,7 @@ PACKAGE = Path(limitalg.__file__).resolve().parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 import replay  # noqa: E402
+from test_golden import EXPECTED, _mismatch  # noqa: E402
 
 
 def test_library_has_no_assert_statements():
@@ -112,3 +119,37 @@ def test_every_benchmark_tracer_hook_resolves():
         tracer.uninstall()
     assert [t for t in targets if patched[t] is originals[t]] == []
     assert current() == originals
+
+
+def _python_3_10() -> str | None:
+    """A `python3.10` on PATH that starts and reports version 3.10."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    try:
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+            capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return exe if probe.stdout.strip() == "True" else None
+
+
+def test_golden_corpus_replays_under_python_3_10():
+    # pyproject.toml promises Python >= 3.10: no output may rest on syntax
+    # or library behaviour that only a later version has
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter runs on PATH")
+    env = dict(os.environ)
+    env.pop("LIMITALG_HORIZON", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([exe, str(GOLDEN / "replay.py")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert sorted(results) == sorted(EXPECTED)
+    diffs = "\n".join(filter(None, (_mismatch(name, results[name])
+                                    for name in sorted(results))))
+    assert not diffs, diffs

@@ -15,6 +15,7 @@ from limitalg.tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
                             UnitShapeError, embed_element,
                             embed_unit, decompose, preset, random_lattice_word,
                             validate_embedding, verify_embedding_order)
+from test_occurrence_index import label_positions
 
 
 def kinds(report):
@@ -121,6 +122,50 @@ def random_word_collection(rng):
     return source, tuple(target), tuple(words)
 
 
+def _alias(label, source, rng):
+    """A label whose code s*big + p, big = max(source) + 1, equals or
+    neighbours that of `label`: p shifted by big into the next or previous
+    source, p = 0 or p >= big, or a negative s or p."""
+    s, p = label
+    big = max(source) + 1
+    return rng.choice(((s + 1, p - big), (s - 1, p + big), (s, 0), (s, big),
+                       (s, big + p), (-1, p), (s, -p), (-s - 1, -p),
+                       (s, p - big), (s + 1, 0)))
+
+
+def aliased_word_collection(rng):
+    """A valid step, or a near-valid one, with a few labels replaced by
+    aliases, and sometimes the aliased label put back right after."""
+    source = tuple(rng.choice((1, 2, 2, 3, 4)) for _ in range(rng.randint(1, 3)))
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        reps = {s: rng.randint(1, 2) for s in range(len(source))}
+        word = list(random_lattice_word(source, reps, rng))
+        for _ in range(rng.choice((1, 1, 2))):
+            q = rng.randrange(len(word))
+            alias = _alias(word[q], source, rng)
+            if rng.random() < 0.3:
+                word.insert(q + 1, alias)
+            else:
+                word[q] = alias
+        words.append(tuple(word))
+    return source, tuple(len(w) for w in words), tuple(words)
+
+
+# (0,3) in a (2,2) step reads as (1,0) under s*3 + p, (-1,4) as (0,1),
+# (1,-2) as (0,1): each beside or in place of the label it aliases
+ALIASED_STEPS = [
+    ((2, 2), (4,), (((0, 1), (0, 3), (1, 1), (1, 2)),)),
+    ((2, 2), (5,), (((0, 1), (0, 2), (1, 0), (1, 1), (1, 2)),)),
+    ((2, 2), (4,), (((-1, 4), (0, 2), (1, 1), (1, 2)),)),
+    ((2, 2), (4,), (((0, 1), (0, 2), (1, -2), (1, 2)),)),
+    ((2, 2), (4, 2), (((0, 1), (0, 2), (1, 1), (1, 2)), ((0, 0), (0, 3)))),
+    ((2,), (2,), (((0, 1), (0, 0)),)),
+    ((3, 1), (4,), (((0, 1), (0, 2), (0, 3), (1, 4)),)),
+    ((3, 1), (4,), (((0, 1), (0, 2), (0, 3), (0, 4)),)),
+]
+
+
 class TestValidation:
     def test_standard_and_refinement_words_are_valid(self):
         std = ((0, 1), (0, 2), (0, 1), (0, 2))
@@ -156,12 +201,16 @@ class TestValidation:
     def test_matches_the_position_scan_on_seeded_words(self):
         rng = random.Random(20240909)
         seen = set()
-        for _ in range(3000):
-            source, target, words = random_word_collection(rng)
+        collections = [random_word_collection(rng) for _ in range(3000)]
+        collections += [aliased_word_collection(rng) for _ in range(1500)]
+        collections += ALIASED_STEPS
+        for source, target, words in collections:
             rep = validate_embedding(source, target, words)
             ok, violations, indexes = reference_validate(source, target, words)
-            assert (rep.ok, rep.violations, rep.occurrences) == (
-                ok, violations, indexes), (source, target, words)
+            # a rejected step keeps no index
+            assert (rep.ok, rep.violations, label_positions(rep.occurrences)) \
+                == (ok, violations, indexes if ok else ()), (source, target,
+                                                             words)
             seen.update(v["kind"] for v in violations)
         assert seen == {"SHAPE", "LABEL", "COUNT", "LATTICE", "INJECTIVE"}
 
