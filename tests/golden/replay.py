@@ -253,6 +253,20 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "peters-not-bijective": (("peters", "@not-bijective.sys", "enum"), None),
     "peters-partial-phi": (("peters", "@partial.sys", "enum"), None),
     "peters-bad-pair": (("peters", "@bad-pair.sys", "enum"), None),
+    "peters-enum-cycle-h3": (("peters", "@cycle.sys", "enum", "--horizon",
+                              "3", "--json"), None),
+    "peters-enum-names": (("peters", "@names.sys", "enum", "--horizon", "2",
+                           "--json"), None),
+    # system-file keywords: spacing that is accepted, prefixes and repeats
+    # that are not
+    **{f"peters-system-{name}": (("peters", "-", "enum"), text)
+       for name, text in (
+           ("spacing", "points=a b\nphi : a->b\nphi :b->a\n"),
+           ("points-prefix", "pointsxyz = a b\nphi: a->b b->a\n"),
+           ("phi-prefix", "points = a b\nphiq: a->b b->a\n"),
+           ("points-no-equals", "points a b\nphi: a->b b->a\n"),
+           ("repeated-points", "points = a b\npoints = c\nphi: c->c\n"),
+           ("repeated-phi-source", "points = a b\nphi: a->b b->a a->a\n"))},
     "preset": (("preset", "standard-2"), None),
     # sizes with nothing in them: one error line each
     "peters-enum-negative-horizon": (("peters", "@swap.sys", "enum",
