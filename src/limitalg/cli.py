@@ -252,8 +252,14 @@ def _cmd_peters(args) -> int:
     system = parse_system_file(_read_input(args.sysfile))
     if args.what == "enum":
         seqs = peters.enumerate_sequences(system, args.horizon)
+        # sequences share their sets: render each distinct set once
+        names: dict[frozenset, list[str]] = {}
+        for q in seqs:
+            for s in q.sets:
+                if s not in names:
+                    names[s] = sorted(map(str, s))
         rep = {"count": len(seqs),
-               "sequences": [[sorted(map(str, s)) for s in q.sets]
+               "sequences": [list(map(names.__getitem__, q.sets))
                              for q in seqs],
                "recurrent_dense": peters.recurrent_dense(system)}
         _emit({"command": "peters-enum", **rep}, args.json)

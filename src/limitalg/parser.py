@@ -31,6 +31,10 @@ System file format (a finite set and a permutation of it)::
 
     points = a b c
     phi: a->b b->c c->a
+
+`points` before `=` and `phi` before `:` are whole keywords.  A file has
+one `points` line; its pairs may spread over several `phi` lines, each
+source once.
 """
 from __future__ import annotations
 
@@ -223,24 +227,28 @@ def parse_tower(text: str) -> TowerSpec:
 
 
 def parse_system_file(text: str) -> FiniteDynSys:
-    points: list[str] = []
+    points: list[str] | None = None
     phi: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("points"):
-            _, _, rest = line.partition("=")
+        key, eq, rest = line.partition("=")
+        if eq and key.strip() == "points":
+            if points is not None:
+                raise ValueError(f"line {lineno}: repeated points line")
             points = rest.split()
-        elif line.startswith("phi"):
-            _, _, rest = line.partition(":")
-            for pair in rest.split():
-                src, _, dst = pair.partition("->")
-                if not dst:
-                    raise ValueError(f"line {lineno}: bad phi pair {pair!r}")
-                phi[src] = dst
-        else:
+            continue
+        key, colon, rest = line.partition(":")
+        if not (colon and key.strip() == "phi"):
             raise ValueError(f"line {lineno}: unrecognized system line {line!r}")
+        for pair in rest.split():
+            src, _, dst = pair.partition("->")
+            if not dst:
+                raise ValueError(f"line {lineno}: bad phi pair {pair!r}")
+            if src in phi:
+                raise ValueError(f"line {lineno}: repeated phi source {src!r}")
+            phi[src] = dst
     if not points:
         raise ValueError("system file defines no points")
     try:

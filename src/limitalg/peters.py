@@ -10,7 +10,6 @@ as a shift-invariant homogeneous ideal and back.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -79,6 +78,13 @@ class SubsetSequence:
     def __post_init__(self):
         object.__setattr__(self, "sets", _trim(list(self.sets)))
 
+    @classmethod
+    def _of_trimmed(cls, sets: tuple[frozenset, ...]) -> SubsetSequence:
+        """The sequence of `sets`: frozensets that `_trim` leaves as they are."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "sets", sets)
+        return seq
+
     @property
     def stabilization(self) -> int:
         return len(self.sets) - 1
@@ -135,33 +141,57 @@ def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]
 
     X_{n+1} ranges over subsets of X_n intersect phi^(-1)(X_n); the tail
     X_horizon must be phi-invariant so the constant continuation still
-    satisfies (star).
+    satisfies (star).  The canonical order sorts by the number of stored
+    sets, then by the list of each set's points sorted by `str`.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
-    out: set[SubsetSequence] = set()
-
-    def subsets(s: frozenset):
-        items = sorted(s, key=str)
-        for r in range(len(items) + 1):
-            for c in itertools.combinations(items, r):
-                yield frozenset(c)
-
+    # a set is an int mask, bit i the i-th point in str order.  The tables
+    # double once per point: `names[mask]` lists the mask's points in str
+    # order, `img[mask]` and `pre[mask]` are its image and preimage.
+    names: list[list] = [[]]
+    img, pre = [0], [0]
+    points = sorted(sys.points, key=str)
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    for p in points:
+        b_img, b_pre = bit[sys.phi[p]], bit[sys.inv[p]]
+        names += [ns + [p] for ns in names]
+        img += [m | b_img for m in img]
+        pre += [m | b_pre for m in pre]
+    # X_n & pre[X_n] -> its submasks in the order of their point lists; a
+    # depth-first walk that takes each X_{n+1} in this order meets the
+    # chains in canonical order
+    below: dict[int, list[int]] = {}
+    # by_length[k]: the chains stored with k + 1 sets.  A chain decreases,
+    # so it is constant from the first place its invariant tail occurs;
+    # trimming cuts it there, and distinct chains stay distinct.
+    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(horizon + 1)]
     # a worklist, not a recursive closure: a closure that calls itself is
-    # a reference cycle and would keep `out` alive until the cyclic
-    # collector runs
-    todo = [[x0] for x0 in subsets(sys.space)]
+    # a reference cycle and would keep the results alive until the cyclic
+    # collector runs.  The empty prefix stands below X_0 = all of X.
+    todo: list[tuple[int, ...]] = [()]
     while todo:
         prefix = todo.pop()
-        if len(prefix) == horizon + 1:
-            tail = prefix[-1]
-            if sys.image(tail) == tail:
-                out.add(SubsetSequence(tuple(prefix)))
+        x = prefix[-1] if prefix else len(names) - 1
+        allowed = x & pre[x]
+        subs = below.get(allowed)
+        if subs is None:
+            subs, sub = [allowed], allowed
+            while sub:
+                sub = (sub - 1) & allowed
+                subs.append(sub)
+            subs = below[allowed] = sorted(subs, key=names.__getitem__)
+        if len(prefix) < horizon:
+            todo += [prefix + (sub,) for sub in reversed(subs)]
             continue
-        allowed = prefix[-1] & sys.preimage(prefix[-1])
-        todo.extend(prefix + [nxt] for nxt in subsets(allowed))
-    return sorted(out, key=lambda q: (len(q.sets),
-                                      [sorted(s, key=str) for s in q.sets]))
+        for t in subs:
+            if img[t] == t:
+                chain = prefix + (t,)
+                cut = chain.index(t)
+                by_length[cut].append(chain[:cut + 1])
+    sets = [frozenset(ns) for ns in names]
+    return [SubsetSequence._of_trimmed(tuple(map(sets.__getitem__, chain)))
+            for found in by_length for chain in found]
 
 
 def _pointwise(sys: FiniteDynSys, a: SubsetSequence, b: SubsetSequence,

@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
+from math import gcd
 from operator import itemgetter, lt
 from typing import NamedTuple
 
@@ -669,6 +670,12 @@ def decompose(tower: TowerSpec, e: MatrixUnit, level: int) -> Decomposition:
 # embedding-order audit (diagonal occurrence bounds for unital TUHF steps)
 
 
+def _ratio(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for den > 0, reduced by one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def verify_embedding_order(tower: TowerSpec, level: int) -> dict:
     """Audit min/max occurrence bounds of diagonal units across one step.
 
@@ -686,12 +693,12 @@ def verify_embedding_order(tower: TowerSpec, level: int) -> dict:
     violations = []
     for i in range(1, n + 1):
         first, last = order[a + (i - 1) * reps], order[a + i * reps - 1]
-        lo_bound = Fraction(i - 1, 1) * Fraction(m, n) + 1
-        hi_bound = Fraction(i, 1) * Fraction(m, n)
-        ok = Fraction(first) <= lo_bound and Fraction(last) >= hi_bound
+        # both bounds times n, so the comparisons stay in integers
+        lo_num, hi_num = (i - 1) * m + n, i * m
+        ok = first * n <= lo_num and last * n >= hi_num
         entries.append({"diagonal": i, "first": first, "last": last,
-                        "first_bound": str(lo_bound), "last_bound": str(hi_bound),
-                        "ok": ok})
+                        "first_bound": _ratio(lo_num, n),
+                        "last_bound": _ratio(hi_num, n), "ok": ok})
         if not ok:
             violations.append(i)
     return {"level": level, "source": n, "target": m,

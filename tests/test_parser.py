@@ -1,4 +1,4 @@
-"""Tower spec file parsing, rendering, and error reporting."""
+"""Tower spec and system file parsing, rendering, and error reporting."""
 import random
 import re
 import sys
@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from limitalg import tower as tower_mod
-from limitalg.parser import (TowerSyntaxError, parse_tower, parse_tower_file,
-                             render_tower)
+from limitalg.parser import (TowerSyntaxError, parse_system_file, parse_tower,
+                             parse_tower_file, render_tower)
 from limitalg.tower import MatrixUnit, TowerValidationError, embed_unit
 from test_occurrence_index import label_positions
 from test_tower import random_word_collection, reference_validate
@@ -241,3 +241,27 @@ action g order 2 {
     assert act.name == "g" and act.order == 2
     assert act.maps == {0: (0, (((0, 1), (0, 2)),))}
     assert t.shape(1) == (2, 4)
+
+
+def test_system_keywords_allow_spacing_and_several_phi_lines():
+    sys_ = parse_system_file("points=a b c\nphi : a->b\n  phi:b->c c->a\n")
+    assert sys_.points == ("a", "b", "c")
+    assert sys_.phi == {"a": "b", "b": "c", "c": "a"}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("pointsxyz = a b\nphi: a->b b->a\n",
+     "line 1: unrecognized system line 'pointsxyz = a b'"),
+    ("points = a b\nphiq: a->b b->a\n",
+     "line 2: unrecognized system line 'phiq: a->b b->a'"),
+    ("points a b\nphi: a->b b->a\n",
+     "line 1: unrecognized system line 'points a b'"),
+    ("points = a b\npoints = c\nphi: c->c\n", "line 2: repeated points line"),
+    ("points = a b\nphi: a->b\n# b\nphi: b->a a->a\n",
+     "line 4: repeated phi source 'a'"),
+], ids=["points-prefix", "phi-prefix", "points-no-equals", "repeated-points",
+        "repeated-phi-source"])
+def test_malformed_system_lines_are_rejected(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_system_file(text)
+    assert str(info.value) == message

@@ -47,6 +47,46 @@ def brute_force_sequences(sys, horizon):
     return out
 
 
+def frozenset_enumeration(sys, horizon):
+    """Reference: the enumerator before masks, one frozenset per prefix."""
+    out = set()
+
+    def subsets(s):
+        items = sorted(s, key=str)
+        for r in range(len(items) + 1):
+            for c in itertools.combinations(items, r):
+                yield frozenset(c)
+
+    todo = [[x0] for x0 in subsets(sys.space)]
+    while todo:
+        prefix = todo.pop()
+        if len(prefix) == horizon + 1:
+            tail = prefix[-1]
+            if sys.image(tail) == tail:
+                out.add(SubsetSequence(tuple(prefix)))
+            continue
+        allowed = prefix[-1] & sys.preimage(prefix[-1])
+        todo.extend(prefix + [nxt] for nxt in subsets(allowed))
+    return sorted(out, key=lambda q: (len(q.sets),
+                                      [sorted(s, key=str) for s in q.sets]))
+
+
+def random_permutation(points, rng):
+    images = list(points)
+    rng.shuffle(images)
+    return FiniteDynSys(points, dict(zip(points, images)))
+
+
+def cycle_type_system(points, lengths):
+    """Consecutive runs of `points` as cycles of the given lengths."""
+    phi, start = {}, 0
+    for length in lengths:
+        cycle = points[start:start + length]
+        phi.update(zip(cycle, cycle[1:] + cycle[:1]))
+        start += length
+    return FiniteDynSys(points, phi)
+
+
 class TestDynSys:
     def test_iterate_and_inverse(self):
         s = cycle3()
@@ -109,6 +149,44 @@ class TestEnumeration:
             fast = enumerate_sequences(s, h)
             assert set(fast) == brute_force_sequences(s, h)
             assert len(set(fast)) == len(fast)
+
+    def test_matches_the_frozenset_enumerator_on_small_systems(self):
+        rng = random.Random(15)
+        for size in range(6):
+            for _ in range(3):
+                points = rng.sample("abcdefgh", size)
+                s = random_permutation(points, rng)
+                for h in range(4):
+                    assert enumerate_sequences(s, h) == \
+                        frozenset_enumeration(s, h), (points, s.phi, h)
+
+    def test_matches_the_frozenset_enumerator_on_int_points(self):
+        # str order (1, 10, 11, 12, 2, ...) is not numeric order, and the
+        # canonical order compares the points themselves
+        rng = random.Random(16)
+        for lengths in ((12,), (5, 4, 3), (2, 2, 2, 2, 2, 1, 1)):
+            points = list(range(1, 13))
+            rng.shuffle(points)
+            s = cycle_type_system(points, lengths)
+            for h in (0, 1):
+                assert enumerate_sequences(s, h) == \
+                    frozenset_enumeration(s, h), (lengths, h)
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (2, 2, 1), (3, 2, 1),
+                                         (3, 2, 1, 1)])
+    def test_matches_the_frozenset_enumerator_on_cycle_types(self, lengths):
+        rng = random.Random(f"cycle-type:{lengths}")
+        points = [f"x{i}" for i in range(sum(lengths))]
+        rng.shuffle(points)
+        s = cycle_type_system(points, lengths)
+        assert enumerate_sequences(s, 2) == frozenset_enumeration(s, 2)
+
+    def test_results_share_one_frozenset_per_set(self):
+        seqs = enumerate_sequences(cycle3(), 2)
+        sets = {}
+        for q in seqs:
+            for x in q.sets:
+                assert sets.setdefault(x, x) is x
 
     def test_results_are_freed_without_the_cyclic_collector(self):
         # reference counting alone must release an enumeration's sequences

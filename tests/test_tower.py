@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from limitalg.tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
                             UnitShapeError, embed_element,
                             embed_unit, decompose, preset, random_lattice_word,
                             validate_embedding, verify_embedding_order)
+from limitalg.tower import _ratio
 from test_occurrence_index import label_positions
 
 
@@ -420,3 +422,9 @@ def test_decompose_extremal_indices():
     # the growing TAF example: in summand 1 the max row passes the min col
     taf = preset("paper-example-taf")
     assert decompose(taf, MatrixUnit(1, 0, 1, 2), 2).extremal[1] == (3, 2)
+
+
+def test_order_audit_bounds_print_as_fractions():
+    for num in range(0, 40):
+        for den in range(1, 13):
+            assert _ratio(num, den) == str(Fraction(num, den))
