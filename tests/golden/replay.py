@@ -191,6 +191,19 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "crossed-lattice-196": (("crossed", "lattice", "--base", "3,3", "--group",
                              "2x2", "--action", "diag=0,1,1|0,0,1",
                              "--action", "diag=0,0,1|0,1,1"), None),
+    # the lattice isomorphism on a mixed Z2 x Z2 action, a Z3 twist of a
+    # 4-block, the trivial group and a full base with a twisted swap
+    "crossed-lattice-222-mixed": (("crossed", "lattice", "--base", "2,2,2",
+                                   "--group", "2x2", "--action", "perm=1,0,2",
+                                   "--action", "diag=0,1|0,1|0,0", "--json"),
+                                  None),
+    "crossed-lattice-z3-4": (("crossed", "lattice", "--base", "4", "--group",
+                              "3", "--action", "diag=0,1,2,0"), None),
+    "crossed-lattice-trivial-33": (("crossed", "lattice", "--base", "3,3",
+                                    "--group", "1"), None),
+    "crossed-lattice-full-222-twisted-swap": (
+        ("crossed", "lattice", "--full", "--base", "2,2,2", "--group", "2",
+         "--action", "perm=1,0,2;diag=0,1|0,1|0,1"), None),
     "crossed-tight-full": (("crossed", "tight", "--full", *TRIANGULAR_Z3),
                            None),
     "crossed-tight-full-swap": (("crossed", "tight", "--full", "--base",
