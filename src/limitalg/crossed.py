@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -449,9 +450,9 @@ def _decode(masks, keys: list) -> list[frozenset]:
     return sorted(ideals, key=lambda f: (len(f), sorted(f)))
 
 
-def _ideal_lattice(alg: MonomialAlgebra, maps: list[dict]) -> list[frozenset]:
-    """All basis-spanned ideals of `alg` that each map (key -> (scalar, key))
-    carries into themselves."""
+def _principal_closures(alg: MonomialAlgebra, maps: list[dict]) -> list[int]:
+    """Mask n: the least basis-spanned ideal of `alg` holding basis element
+    n that each map (key -> (scalar, key)) carries into itself."""
     index = alg.index
     # neighbours[n]: x b and b x over every basis b, and each image of x
     neighbours = [_mask(index[t[x][1]] for t in maps) for x in alg.basis]
@@ -460,17 +461,24 @@ def _ideal_lattice(alg: MonomialAlgebra, maps: list[dict]) -> list[frozenset]:
             bit = 1 << index[k]
             neighbours[index[x]] |= bit
             neighbours[index[y]] |= bit
-    principal = [_closure(1 << n, neighbours) for n in range(alg.dim)]
-    return _decode(_union_lattice(principal), alg.basis)
+    return [_closure(1 << n, neighbours) for n in range(alg.dim)]
+
+
+def _invariant_closures(shape, action: LevelAction, triangular: bool
+                        ) -> tuple[MonomialAlgebra, list[int]]:
+    """The base algebra and its alpha-invariant principal closures."""
+    base = multi_matrix_algebra(tuple(shape), triangular)
+    group = action.group
+    return base, _principal_closures(
+        base, [action.table(group.generator(i))
+               for i in range(len(group.orders))])
 
 
 def enumerate_invariant_ideals(shape, action: LevelAction,
                                triangular: bool = True) -> list[frozenset]:
     """All alpha-invariant matrix-unit-spanned ideals of the base."""
-    group = action.group
-    return _ideal_lattice(
-        multi_matrix_algebra(tuple(shape), triangular),
-        [action.table(group.generator(i)) for i in range(len(group.orders))])
+    base, principal = _invariant_closures(shape, action, triangular)
+    return _decode(_union_lattice(principal), base.basis)
 
 
 def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
@@ -480,44 +488,50 @@ def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
     elements is dual-invariant for free; closure under two-sided
     multiplication by basis elements is what is enumerated.
     """
-    return _ideal_lattice(a.alg, [])
+    return _decode(_union_lattice(_principal_closures(a.alg, [])), a.alg.basis)
 
 
 def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
                        triangular: bool = True) -> dict:
-    """J -> {(u, g)} is a lattice bijection onto the homogeneous ideals."""
-    base_lattice = enumerate_invariant_ideals(shape, action, triangular)
+    """J -> J x G is a lattice bijection onto the homogeneous ideals.
+
+    phi sends a base ideal J to the union of the blocks {u} x G over u in
+    J.  Meets and joins are intersections and unions on both sides; phi
+    preserves them, and is injective, when the blocks are non-empty and
+    pairwise disjoint: their popcounts add up to that of their union.
+
+    On either side each ideal is the union of the principal closures of
+    its elements (Birkhoff's rings of sets).  Given the block condition,
+    phi maps the base lattice onto the crossed one iff
+    closure((u, g)) = phi(closure_alpha(u)) for every base unit u and g.
+    If: a crossed ideal is the union of its closures((u, g)), so it is
+    phi of the union of the closure_alpha(u), a base ideal; and phi(J) is
+    the union of the crossed ideals closure((u, g)) over u in J.  Only if:
+    closure((u, g)) = phi(J) for a base ideal J, which holds u, so it
+    holds phi(closure_alpha(u)); and phi(closure_alpha(u)) is a crossed
+    ideal holding (u, g), so it holds closure((u, g)).  The lattices are
+    listed only to be counted.
+    """
+    base, base_principal = _invariant_closures(shape, action, triangular)
     a = build_crossed(shape, group, action, triangular)
-    crossed_lattice = enumerate_dual_invariant_ideals(a)
-    units = list(multi_matrix_units(tuple(shape), triangular))
-    unit_index = {u: n for n, u in enumerate(units)}
+    principal = _principal_closures(a.alg, [])
     gs = group.elements()
-    # the mask of {u} x G, per base unit
-    blocks = [_mask(a.alg.index[(u, g)] for g in gs) for u in units]
-    images: dict[int, int] = {}
+    blocks = [_mask(a.alg.index[(u, g)] for g in gs) for u in base.basis]
 
     def phi(ideal: int) -> int:
-        img = images.get(ideal)
-        if img is None:
-            img = 0
-            for n in _bits(ideal):
-                img |= blocks[n]
-            images[ideal] = img
-        return img
+        return functools.reduce(
+            operator.or_, (blocks[n] for n in _bits(ideal)), 0)
 
-    base = [_mask(unit_index[u] for u in j) for j in base_lattice]
-    image = [phi(j) for j in base]
-    bijection = (len(set(image)) == len(base)
-                 and set(image) == {_mask(a.alg.index[k] for k in j)
-                                    for j in crossed_lattice})
-    # meets and joins are intersections and unions on both sides; both
-    # commute and phi(j & j) = phi(j), so each unordered pair is enough
-    pairs = list(zip(base, image))
-    preserves = all(
-        phi(j1 & j2) == p1 & p2 and phi(j1 | j2) == p1 | p2
-        for n, (j1, p1) in enumerate(pairs) for j2, p2 in pairs[n + 1:])
-    return {"base_count": len(base_lattice),
-            "crossed_count": len(crossed_lattice),
+    union = phi((1 << len(blocks)) - 1)  # phi of the whole base
+    preserves = (all(blocks)
+                 and sum(b.bit_count() for b in blocks) == union.bit_count())
+    # the bits of block u are the crossed indices of (u, g), g in G
+    bijection = preserves and all(
+        principal[n] == image
+        for block, image in zip(blocks, map(phi, base_principal))
+        for n in _bits(block))
+    return {"base_count": len(_union_lattice(base_principal)),
+            "crossed_count": len(_union_lattice(principal)),
             "bijection": bijection, "preserves_lattice_ops": preserves,
             "ok": bijection and preserves}
 

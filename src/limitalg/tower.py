@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd
 from operator import itemgetter, lt
 from typing import NamedTuple
@@ -236,96 +237,45 @@ def index_step(source: tuple[int, ...], target: tuple[int, ...],
     return tuple(indexes)
 
 
-def _index_word(word: Word) -> dict[Label, list[int]]:
-    """Occurrence positions of every label of `word`, in increasing order."""
-    index: dict[Label, list[int]] = {}
-    for q, lab in enumerate(word, start=1):
-        index.setdefault(lab, []).append(q)
-    return index
-
-
-def _first_ballot_break(index: dict[Label, list[int]],
-                        s: int) -> tuple[int, int] | None:
-    """(prefix, p) for the first position where the labels (s, p) seen so
-    far outnumber the labels (s, p-1), or None if no prefix does."""
-    first = None
-    for (s2, p), cur in index.items():
-        if s2 != s or not p > 1:
-            continue
-        prev = index.get((s, p - 1), ())
-        # the r-th (s,p) breaks the ballot iff the r-th (s,p-1) is later
-        for r, q in enumerate(cur):
-            if r >= len(prev) or prev[r] > q:
-                if first is None or q < first[0]:
-                    first = (q, p)
-                break
-    return first
-
-
 def _violations(source: tuple[int, ...], target: tuple[int, ...],
                 words: tuple[Word, ...]) -> list[dict]:
-    """Every violation of a step, named from each word's label -> positions
-    index.
+    """Every violation of a step, named in one scan per word.
 
-    COUNT compares the lengths of the per-label position lists, and
-    positions are scanned for LABEL only when the valid labels do not cover
-    the whole word.  When source s has m of every label, concatenate its
-    position lists in p order into `flat`; LATTICE is then exactly
-    flat[i] < flat[i+m] for all i.  The first violating prefix is searched
-    for only when a violation must be named, which covers unequal counts
-    and out-of-range labels of s as well.
+    Per word: SHAPE, then LABEL per position, COUNT per source from the
+    label counts, and LATTICE at the first prefix where the running count
+    of some (s, p) exceeds that of (s, p-1), once per source.  INJECTIVE
+    names each source that no word meets.
     """
-    violations: list[dict] = []
     if len(words) != len(target):
-        violations.append({"kind": "SHAPE",
-                           "detail": "one word per target summand required"})
-        return violations
+        return [{"kind": "SHAPE",
+                 "detail": "one word per target summand required"}]
+    violations: list[dict] = []
     reached: set[int] = set()
-    for t, word in enumerate(words):
-        index = _index_word(word)
-        if len(word) != target[t]:
+    for t, (word, n) in enumerate(zip(words, target)):
+        if len(word) != n:
             violations.append({"kind": "SHAPE", "target": t,
-                               "detail": f"word length {len(word)} != target size {target[t]}"})
-        # lists[s][p-1]: the positions of (s, p) in the word
-        lists = [list(map(index.get, zip(repeat(s), range(1, size + 1)),
-                          repeat(())))
-                 for s, size in enumerate(source)]
-        counts = [list(map(len, row)) for row in lists]
-        # sources with a label outside the shape, in range or not
-        stray: set[int] = set()
-        breaks = []
-        if sum(map(sum, counts)) != len(word):
-            for q, (s, p) in enumerate(word):
-                if not (0 <= s < len(source)) or not (1 <= p <= source[s]):
-                    violations.append({"kind": "LABEL", "target": t,
-                                       "position": q + 1, "label": [s, p]})
-                    stray.add(s)
-            reached.update(stray)
-            for s in stray.difference(range(len(source))):
-                brk = _first_ballot_break(index, s)
-                if brk is not None:
-                    breaks.append((brk, s))
-        for s, per_pos in enumerate(counts):
-            if any(per_pos):
-                reached.add(s)
+                               "detail": f"word length {len(word)} != target size {n}"})
+        violations += [{"kind": "LABEL", "target": t, "position": q,
+                        "label": [s, p]}
+                       for q, (s, p) in enumerate(word, start=1)
+                       if not (0 <= s < len(source) and 1 <= p <= source[s])]
+        counts = Counter(word)
+        for s, size in enumerate(source):
+            per_pos = [counts[s, p] for p in range(1, size + 1)]
             if len(set(per_pos)) > 1:
                 violations.append({"kind": "COUNT", "target": t, "source": s,
                                    "counts": per_pos})
-            elif s not in stray:
-                m = per_pos[0] if per_pos else 0
-                flat = list(chain.from_iterable(lists[s]))
-                if all(map(lt, flat, flat[m:])):
-                    continue
-            brk = _first_ballot_break(index, s)
-            if brk is not None:
-                breaks.append((brk, s))
-        if breaks:
-            for (prefix, p), s in sorted(breaks):
+        running: Counter = Counter()
+        broken: set[int] = set()
+        for q, (s, p) in enumerate(word, start=1):
+            running[s, p] += 1
+            if p > 1 and s not in broken and running[s, p] > running[s, p - 1]:
+                broken.add(s)
                 violations.append({"kind": "LATTICE", "target": t, "source": s,
-                                   "positions": [p - 1, p], "prefix": prefix})
-    for s in range(len(source)):
-        if s not in reached:
-            violations.append({"kind": "INJECTIVE", "source": s})
+                                   "positions": [p - 1, p], "prefix": q})
+        reached.update(s for s, _ in word)
+    violations += [{"kind": "INJECTIVE", "source": s}
+                   for s in range(len(source)) if s not in reached]
     return violations
 
 

@@ -223,25 +223,99 @@ def test_closure_and_unions_on_random_graphs():
                                for p in picks])
 
 
-@pytest.mark.parametrize("edit", ["drop-top", "drop-bottom", "shrink-top"])
-def test_a_wrong_crossed_lattice_is_not_a_bijection(monkeypatch, edit):
-    shape, group, action = EXTRA["222-z2xz2-mixed"]
-    enumerate_dual = C.enumerate_dual_invariant_ideals
+def _dropped_products(family):
+    """The crossed rows of an EXTRA system without one product, for a
+    seeded sample of the products.  The first drop, of
+    (e_11 U_1)(e_11 U_1) = e_11 U_0, leaves the closures of e_11 U_0 and
+    e_11 U_1 unequal: only a check of every g sees it."""
+    rng = random.Random(16)
+    build = C.build_crossed
+    e11 = (0, 1, 1)
+    picks = [("4-z2-diag", True, ((e11, (1,)), (e11, (1,))))]
+    for name, triangular in CASES:
+        shape, group, action = EXTRA[name]
+        products = [(x, y) for x, row in
+                    build(shape, group, action, triangular).alg.rows.items()
+                    for y in row]
+        picks += [(name, triangular, xy)
+                  for xy in rng.sample(products, min(4, len(products)))]
+    for name, triangular, (x, y) in picks:
+        def dropped(*args, x=x, y=y, **kwargs):
+            a = build(*args, **kwargs)
+            rows = {k: dict(row) for k, row in a.alg.rows.items()}
+            del rows[x][y]
+            a.alg.rows = rows
+            return a
 
-    def edited(a):
-        lattice = enumerate_dual(a)
-        if edit == "drop-top":
-            del lattice[-1]
-        elif edit == "drop-bottom":
-            del lattice[0]
-        else:  # same count, one ideal lost a basis element
-            lattice[-1] = frozenset(sorted(lattice[-1])[1:])
-        return lattice
+        yield (*EXTRA[name], triangular, "build_crossed", dropped)
 
-    monkeypatch.setattr(C, "enumerate_dual_invariant_ideals", edited)
-    rep = C.verify_lattice_iso(shape, group, action)
-    base = ref_invariant_ideals(shape, action, True)
-    assert rep == ref_lattice_iso(base, edited(C.build_crossed(
-        shape, group, action)), group)
-    assert not rep["bijection"] and not rep["ok"]
-    assert rep["preserves_lattice_ops"]
+
+def _other_actions(family):
+    """The crossed algebra built with the next family action of the same
+    (base, group) cell, while the base keeps its own action."""
+    build = C.build_crossed
+    for (shape, group, action), (shape2, group2, other) in zip(family,
+                                                               family[1:]):
+        if (shape, group) != (shape2, group2):
+            continue
+        for triangular in (True, False):
+            def swapped(shape, group, action, triangular=True, other=other):
+                return build(shape, group, other, triangular)
+
+            yield shape, group, action, triangular, "build_crossed", swapped
+
+
+def _ignored_generators(family):
+    """The base closure without its first generator's images (the crossed
+    closure has no maps, so only the base side changes)."""
+    principal = C._principal_closures
+
+    def ignoring(alg, maps):
+        return principal(alg, maps[1:])
+
+    systems = family + [EXTRA[name] for name in EXTRA]
+    for shape, group, action in systems:
+        if group.orders:
+            for triangular in (True, False):
+                yield (shape, group, action, triangular,
+                       "_principal_closures", ignoring)
+
+
+MUTANTS = {"dropped-product": _dropped_products,
+           "other-action": _other_actions,
+           "base-ignores-a-generator": _ignored_generators}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTANTS))
+def test_a_broken_closure_is_refuted_like_the_reference(monkeypatch, family,
+                                                        kind):
+    # the report reads principal closures only; on each mutant it must
+    # still say what the full enumerations of that mutant say
+    refuted = 0
+    for shape, group, action, triangular, name, patched in MUTANTS[kind](
+            family):
+        with monkeypatch.context() as m:
+            m.setattr(C, name, patched)
+            rep = C.verify_lattice_iso(shape, group, action, triangular)
+            base = C.enumerate_invariant_ideals(shape, action, triangular)
+            dual = C.enumerate_dual_invariant_ideals(
+                C.build_crossed(shape, group, action, triangular))
+        assert rep == ref_lattice_iso(base, dual, group), (shape, group)
+        refuted += not rep["bijection"]
+    assert refuted
+
+
+def test_overlapping_blocks_do_not_preserve_lattice_ops(monkeypatch):
+    # a phi that sends two base units onto one crossed element
+    build = C.build_crossed
+
+    def merged(*args, **kwargs):
+        a = build(*args, **kwargs)
+        first, second = a.alg.basis[:2]
+        a.alg.index = {**a.alg.index, second: a.alg.index[first]}
+        return a
+
+    monkeypatch.setattr(C, "build_crossed", merged)
+    rep = C.verify_lattice_iso((3,), TRIVIAL, C.trivial_action(TRIVIAL, (3,)))
+    assert not rep["preserves_lattice_ops"] and not rep["bijection"]
+    assert not rep["ok"]

@@ -32,6 +32,30 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_modules_read_every_name_they_import():
+    # a helper that goes leaves no import behind it; `__init__.py`
+    # imports to re-export
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # bound name -> line
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 def _callers(paths, name: str) -> list[str]:
     """Qualified scope (module.def/class...) of every call to `name`."""
     callers = []
