@@ -62,6 +62,9 @@ LAYOUT_SPEC = ("level 0 = [2,2]\nlevel 1 = [4,4]\nembed 0 -> 1 {\n"
 ALIAS_SPEC = ("level 0 = [2,2]\nlevel 1 = [4,4]\nembed 0 -> 1 {\n"
               "  target 0 : (0,1) (0,3) (1,1) (1,2)\n"
               "  target 1 : (1,0) (0,2) (0,1) (1,5)\n}\n")
+# a `repeat` tail whose last step breaks the ballot order
+REPEAT_LATTICE_SPEC = ("level 0 = [2]\nlevel 1 = [2]\nembed 0 -> 1 {\n"
+                       "  target 0 : (0,2) (0,1)\n}\nrepeat\n")
 ZERO_SIZE_SPEC = "level 0 = [0]\n"
 ZERO_SUMMAND_SPEC = ("level 0 = [2]\nlevel 1 = [2,0]\nembed 0 -> 1 {\n"
                      "  target 0 : (0,1) (0,2)\n  target 1 :\n}\n")
@@ -178,6 +181,15 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "links-layout": (("links", "-", "--unit", "0:1:1:2"), LAYOUT_SPEC),
     "embed-two-summand": (("embed", "@two-summand.tower", "--unit", "0:0:1:2",
                            "--level", "2"), None),
+    # a `repeat` tail that swaps two summands, and both doubling presets
+    "links-swap-repeat": (("links", "@swap.tower", "--unit", "1:1:1:2"), None),
+    "donsig-swap-repeat": (("donsig", "@swap.tower", "--level", "3"), None),
+    "embed-swap-repeat": (("embed", "@swap.tower", "--unit", "0:0:1:2",
+                           "--level", "4"), None),
+    **{f"embed-{name}-level-5": (("embed", name, "--unit", "0:0:1:2",
+                                  "--level", "5"), None)
+       for name in ("standard-2", "refinement-2")},
+    "validate-repeat-lattice": (("validate", "-"), REPEAT_LATTICE_SPEC),
     # crossed products with Z3 and Z2 x Z2
     **{f"crossed-{what}-{label}": (("crossed", what, *system, "--json"), None)
        for what in ("tight", "lattice", "radical", "links-lemma", "diag")
