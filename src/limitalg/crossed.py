@@ -202,6 +202,7 @@ class CrossedAlgebra:
     The rows come from the base's rows and the action's tables: for each
     e f' = k in the base, alpha_g(f) = c f' gives (e U_g)(f U_h) = c k U_gh.
     Base matrix units multiply with scalar 1, so c is the whole scalar.
+    `base` is that base algebra, with its rows once the crossed rows exist.
     """
 
     def __init__(self, shape: tuple[int, ...], group: FiniteAbelianGroup,
@@ -213,7 +214,7 @@ class CrossedAlgebra:
         self.action = action
         self.triangular = triangular
         self.m = group.exponent
-        base = multi_matrix_algebra(self.shape, triangular)
+        self.base = base = multi_matrix_algebra(self.shape, triangular)
         gs = group.elements()
         basis = [(u, g) for u in base.basis for g in gs]
 
@@ -259,18 +260,15 @@ class CrossedAlgebra:
 
 def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
                   triangular: bool = True) -> CrossedAlgebra:
-    """Construct the crossed algebra, verifying the action is multiplicative.
+    """The crossed algebra; its product is associative, unchecked.
 
-    The covariance identity holds by the definition of the product; the
-    check here is that alpha_g(e f) = alpha_g(e) alpha_g(f) for each
-    generator on the full matrix units, which makes that product
-    associative.
+    Associativity needs alpha_g multiplicative on the full matrix units.
+    A LevelAction generator sends e_ij of summand s to zeta^(a_i - a_j)
+    e_ij of summand pi(s), pi injective: e_ij e_jl = e_il goes to
+    zeta^(a_i - a_l) times the image of e_il, a zero product stays zero,
+    and the table of every g composes generator tables.
     """
-    a = CrossedAlgebra(shape, group, action, triangular)
-    full = multi_matrix_algebra(a.shape, False, Cyc.one(a.m))
-    for i_gen in range(len(group.orders)):
-        _verify_multiplicative(full, action.table(group.generator(i_gen)))
-    return a
+    return CrossedAlgebra(shape, group, action, triangular)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def radical_tightness_check(shape, group: FiniteAbelianGroup,
     """
     a = build_crossed(shape, group, action, triangular)
     rad = a.radical()
-    rad_base = base_radical(shape, triangular)
+    rad_base = a.base.radical_basis()
     lifted = [a.lift_base_vector(v, g) for v in rad_base
               for g in group.elements()]
     tight = a.alg.span_equal(rad, lifted)
@@ -464,21 +462,20 @@ def _principal_closures(alg: MonomialAlgebra, maps: list[dict]) -> list[int]:
     return [_closure(1 << n, neighbours) for n in range(alg.dim)]
 
 
-def _invariant_closures(shape, action: LevelAction, triangular: bool
-                        ) -> tuple[MonomialAlgebra, list[int]]:
-    """The base algebra and its alpha-invariant principal closures."""
-    base = multi_matrix_algebra(tuple(shape), triangular)
+def _invariant_closures(base: MonomialAlgebra, action: LevelAction
+                        ) -> list[int]:
+    """The alpha-invariant principal closures of the base algebra."""
     group = action.group
-    return base, _principal_closures(
-        base, [action.table(group.generator(i))
-               for i in range(len(group.orders))])
+    return _principal_closures(base, [action.table(group.generator(i))
+                                      for i in range(len(group.orders))])
 
 
 def enumerate_invariant_ideals(shape, action: LevelAction,
                                triangular: bool = True) -> list[frozenset]:
     """All alpha-invariant matrix-unit-spanned ideals of the base."""
-    base, principal = _invariant_closures(shape, action, triangular)
-    return _decode(_union_lattice(principal), base.basis)
+    base = multi_matrix_algebra(tuple(shape), triangular)
+    return _decode(_union_lattice(_invariant_closures(base, action)),
+                   base.basis)
 
 
 def enumerate_dual_invariant_ideals(a: CrossedAlgebra) -> list[frozenset]:
@@ -512,11 +509,11 @@ def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
     ideal holding (u, g), so it holds closure((u, g)).  The lattices are
     listed only to be counted.
     """
-    base, base_principal = _invariant_closures(shape, action, triangular)
     a = build_crossed(shape, group, action, triangular)
+    base_principal = _invariant_closures(a.base, action)
     principal = _principal_closures(a.alg, [])
     gs = group.elements()
-    blocks = [_mask(a.alg.index[(u, g)] for g in gs) for u in base.basis]
+    blocks = [_mask(a.alg.index[(u, g)] for g in gs) for u in a.base.basis]
 
     def phi(ideal: int) -> int:
         return functools.reduce(

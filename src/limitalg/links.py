@@ -131,11 +131,11 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
                             max_steps: int = 64) -> tuple | None:
     """Certificate (S): separation induction on stationary towers.
 
-    Abstract state (maxRow, minCol) per level; the transfer
-    over-approximates row occurrences and under-approximates column
-    occurrences, so preserved separation plus recurrence of the
-    normalized state ((maxRow)/K, (minCol-1)/K) certifies linklessness
-    at every level.
+    State (maxRow, minCol) of e's image per level.  The ballot condition
+    makes the first and last occurrences of (0, p) increase with p, so
+    the next state is exactly (last of maxRow, first of minCol), two
+    index reads.  Preserved separation plus recurrence of the normalized
+    state ((maxRow)/K, (minCol-1)/K) certifies linklessness at every level.
     """
     if tower.finite or not tower.rule.self_similar:
         return None
@@ -156,10 +156,10 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
         seen[norm] = step
         if not tower.is_tuhf_at(level + 1):
             return None
-        # the last occurrences of (0, 1..I) and the first of (0, J..size)
-        order, ((a, m, size),) = tower.occurrences(level)[0]
-        max_row = max(order[a + m - 1:a + max_row * m:m])
-        min_col = min(order[a + (min_col - 1) * m:a + size * m:m])
+        # the last occurrence of (0, I) and the first of (0, J)
+        order, ((a, m, _),) = tower.occurrences(level)[0]
+        max_row = order[a + max_row * m - 1]
+        min_col = order[a + (min_col - 1) * m]
         if min_col <= max_row:
             return None
         level += 1

@@ -16,8 +16,8 @@ Tower spec format::
     }
 
 '#' starts a comment.  `repeat` requires the last two level shapes to be
-equal so the final word collection can be reused verbatim.  Every summand
-size must be at least 1.
+equal, so the final words permute summands by identity words, and a
+`BlockRule` repeats them forever.  Every summand size must be at least 1.
 
 A word is gated by one `fullmatch` against its grammar
 `(?:\s*\(\d+\s*,\s*\d+\))*\s*`.  Once the text is known to hold only
@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass, field
 
 from .peters import FiniteDynSys
-from .tower import (ConstantRule, TowerSpec, TowerValidationError, Word,
+from .tower import (BlockRule, TowerSpec, TowerValidationError, Word,
                     preset as builtin_preset)
 
 
@@ -217,7 +217,12 @@ def parse_tower_file(text: str):
             raise TowerValidationError(
                 "repeat requires the last two level shapes to be equal "
                 f"(got {shapes[-2]} -> {shapes[-1]})")
-        rule = ConstantRule(shapes[-1], steps[-1])
+        # a valid step between equal shapes sends each source to one
+        # target, once (its word lengths add up to the sum of the sizes),
+        # and the ballot order forces identity words.  TowerSpec rejects
+        # an invalid last step before any rule step is read.
+        rule = BlockRule(shapes[-1], tuple(
+            tuple((s, 1) for s, p in word if p == 1) for word in steps[-1]))
 
     return TowerSpec(shapes, steps, rule=rule), actions
 

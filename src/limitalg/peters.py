@@ -269,13 +269,15 @@ def ideal_from_sequence(model: TruncatedSemicrossed,
     """Entry (i, j) vanishes on phi^(-j)(X_{i-j}).
 
     The phi^(-j) twist makes the shift relation an equality and closes
-    the ideal under right multiplication (iterated (star)).
+    the ideal under right multiplication (iterated (star)).  A sequence
+    whose entries are not closed raises IdealClosureError naming the
+    first failed product.
     """
     ideal = {(i, j): model.sys.iterate(seq.at(i - j), -j)
              for (i, j) in model.entries()}
     rep = validate_ideal(model, ideal)
     if not rep["ok"]:
-        raise AssertionError(rep)
+        raise IdealClosureError(rep["failure"])
     return ideal
 
 

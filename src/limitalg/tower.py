@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import itemgetter, lt
 from typing import NamedTuple
@@ -325,36 +325,50 @@ class TowerRule:
         return False
 
 
-class ScaledTUHFRule(TowerRule):
-    """Single-summand tower T_K -> T_(c*K) with a scale-covariant word rule."""
+class BlockRule(TowerRule):
+    """A stationary block template on a fixed number of summands.
+
+    `blocks[t]` lists target t's tokens (s, r): t takes source summand s
+    as an r-fold refinement, each label (s, p) repeated r times in a run,
+    and r = 1 is a standard copy.  Level 0 has shape `base`, and
+    K(n+1)_t = sum of r * K(n)_s over t's tokens.
+    """
 
     self_similar = True
 
-    def __init__(self, base_size: int, factor: int, label_fn, name: str):
-        self.base_size = base_size
-        self.factor = factor
-        self._label = label_fn  # (position q, source size K, target size cK) -> pos
-        self.name = name
+    def __init__(self, base: tuple[int, ...],
+                 blocks: tuple[tuple[tuple[int, int], ...], ...]):
+        self.blocks = blocks
+        self._shapes = [tuple(base)]
+        named = Counter(s for block in blocks for s, _ in block)
+        # s -> t where t's whole block is ((s, 1),) and no other token names s
+        self._carry = {block[0][0]: t for t, block in enumerate(blocks)
+                       if len(block) == 1 and block[0][1] == 1
+                       and named[block[0][0]] == 1}
 
     def shape(self, level: int) -> tuple[int, ...]:
-        return (self.base_size * self.factor ** level,)
+        shapes = self._shapes
+        while len(shapes) <= level:
+            k = shapes[-1]
+            shapes.append(tuple(sum(r * k[s] for s, r in block)
+                                for block in self.blocks))
+        return shapes[level]
 
     def words(self, level: int) -> tuple[Word, ...]:
-        k = self.base_size * self.factor ** level
-        m = k * self.factor
-        return (tuple((0, self._label(q, k, m)) for q in range(1, m + 1)),)
+        k = self.shape(level)
+        runs = [[(s, p) for p in range(1, size + 1)]
+                for s, size in enumerate(k)]
+        return tuple(tuple(chain.from_iterable(
+            runs[s] if r == 1 else chain.from_iterable(zip(*[runs[s]] * r))
+            for s, r in block)) for block in self.blocks)
 
-
-def standard_rule(base_size: int = 2) -> ScaledTUHFRule:
-    # word [1..K, 1..K]: e_ij -> e_ij + e_(i+K)(j+K)
-    return ScaledTUHFRule(base_size, 2,
-                          lambda q, k, m: (q - 1) % k + 1, "standard")
-
-
-def refinement_rule(base_size: int = 2) -> ScaledTUHFRule:
-    # word [1,1,2,2,...]: e_ij -> e_(2i-1)(2j-1) + e_(2i)(2j)
-    return ScaledTUHFRule(base_size, 2,
-                          lambda q, k, m: (q + 1) // 2, "refinement")
+    def frozen_forever(self, level: int, summand: int) -> bool:
+        # the carries form a partial injection, so a walk that does not
+        # end returns to `summand`: identity-carried at every level
+        s = self._carry.get(summand)
+        while s is not None and s != summand:
+            s = self._carry.get(s)
+        return s is not None
 
 
 class PaperExampleRule(TowerRule):
@@ -380,33 +394,6 @@ class PaperExampleRule(TowerRule):
 
     def frozen_forever(self, level: int, summand: int) -> bool:
         return summand >= 1
-
-
-class ConstantRule(TowerRule):
-    """Verbatim repetition of a fixed word collection on a fixed shape."""
-
-    name = "repeat"
-    self_similar = True
-
-    def __init__(self, shape: tuple[int, ...], words: tuple[Word, ...]):
-        self._shape = shape
-        self._words = words
-
-    def shape(self, level: int) -> tuple[int, ...]:
-        return self._shape
-
-    def words(self, level: int) -> tuple[Word, ...]:
-        return self._words
-
-    def frozen_forever(self, level: int, summand: int) -> bool:
-        seen = set()
-        s = summand
-        while s not in seen:
-            seen.add(s)
-            s = identity_carry(self._shape, self._words, s)
-            if s is None:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +673,12 @@ def random_lattice_word(source: tuple[int, ...], reps_per_source: dict[int, int]
 
 
 PRESETS = {
-    "standard-2": lambda: TowerSpec.from_rule(standard_rule(2), "standard-2"),
-    "refinement-2": lambda: TowerSpec.from_rule(refinement_rule(2), "refinement-2"),
+    # word [1..K, 1..K]: e_ij -> e_ij + e_(i+K)(j+K)
+    "standard-2": lambda: TowerSpec.from_rule(
+        BlockRule((2,), (((0, 1), (0, 1)),)), "standard-2"),
+    # word [1,1,2,2,...]: e_ij -> e_(2i-1)(2j-1) + e_(2i)(2j)
+    "refinement-2": lambda: TowerSpec.from_rule(
+        BlockRule((2,), (((0, 2),),)), "refinement-2"),
     "paper-example-taf": lambda: TowerSpec.from_rule(PaperExampleRule(),
                                                      "paper-example-taf"),
 }

@@ -56,7 +56,7 @@ def family():
 
 @pytest.fixture(scope="session")
 def family_algebras(family):
-    """Built (and covariance-verified) crossed algebras, radical cached."""
+    """Built crossed algebras, radical cached."""
     return [(shape, group, action,
              C.build_crossed(shape, group, action, triangular=True))
             for shape, group, action in family]

@@ -275,6 +275,9 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                          "--n", "4"), None),
     "peters-truncate-cycle": (("peters", "@cycle.sys", "truncate", "--sets",
                                "a,b,c,d|d", "--n", "5", "--json"), None),
+    # a sequence whose entries are not closed under products
+    "peters-truncate-no-ideal": (("peters", "@cycle.sys", "truncate",
+                                  "--sets", "a|a,b", "--n", "3"), None),
     "peters-not-bijective": (("peters", "@not-bijective.sys", "enum"), None),
     "peters-partial-phi": (("peters", "@partial.sys", "enum"), None),
     "peters-bad-pair": (("peters", "@bad-pair.sys", "enum"), None),

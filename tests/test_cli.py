@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,9 @@ import limitalg
 from limitalg import cli
 from limitalg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, run
 from limitalg.links import DEFAULT_HORIZON
+from limitalg.parser import parse_system_file
+from limitalg.peters import (SubsetSequence, TruncatedSemicrossed,
+                             validate_ideal)
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -210,6 +214,42 @@ class TestPetersCommands:
         rep = out_json(capsys)
         assert rep["roundtrip"]
         assert rep["corners"][0] == ["a", "b"] and rep["corners"][1] == []
+
+
+    @pytest.mark.parametrize("name", ["swap.sys", "cycle.sys"])
+    def test_truncate_without_an_ideal_is_one_error_line(self, capsys, name):
+        # seeded --sets, most of them not (star): a sequence whose entries
+        # X_(i-j) pulled back j times give no ideal exits 1 with one line
+        # naming the failed product; any other truncates to its corners
+        path = GOLDEN / name
+        system = parse_system_file(path.read_text())
+        points = sorted(map(str, system.points))
+        rng = random.Random(f"truncate:{name}")
+        outcomes = set()
+        for _ in range(80):
+            sets = [sorted(rng.sample(points, rng.randint(0, len(points))))
+                    for _ in range(rng.randint(1, 4))]
+            n = rng.randint(1, 5)
+            code = run(["peters", str(path), "truncate", "--sets",
+                        "|".join(map(",".join, sets)), "--n", str(n)])
+            out, err = capsys.readouterr()
+            seq = SubsetSequence(tuple(frozenset(s) for s in sets))
+            model = TruncatedSemicrossed(system, n)
+            rep = validate_ideal(model, {
+                (i, j): system.iterate(seq.at(i - j), -j)
+                for i in range(n) for j in range(i + 1)})
+            if rep["ok"]:
+                assert (code, err) == (EXIT_OK, "")
+                # corners are stored up to their constant tail
+                corners = json.loads(out)["corners"]
+                assert [corners[min(i, len(corners) - 1)]
+                        for i in range(n)] == [sorted(seq.at(i))
+                                               for i in range(n)]
+            else:
+                assert (code, out) == (EXIT_ERROR, "")
+                assert err == f"error: {rep['failure']}\n"
+            outcomes.add(code)
+        assert outcomes == {EXIT_OK, EXIT_ERROR}
 
 
 class TestErrors:

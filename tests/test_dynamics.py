@@ -9,7 +9,7 @@ from limitalg.dynamics import (ActionCompatibilityError, TowerAction,
                                technical_index_audit, trivial_tower_action,
                                twisted_link, validate_action)
 from limitalg import dynamics
-from limitalg.tower import (ConstantRule, MatrixUnit, TowerSpec,
+from limitalg.tower import (BlockRule, MatrixUnit, TowerSpec,
                             TowerValidationError, embed_unit, preset,
                             random_lattice_word)
 
@@ -20,15 +20,23 @@ KEEP_WORDS = (((0, 1), (0, 2)), ((1, 1), (1, 2)))
 
 
 def swap_tower():
-    return TowerSpec(rule=ConstantRule((2, 2), SWAP_WORDS))
+    # SWAP_WORDS at every level
+    return TowerSpec(rule=BlockRule((2, 2), (((1, 1),), ((0, 1),))))
 
 
 def keep_tower():
-    return TowerSpec(rule=ConstantRule((2, 2), KEEP_WORDS))
+    # KEEP_WORDS at every level
+    return TowerSpec(rule=BlockRule((2, 2), (((0, 1),), ((1, 1),))))
 
 
 def swap_action(tower):
     return TowerAction(tower, Z2, [{0: (0, SWAP_WORDS)}], names=["s"])
+
+
+def test_swap_and_keep_towers_repeat_their_words():
+    for tower, words in ((swap_tower(), SWAP_WORDS),
+                         (keep_tower(), KEEP_WORDS)):
+        assert [tower.words(n) for n in range(4)] == [words] * 4
 
 
 def test_identity_words():

@@ -15,7 +15,7 @@ from limitalg import links
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import TowerAction
 from limitalg.links import CertifiedLinkless, certify_linkless, first_link
-from limitalg.tower import (PRESETS, ConstantRule, MatrixUnit, TowerRule,
+from limitalg.tower import (PRESETS, BlockRule, MatrixUnit, TowerRule,
                             TowerSpec, TowerValidationError, embed_unit,
                             index_step, random_lattice_word,
                             validate_embedding, verify_embedding_order)
@@ -94,6 +94,27 @@ def permutation_words(shape, rng):
     return words
 
 
+def permutation_rule(shape, rng):
+    """The rule that repeats `permutation_words(shape, rng)` at every
+    level: target t takes one standard copy of the summand it carries."""
+    words = permutation_words(shape, rng)
+    return BlockRule(shape, tuple(((word[0][0], 1),) for word in words))
+
+
+class FixedRule(TowerRule):
+    """One word collection on one shape at every level, valid or not."""
+
+    def __init__(self, shape, words):
+        self._shape = shape
+        self._words = words
+
+    def shape(self, level):
+        return self._shape
+
+    def words(self, level):
+        return self._words
+
+
 class DoublingRule(TowerRule):
     """(a*2^r, a*2^r) with fresh seeded random words at every rule level r."""
 
@@ -155,7 +176,7 @@ class TestEmbedUnitMatchesBruteForce:
         for seed in range(3):
             rng = random.Random(200 + seed)
             levels, steps = random_prefix((2, 2, 2), 2, rng)
-            rule = ConstantRule(levels[-1], permutation_words(levels[-1], rng))
+            rule = permutation_rule(levels[-1], rng)
             tower = TowerSpec(levels, steps, rule=rule, rule_start=len(steps))
             check_embeddings(tower, oracle_words(steps, rule, len(steps)), (0, 1))
 
@@ -267,7 +288,7 @@ class TestSortedIndexMatchesLabelPositions:
 
     def test_invalid_rule_step_raises_on_first_use(self):
         # the step into a rule is indexed, and so validated, on first use
-        tower = TowerSpec(rule=ConstantRule((2,), (((0, 2), (0, 1)),)))
+        tower = TowerSpec(rule=FixedRule((2,), (((0, 2), (0, 1)),)))
         with pytest.raises(TowerValidationError, match="LATTICE"):
             tower.occurrences(0)
 
@@ -314,6 +335,37 @@ def reference_certificate(tower, e):
         return CertifiedLinkless("frozen")
     trace = reference_separation(tower, e)
     return None if trace is None else CertifiedLinkless("separation", trace)
+
+
+class RandomTUHFRule(TowerRule):
+    """T_(2^(n+1)) -> T_(2^(n+2)) with a fresh seeded ballot word per
+    level, marked self-similar so that the separation walk runs."""
+
+    self_similar = True
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def shape(self, level):
+        return (2 * 2 ** level,)
+
+    def words(self, level):
+        rng = random.Random(f"{self.seed}:{level}")
+        return (random_lattice_word(self.shape(level), {0: 2}, rng),)
+
+
+def test_separation_reads_match_the_scan_on_seeded_ballot_words():
+    # the O(1) reads of the last occurrence of (0, I) and the first of
+    # (0, J) against the scan over every p <= I and p >= J
+    certified = 0
+    for seed in range(20):
+        tower = TowerSpec(rule=RandomTUHFRule(seed))
+        for level in range(3):
+            for e in tower.units_at(level):
+                trace = links._separation_certificate(tower, e, max_steps=5)
+                assert trace == reference_separation(tower, e, max_steps=5)
+                certified += trace is not None
+    assert certified
 
 
 def reference_order_audit(tower, level):

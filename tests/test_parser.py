@@ -8,8 +8,10 @@ import pytest
 from limitalg import tower as tower_mod
 from limitalg.parser import (TowerSyntaxError, parse_system_file, parse_tower,
                              parse_tower_file, render_tower)
-from limitalg.tower import MatrixUnit, TowerValidationError, embed_unit
-from test_occurrence_index import label_positions
+from limitalg.tower import (MatrixUnit, TowerSpec, TowerValidationError,
+                            embed_unit)
+from test_occurrence_index import (label_positions, permutation_words,
+                                   random_prefix)
 from test_tower import random_word_collection, reference_validate
 
 BASIC = """
@@ -57,6 +59,24 @@ repeat
 def test_repeat_requires_equal_final_shapes():
     with pytest.raises(TowerValidationError):
         parse_tower(BASIC + "repeat\n")
+
+
+def test_repeat_tail_is_the_last_step_with_every_summand_frozen():
+    # a valid step between equal shapes is a summand permutation with
+    # identity words, so the `repeat` rule gives back the file's last step
+    # at every later level, and every summand is carried for ever
+    for seed in range(30):
+        rng = random.Random(500 + seed)
+        base = rng.choice(((2, 2, 2), (1, 2, 1), (2, 1), (3, 3)))
+        levels, steps = random_prefix(base, seed % 3, rng, cap=12)
+        steps.append(permutation_words(levels[-1], rng))
+        levels.append(levels[-1])
+        t = parse_tower(render_tower(TowerSpec(levels, steps)) + "repeat\n")
+        for n in range(len(steps) - 1, len(steps) + 5):
+            assert t.words(n) == steps[-1]
+            assert t.shape(n + 1) == levels[-1]
+        assert all(t.rule.frozen_forever(0, s)
+                   for s in range(len(levels[-1])))
 
 
 def test_preset_directive():

@@ -13,6 +13,7 @@ import pytest
 
 from limitalg import crossed as C
 from limitalg.algebra import MonomialAlgebra, multi_matrix_algebra
+from limitalg.cyclotomic import Cyc
 
 from test_ideal_masks import EXTRA, ref_prod
 
@@ -111,8 +112,8 @@ def test_right_runs_at_most_once_per_key(monkeypatch):
 
 
 def test_diag_builds_no_crossed_rows(monkeypatch):
-    # the left regular model multiplies nothing; only the action check
-    # (on the full base) reads rows
+    # the left regular model multiplies nothing, and building the crossed
+    # algebra runs no action check, so no algebra reads its rows
     built = []
     init = MonomialAlgebra.__init__
 
@@ -123,7 +124,7 @@ def test_diag_builds_no_crossed_rows(monkeypatch):
     monkeypatch.setattr(MonomialAlgebra, "__init__", recording_init)
     C.diag_check(*EXTRA["222-z2xz2-mixed"])
     with_rows = [alg.basis[0] for alg in built if "rows" in alg.__dict__]
-    assert with_rows == [(0, 1, 1)]
+    assert with_rows == []
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,50 @@ def _refutation(alg, table):
     except AssertionError as exc:
         return str(exc)
     return None
+
+
+def _seeded_actions(count):
+    """Seeded perm/diag actions: per generator, at most one swap of two
+    equal-size summands and random zeta exponents; draws that break a
+    generator's order or commutativity are skipped."""
+    rng = random.Random(29)
+    actions = []
+    while len(actions) < count:
+        shape = rng.choice(((2,), (3,), (2, 2), (1, 1, 2), (2, 2, 2)))
+        group = C.FiniteAbelianGroup(rng.choice(((2,), (3,), (4,), (6,),
+                                                 (2, 2))))
+        pairs = [(s, t) for s in range(len(shape))
+                 for t in range(s + 1, len(shape)) if shape[s] == shape[t]]
+        gens = []
+        for _ in group.orders:
+            perm = list(range(len(shape)))
+            if pairs and rng.random() < 0.5:
+                s, t = rng.choice(pairs)
+                perm[s], perm[t] = t, s
+            gens.append((tuple(perm), tuple(
+                tuple(rng.randrange(group.exponent) for _ in range(k))
+                for k in shape)))
+        try:
+            actions.append((shape, group, C.LevelAction(group, shape, gens)))
+        except C.ActionRelationError:
+            continue
+    return actions
+
+
+def test_every_action_table_is_multiplicative_on_the_full_base(family):
+    # why `build_crossed` checks nothing: the table of every group
+    # element, not only of the generators, is multiplicative on the full
+    # matrix units
+    seeded = _seeded_actions(40)
+    tables = [action.table(g) for _, group, action in seeded
+              for g in group.elements()]
+    # the seeded draws move summands and twist by non-real scalars
+    assert any(k[0] != k2[0] for t in tables for k, (_, k2) in t.items())
+    assert any(c.conjugate() != c for t in tables for c, _ in t.values())
+    for shape, group, action in [*family, *EXTRA.values(), *seeded]:
+        full = multi_matrix_algebra(shape, False, Cyc.one(group.exponent))
+        for g in group.elements():
+            assert _refutation(full, action.table(g)) is None, (shape, g)
 
 
 def test_unmutated_tables_pass():

@@ -11,9 +11,9 @@ from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
                               chain_cycle_certificate, donsig_chain,
                               radical_membership,
                               strictly_upper_units, uniform_nilpotency)
-from limitalg.tower import (ConstantRule, Element, MatrixUnit, TowerRule,
+from limitalg.tower import (BlockRule, Element, MatrixUnit, TowerRule,
                             TowerSpec, UnitShapeError, embed_element, preset)
-from test_occurrence_index import permutation_words, random_prefix
+from test_occurrence_index import permutation_rule, random_prefix
 
 
 def exhaustive_nilpotency(tower, e, exponent, horizon):
@@ -40,7 +40,7 @@ def nilpotency_towers():
     for seed in range(4):
         rng = random.Random(400 + seed)
         levels, steps = random_prefix((2, 1), 1, rng, cap=8)
-        rule = ConstantRule(levels[-1], permutation_words(levels[-1], rng))
+        rule = permutation_rule(levels[-1], rng)
         towers.append(TowerSpec(levels, steps, rule=rule,
                                 rule_start=len(steps)))
     towers += [preset(name) for name in
@@ -266,8 +266,7 @@ class TestMembership:
         t = TowerSpec([(2, 1), (4, 1), (4, 1)],
                       [(((0, 1), (0, 1), (0, 2), (0, 2)), ((1, 1),)),
                        (((0, 1), (0, 2), (0, 3), (0, 4)), ((1, 1),))],
-                      rule=ConstantRule((4, 1), (((0, 1), (0, 2), (0, 3),
-                                                  (0, 4)), ((1, 1),))),
+                      rule=BlockRule((4, 1), (((0, 1),), ((1, 1),))),
                       rule_start=2)
         st = radical_membership(t, MatrixUnit(0, 0, 1, 2),
                                 expand_horizon=0, link_horizon=4)

@@ -56,6 +56,22 @@ def test_library_modules_read_every_name_they_import():
     assert unused == []
 
 
+def test_library_modules_read_every_private_helper():
+    # a module-level `_name` function or class is reachable only from
+    # its own module, so one that the module never reads is dead
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{node.lineno} {node.name}"
+                   for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name.startswith("_") and node.name not in read]
+    assert unread == []
+
+
 def _callers(paths, name: str) -> list[str]:
     """Qualified scope (module.def/class...) of every call to `name`."""
     callers = []

@@ -11,7 +11,8 @@ import pytest
 import limitalg
 from limitalg.links import Linked, link_status
 from limitalg.radical import radical_membership
-from limitalg.tower import (Element, MatrixUnit, MatrixUnitSum, TowerSpec,
+from limitalg.tower import (BlockRule, Element, MatrixUnit, MatrixUnitSum,
+                            TowerSpec,
                             LevelRangeError, TowerValidationError,
                             UnitShapeError, embed_element,
                             embed_unit, decompose, preset, random_lattice_word,
@@ -236,6 +237,54 @@ class TestImages:
                 assert img.units == (
                     MatrixUnit(level + 1, 0, 2 * e.row - 1, 2 * e.col - 1),
                     MatrixUnit(level + 1, 0, 2 * e.row, 2 * e.col))
+
+    def test_doubling_presets_keep_their_label_rules(self):
+        # the block templates give the words of the per-position label
+        # rules they replaced, q -> (q-1) % K + 1 and q -> (q+1) // 2
+        # for target positions q = 1..2K
+        rules = {"standard-2": lambda q, k: (q - 1) % k + 1,
+                 "refinement-2": lambda q, k: (q + 1) // 2}
+        for name, label in rules.items():
+            t = preset(name)
+            for level in range(13):
+                k = 2 * 2 ** level
+                assert t.shape(level) == (k,)
+                assert t.words(level) == (tuple(
+                    (0, label(q, k)) for q in range(1, 2 * k + 1)),), \
+                    (name, level)
+            assert not t.rule.frozen_forever(0, 0)
+
+    def test_block_templates_against_their_words(self):
+        # seeded templates on 1-4 summands, every source named by some
+        # token: each step validates with the template's shapes, and
+        # frozen_forever, read from the tokens, agrees with a walk of
+        # word-level identity carries over the first levels
+        rng = random.Random(17)
+        for _ in range(200):
+            r = rng.randint(1, 4)
+            base = tuple(rng.randint(1, 3) for _ in range(r))
+            while True:
+                blocks = tuple(
+                    tuple((rng.randrange(r), rng.choice((1, 1, 1, 2)))
+                          for _ in range(rng.choice((1, 1, 1, 2))))
+                    for _ in range(r))
+                if {s for block in blocks for s, _ in block} == set(range(r)):
+                    break
+            rule = BlockRule(base, blocks)
+            tower = TowerSpec.from_rule(rule)
+            top = 4
+            for n in range(top):
+                assert validate_embedding(rule.shape(n), rule.shape(n + 1),
+                                          rule.words(n)).ok
+            for s in range(r):
+                walk, summand = [], s
+                for n in range(top):
+                    summand = tower.frozen_carry(n, summand)
+                    if summand is None:
+                        break
+                    walk.append(summand)
+                assert rule.frozen_forever(0, s) == (len(walk) == top), \
+                    (base, blocks, s)
 
     def test_growing_taf_preset_structure(self):
         t = preset("paper-example-taf")
