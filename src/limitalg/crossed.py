@@ -624,10 +624,10 @@ def diag_check(shape, group: FiniteAbelianGroup, action: LevelAction,
 def semisimplicity_permanence_check(shape, group: FiniteAbelianGroup,
                                     action: LevelAction,
                                     triangular: bool = False) -> dict:
-    rad_base = base_radical(shape, triangular)
+    a = build_crossed(shape, group, action, triangular)
+    rad_base = a.base.radical_basis()
     if rad_base:
         return {"applicable": False, "base_radical_dim": len(rad_base)}
-    a = build_crossed(shape, group, action, triangular)
     rad = a.radical()
     if rad:
         raise AssertionError(
