@@ -23,6 +23,8 @@ HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "corpus.json"
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
+# point names outside ASCII: reports write them as `\u` escapes
+NON_ASCII_SYSTEM = "points = é ß 点\nphi: é->ß ß->é 点->点\n"
 TRIANGULAR_Z3 = ("--base", "2", "--group", "3", "--action", "diag=0,1")
 PAIR_Z2xZ2 = ("--base", "2,2", "--group", "2x2",
               "--action", "perm=1,0", "--action", "diag=0,1|0,1")
@@ -285,6 +287,10 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                               "3", "--json"), None),
     "peters-enum-names": (("peters", "@names.sys", "enum", "--horizon", "2",
                            "--json"), None),
+    "peters-enum-non-ascii": (("peters", "-", "enum", "--horizon", "1"),
+                              NON_ASCII_SYSTEM),
+    "peters-enum-non-ascii-compact": (("peters", "-", "enum", "--horizon", "1",
+                                       "--json"), NON_ASCII_SYSTEM),
     # system-file keywords: spacing that is accepted, prefixes and repeats
     # that are not
     **{f"peters-system-{name}": (("peters", "-", "enum"), text)
