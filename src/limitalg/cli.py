@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 
 from . import crossed, dynamics, links, peters, radical
 from .parser import (ActionSpecData, TowerSyntaxError, parse_system_file,
@@ -74,11 +75,62 @@ def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
     return unit
 
 
+_quote = json.encoder.encode_basestring_ascii
+# a list whose items all have one of these exact types is written by one
+# join, with no Python frame per item; bool is not int here
+_LEAF = {int: int.__repr__, str: _quote}
+_KEYWORDS = {True: "true", False: "false", None: "null"}
+
+
+def _pretty(obj, nl: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
+
+    Any `indent` makes `json` fall back to its pure-Python encoder; this
+    one follows the same rules: bool before int, tuples as arrays, dict
+    items sorted on the original keys, non-str keys written as `json`
+    writes them, and a `TypeError` on any other type.  `nl` is the
+    newline and indentation that closes `obj`.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, obj) if leaf else map(_pretty, obj, repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            _quote(k if isinstance(k, str) else _key(k)) + ": "
+            + _pretty(v, inner) for k, v in sorted(obj.items())) + nl + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return _KEYWORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    raise TypeError(
+        f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A non-str dict key as the string `json` writes for it."""
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _pretty(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def _emit(report: dict, compact: bool) -> None:
     if compact:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_pretty(report))
 
 
 # ---------------------------------------------------------------------------

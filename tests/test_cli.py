@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from limitalg.links import DEFAULT_HORIZON
 from limitalg.parser import parse_system_file
 from limitalg.peters import (SubsetSequence, TruncatedSemicrossed,
                              validate_ideal)
+from limitalg.tower import MatrixUnit
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -326,3 +328,95 @@ class TestUnitShapeChecks:
         assert run(["embed", "paper-example-taf", "--unit", "1:1:1:4",
                     "--level", "2"]) == EXIT_OK
         assert out_json(capsys)["image"] == [[2, 1, 4]]
+
+
+# quotes, backslashes, control characters, non-ASCII and an astral
+# character, which `json` writes as a surrogate pair
+PRETTY_TEXT = "ab\"\\/\n\t\x00\x1f\x7fé点 \U0001f600"
+PRETTY_FLOATS = (0.0, -0.0, 0.1, -2.5, 1e300, 1e-7, 3.0,
+                 float("inf"), float("-inf"), float("nan"))
+
+
+class PrettyDict(dict):
+    pass
+
+
+class PrettyList(list):
+    pass
+
+
+def random_scalar(rng: random.Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return rng.randint(-10 ** 20, 10 ** 20)
+    if kind == 2:
+        return rng.random() < 0.5
+    if kind == 3:
+        return None
+    if kind == 4:
+        return "".join(rng.choices(PRETTY_TEXT, k=rng.randrange(5)))
+    return rng.choice(PRETTY_FLOATS)
+
+
+def random_key(rng: random.Random, kind: int):
+    """Keys of one dict are of one comparable kind, as `sort_keys` needs."""
+    if kind == 0:
+        return "".join(rng.choices(PRETTY_TEXT, k=rng.randrange(4)))
+    if kind == 1:  # int, bool and float keys compare with each other
+        return rng.choice((rng.randint(-5, 5), rng.random() < 0.5,
+                           rng.choice(PRETTY_FLOATS)))
+    return None
+
+
+def random_value(rng: random.Random, depth: int):
+    """A seeded JSON value with tuples, subclasses and leaf-path lists."""
+    kind = rng.randrange(10) if depth else 0
+    n = rng.randrange(5)
+    if kind < 3:
+        return random_scalar(rng)
+    if kind == 3:  # one scalar type throughout: int, str, bool or None
+        make = rng.choice((lambda: rng.randint(-9, 99),
+                           lambda: random_key(rng, 0),
+                           lambda: rng.random() < 0.5, lambda: None))
+        return [make() for _ in range(n)]
+    if kind == 4:  # mixed scalars, such as [1, True, None, "a"]
+        return [random_scalar(rng) for _ in range(n)]
+    if kind == 5:
+        return MatrixUnit(*(rng.randint(0, 9) for _ in range(4)))
+    items = [random_value(rng, depth - 1) for _ in range(n)]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return rng.choice((tuple, PrettyList))(items)
+    keys = rng.randrange(3)
+    return rng.choice((dict, PrettyDict))(
+        (random_key(rng, keys), v) for v in items)
+
+
+class TestPrettyEncoder:
+    def test_pretty_matches_json_on_seeded_values(self):
+        rng = random.Random(18)
+        for _ in range(2000):
+            value = random_value(rng, 4)
+            assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                    indent=2), value
+
+    @pytest.mark.parametrize("value", [
+        [True, False], [1, True], [0, False, 2], {"b": [True], "a": (1, 2)},
+        {True: 1, 2: [], 0.5: {}, -1: ""}, {None: ()}, [[], {}, ()],
+        [MatrixUnit(0, 0, 1, 2), MatrixUnit(1, 0, 2, 3)], "é\x00\U0001f600",
+        [float("nan"), 1e16, -0.0], PrettyDict(b=1, a=PrettyList([1, 2]))])
+    def test_pretty_matches_json_at_the_edges(self, value):
+        assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, Fraction(1, 2), {"a": [Fraction(1, 3)]}, [{1}],
+        {(0, 1): "tuple key"}])
+    def test_unsupported_types_raise_type_error_as_json_does(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._pretty(value)

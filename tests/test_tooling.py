@@ -106,6 +106,21 @@ def test_cyclotomic_builds_fractions_only_at_its_public_boundary():
     assert sorted(set(callers) - boundary) == []
 
 
+def test_no_library_call_to_json_dumps_takes_an_indent():
+    # any `indent` sends `json` to its pure-Python encoder; pretty reports
+    # go through `cli._pretty`, which writes the same bytes
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr",
+                              getattr(node.func, "id", None))
+                  in ("dump", "dumps")
+                  and any(kw.arg == "indent" for kw in node.keywords)]
+    assert found == []
+
+
 def test_golden_corpus_covers_every_command():
     # every subcommand, and every `what` of `crossed` and `peters`, has
     # output pinned by at least one golden case; every `crossed` report
