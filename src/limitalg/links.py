@@ -8,7 +8,7 @@ tri-state: Linked / CertifiedLinkless / NotLinkedUpTo(horizon).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit, images
 
@@ -135,26 +135,32 @@ def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
     makes the first and last occurrences of (0, p) increase with p, so
     the next state is exactly (last of maxRow, first of minCol), two
     index reads.  Preserved separation plus recurrence of the normalized
-    state ((maxRow)/K, (minCol-1)/K) certifies linklessness at every level.
+    state (maxRow/K, (minCol-1)/K) certifies linklessness at every level.
+    Over K > 0 two such pairs are equal exactly when their triples
+    (maxRow, minCol-1, K) are proportional, so the triple divided by its
+    gcd is the exact recurrence key.
     """
     if tower.finite or not tower.rule.self_similar:
         return None
-    if not tower.is_tuhf_at(e.level):
+    shape = tower.shape(e.level)
+    if len(shape) != 1:
         return None
     max_row, min_col = e.row, e.col
     if min_col <= max_row:
         return None
     level = e.level
-    seen: dict[tuple, int] = {}
+    seen: set[tuple[int, int, int]] = set()
     trace = []
-    for step in range(max_steps):
-        k = tower.shape(level)[0]
-        norm = (Fraction(max_row, k), Fraction(min_col - 1, k))
+    for _ in range(max_steps):
+        (k,) = shape
+        g = gcd(max_row, min_col - 1, k)
+        state = (max_row // g, (min_col - 1) // g, k // g)
         trace.append((level, max_row, min_col))
-        if norm in seen:
+        if state in seen:
             return tuple(trace)
-        seen[norm] = step
-        if not tower.is_tuhf_at(level + 1):
+        seen.add(state)
+        shape = tower.shape(level + 1)
+        if len(shape) != 1:
             return None
         # the last occurrence of (0, I) and the first of (0, J)
         order, ((a, m, _),) = tower.occurrences(level)[0]
