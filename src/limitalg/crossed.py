@@ -275,10 +275,6 @@ def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
 # radical, tightness, corollary formula
 
 
-def base_radical(shape, triangular: bool = True) -> list[dict]:
-    return multi_matrix_algebra(tuple(shape), triangular).radical_basis()
-
-
 def _identity_slice(a: CrossedAlgebra, rows: list[dict]) -> list[dict]:
     """Basis of (row span) intersected with the g = identity coordinate slice."""
     if not rows:

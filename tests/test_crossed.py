@@ -1,9 +1,10 @@
 """Crossed products by finite abelian groups over exact cyclotomic scalars."""
 import pytest
 
+from limitalg.algebra import multi_matrix_algebra
 from limitalg.crossed import (ActionRelationError, Character, CrossedAlgebra,
                               FiniteAbelianGroup, LevelAction, all_characters,
-                              apply_table, base_radical, build_crossed,
+                              apply_table, build_crossed,
                               corollary_formula_check, diag_action, diag_check,
                               dual_action, enumerate_dual_invariant_ideals,
                               enumerate_invariant_ideals, links_lemma_check,
@@ -133,9 +134,9 @@ class TestCrossedAlgebra:
         assert a.alg.span_equal(rad, rad + [zero])
 
     def test_base_radical_oracle(self):
-        assert len(base_radical((2,))) == 1
-        assert base_radical((2,), triangular=False) == []
-        assert len(base_radical((2, 3))) == 1 + 3
+        assert len(multi_matrix_algebra((2,), True).radical_basis()) == 1
+        assert multi_matrix_algebra((2,), False).radical_basis() == []
+        assert len(multi_matrix_algebra((2, 3), True).radical_basis()) == 1 + 3
 
 
 class TestTightnessAndCorollary:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from limitalg import radical
-from limitalg.crossed import base_radical
+from limitalg.algebra import multi_matrix_algebra
 from limitalg.links import link_status
 from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
@@ -51,15 +51,15 @@ def nilpotency_towers():
 class TestFiniteOracle:
     def test_triangular_radical_is_strictly_upper(self):
         for shape in ((2,), (3,), (2, 2), (1, 3)):
-            rad = base_radical(shape)
+            rad = multi_matrix_algebra(shape, True).radical_basis()
             keys = sorted(k for v in rad for k in v)
             assert all(len(v) == 1 for v in rad)
             assert keys == sorted(strictly_upper_units(shape))
 
     def test_semisimple_algebras_have_zero_radical(self):
-        assert base_radical((2,), triangular=False) == []
-        assert base_radical((1, 1), triangular=False) == []
-        assert base_radical((2, 3), triangular=False) == []
+        assert multi_matrix_algebra((2,), False).radical_basis() == []
+        assert multi_matrix_algebra((1, 1), False).radical_basis() == []
+        assert multi_matrix_algebra((2, 3), False).radical_basis() == []
 
 
 class TestDonsigChains:
