@@ -323,6 +323,17 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                                   _two_level_spec("2", "2", word))
        for name, word in (("token", "(0,1) x"), ("digits", "(0,1) 1x"),
                           ("comma", "(0,1)(0,2) ,"))},
+    # one-step towers on the edges of the word grammar: no blank after
+    # '(' or before ')', blanks around ',', adjacent labels, leading
+    # zeros, and a non-ASCII decimal digit (ARABIC-INDIC DIGIT ONE)
+    **{f"validate-word-{name}": (("validate", "-"),
+                                 _two_level_spec("2", "2", word))
+       for name, word in (("blank-after-open", "( 0,1) (0,2)"),
+                          ("blank-before-close", "(0,1 ) (0,2)"),
+                          ("adjacent", "(0,1)(0,2)"),
+                          ("leading-zero", "(0,01) (0,2)"),
+                          ("blanks-around-comma", "(0 ,1) (0,\t2)"),
+                          ("arabic-indic-digit", "(0,\u0661) (0,2)"))},
 }
 
 
