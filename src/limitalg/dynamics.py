@@ -16,7 +16,7 @@ from itertools import islice
 from .crossed import FiniteAbelianGroup
 from .links import first_link, least_link
 from .tower import (MatrixUnit, TowerSpec, TowerValidationError, Word,
-                    WordIndex, embed_unit, images, index_step,
+                    WordIndex, embed_unit, flat_word, images, index_step,
                     pair_occurrences, validate_embedding)
 
 
@@ -83,7 +83,8 @@ class TowerAction:
             # identity words: either is a valid step
             target, words = self.map_at(gen, level)
             cached = self._index[(gen, level)] = (target, index_step(
-                self.tower.shape(level), self.tower.shape(target), words))
+                self.tower.shape(level), self.tower.shape(target),
+                [flat_word(w) for w in words]))
         target, index = cached
         return pair_occurrences(index, units, target), target
 

@@ -118,7 +118,7 @@ def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
         return False
     level, summand = e.level, e.summand
     # explicit prefix must carry identically too
-    while level < len(tower.steps):
+    while level < len(tower.flat_steps):
         target = tower.frozen_carry(level, summand)
         if target is None:
             return False

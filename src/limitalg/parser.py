@@ -19,12 +19,38 @@ Tower spec format::
 equal, so the final words permute summands by identity words, and a
 `BlockRule` repeats them forever.  Every summand size must be at least 1.
 
-A word is gated by one `fullmatch` against its grammar
-`(?:\s*\(\d+\s*,\s*\d+\))*\s*`.  Once the text is known to hold only
-labels and whitespace, blanking `(),` and splitting yields exactly the
-label numbers in order (`str.split` and `\s` share one definition of
-whitespace), so no per-label regex runs.  Only a word that fails the gate
-is scanned label by label, to report the line column of its first
+A word's grammar is `(?:\s*\(\d+\s*,\s*\d+\))*\s*` (`_WORD_RE`).  Blanking
+`(),` and splitting gives its `count` tokens; once the text is known to
+hold only labels and whitespace, they are exactly the label numbers in
+order (`str.split` and `\s` share one definition of whitespace).  Each
+number goes through one per-file table from digit string to `int`, and
+the word leaves the parser flat, `[s0, p0, s1, p1, ...]` (the form
+`tower.index_step` reads).
+
+An ASCII word is gated without a per-character regex step, by string
+methods that run in C.  Let k be the number of `(`, `skeleton` the text
+with whitespace and digits dropped, and `blanked` the text with every
+whitespace character and `,` mapped to a space.  The text is accepted iff
+
+1. `count == 2k`;
+2. `skeleton == "(,)" * k`;
+3. `"( "` does not occur in `blanked`; and
+4. `" )"` does not occur in `blanked`.
+
+This is exactly the grammar.  Every grammatical text passes: its
+skeleton is one `(,)` per label, its tokens are the two numbers of each
+label, and no blank or `,` follows a `(` or precedes a `)`.  Conversely,
+(2) leaves only digits, whitespace and k labels' `(,)` in order, so the
+text reads `D0 ( D1 , D2 ) D3 ( D4 , D5 ) ...`, each D a run of digits
+and whitespace.  By (3) each D just after a `(` starts with a digit, and
+by (4) each D just before a `)` ends with one, so each of these 2k runs
+holds a token.  A token lies inside a single D, so `count == 2k` leaves
+exactly one token in each of them, with no whitespace between its
+digits, and none in the runs between labels, which are then whitespace.
+That is the grammar, as `\s` and `str.isspace` agree, and so do `\d`
+and `0-9`, on ASCII text.  Beyond ASCII, `\d` and `\s` are Unicode-wide,
+so a non-ASCII word keeps the `fullmatch`.  Only a word that fails the
+gate is scanned label by label, to report the line column of its first
 character that no label covers.
 
 System file format (a finite set and a permutation of it)::
@@ -42,8 +68,8 @@ import re
 from dataclasses import dataclass, field
 
 from .peters import FiniteDynSys
-from .tower import (BlockRule, TowerSpec, TowerValidationError, Word,
-                    preset as builtin_preset)
+from .tower import (BlockRule, FlatWord, TowerSpec, TowerValidationError,
+                    Word, label_word, preset as builtin_preset)
 
 
 class TowerSyntaxError(ValueError):
@@ -64,33 +90,48 @@ class ActionSpecData:
 _LABEL_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 _WORD_RE = re.compile(r"(?:\s*\(\d+\s*,\s*\d+\))*\s*")
 _LABEL_PUNCTUATION = str.maketrans("(),", "   ")
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_SKELETON = str.maketrans("", "", _ASCII_SPACE + "0123456789")
+_BLANKED = str.maketrans(_ASCII_SPACE + ",", " " * len(_ASCII_SPACE + ","))
 
 
 class _Labels(dict):
-    """(s, p) digit-string pair -> label tuple, each distinct pair converted
-    once, so a file holds one tuple per label spelling."""
+    """Digit string -> int, each distinct spelling converted once per file."""
 
-    def __missing__(self, digits: tuple[str, str]) -> tuple[int, int]:
-        value = self[digits] = (int(digits[0]), int(digits[1]))
+    def __missing__(self, digits: str) -> int:
+        value = self[digits] = int(digits)
         return value
 
 
-def _parse_word(text: str, lineno: int, column: int, labels: _Labels) -> Word:
-    """The labels of a word that starts at line column `column`.
+def _in_grammar(text: str, count: int) -> bool:
+    """Whether `text`, which splits into `count` tokens, is a word (see
+    the module docstring for the ASCII gate and why it is exact)."""
+    if not text.isascii():
+        return _WORD_RE.fullmatch(text) is not None
+    k = text.count("(")
+    if count != 2 * k or text.translate(_SKELETON) != "(,)" * k:
+        return False
+    blanked = text.translate(_BLANKED)
+    return "( " not in blanked and " )" not in blanked
 
-    The text must match the word grammar (labels and whitespace only);
+
+def _parse_word(text: str, lineno: int, column: int,
+                labels: _Labels) -> FlatWord:
+    """The flat labels of a word that starts at line column `column`.
+
+    The text must be in the word grammar (labels and whitespace only);
     after that check, blanking the punctuation and splitting leaves
     exactly the label numbers, in order.
     """
-    if not _WORD_RE.fullmatch(text):
+    numbers = text.translate(_LABEL_PUNCTUATION).split()
+    if not _in_grammar(text, len(numbers)):
         # the first character that no label covers
         blanked = _LABEL_RE.sub(lambda m: " " * len(m.group()), text)
         offset = len(blanked) - len(blanked.lstrip())
         token = _LABEL_RE.sub("", text).split()[0]
         raise TowerSyntaxError(f"unexpected token {token!r} in word",
                                lineno, column + offset)
-    numbers = iter(text.translate(_LABEL_PUNCTUATION).split())
-    return tuple(map(labels.__getitem__, zip(numbers, numbers)))
+    return list(map(labels.__getitem__, numbers))
 
 
 def _parse_shape(text: str, lineno: int) -> tuple[int, ...]:
@@ -104,7 +145,7 @@ def parse_tower_file(text: str):
     """Parse tower source; returns (TowerSpec, list[ActionSpecData])."""
     lines = text.splitlines()
     levels: dict[int, tuple[int, ...]] = {}
-    embeds: dict[int, tuple[Word, ...]] = {}
+    embeds: dict[int, tuple[FlatWord, ...]] = {}
     actions: list[ActionSpecData] = []
     repeat = False
     preset_name: str | None = None
@@ -121,7 +162,7 @@ def parse_tower_file(text: str):
     def read_block(start: int, header_words: dict | None = None):
         """Collect `target t : word` lines until the closing brace."""
         j = start
-        targets: dict[int, Word] = {}
+        targets: dict[int, FlatWord] = {}
         while j < len(lines):
             line = lines[j]
             s = strip(line)
@@ -182,7 +223,7 @@ def parse_tower_file(text: str):
                     syntax(f"expected 'level n -> N {{' in action block, got {t!r}", i)
                 src, dst = int(mm.group(1)), int(mm.group(2))
                 words, i = read_block(i)
-                act.maps[src] = (dst, words)
+                act.maps[src] = (dst, tuple(map(label_word, words)))
             else:
                 syntax("unterminated action block", len(lines))
             actions.append(act)
@@ -222,9 +263,12 @@ def parse_tower_file(text: str):
         # and the ballot order forces identity words.  TowerSpec rejects
         # an invalid last step before any rule step is read.
         rule = BlockRule(shapes[-1], tuple(
-            tuple((s, 1) for s, p in word if p == 1) for word in steps[-1]))
+            tuple((s, 1) for s, p in zip(word[0::2], word[1::2]) if p == 1)
+            for word in steps[-1]))
 
-    return TowerSpec(shapes, steps, rule=rule), actions
+    # the rule's level 0 is the last explicit level
+    return TowerSpec.from_flat_steps(shapes, steps, rule=rule,
+                                     rule_start=count - 1), actions
 
 
 def parse_tower(text: str) -> TowerSpec:

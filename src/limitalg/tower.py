@@ -24,6 +24,8 @@ from .algebra import multi_matrix_units
 
 Label = tuple[int, int]  # (source summand index, 1-based diagonal position)
 Word = tuple[Label, ...]
+# The form words travel in from the parser to the index: [s0, p0, s1, p1, ...]
+FlatWord = list[int]
 # A word's 1-based positions stably sorted by label, and per source s the
 # span (start, m, size): the m positions of (s, p) are
 # order[start + (p-1)*m : start + p*m], in increasing order.
@@ -160,6 +162,19 @@ class Element:
 # embedding word validation
 
 
+def flat_word(word: Word) -> FlatWord:
+    """[s0, p0, s1, p1, ...] from the labels (s0, p0), (s1, p1), ..."""
+    if not set(map(len, word)) <= {2}:
+        raise TowerValidationError("every label must be a pair (s, p)")
+    return list(chain.from_iterable(word))
+
+
+def label_word(flat: FlatWord) -> Word:
+    """The labels of a flat word: the one decoder back to tuple words."""
+    numbers = iter(flat)
+    return tuple(zip(numbers, numbers))
+
+
 @dataclass
 class ValidationReport:
     """The verdict on one embedding step.
@@ -178,8 +193,8 @@ class ValidationReport:
 
 
 def index_step(source: tuple[int, ...], target: tuple[int, ...],
-               words: tuple[Word, ...]) -> tuple[WordIndex, ...] | None:
-    """The sorted index of every word of a valid step, or None.
+               words: list[FlatWord]) -> tuple[WordIndex, ...] | None:
+    """The sorted index of every (flat) word of a valid step, or None.
 
     Label (s, p) gets the code s*big + p with big = max(source) + 1, and
     a label with p outside 1..big-1 gets -1, so distinct labels in range
@@ -202,9 +217,11 @@ def index_step(source: tuple[int, ...], target: tuple[int, ...],
     reached: set[int] = set()
     indexes = []
     for word, n in zip(words, target):
-        if len(word) != n:
+        if len(word) != 2 * n:
             return None
-        codes = [s * big + p if 0 < p < big else -1 for s, p in word]
+        numbers = iter(word)
+        codes = [s * big + p if 0 < p < big else -1
+                 for s, p in zip(numbers, numbers)]
         sc = sorted(codes)
         if sc and not 0 < sc[0] <= sc[-1] < top:
             return None
@@ -283,22 +300,29 @@ def validate_embedding(source: tuple[int, ...], target: tuple[int, ...],
                        words: tuple[Word, ...]) -> ValidationReport:
     """Check COUNT, LATTICE, INJECTIVE and shape invariants; report-style.
 
-    A valid step is decided and indexed by `index_step` alone, and the
-    report keeps its index.  Only a step it rejects is scanned label by
-    label, to name every violation.
+    A valid step is decided and indexed by `index_step` alone, on the
+    flat words, and the report keeps its index.  Only a step it rejects
+    is scanned label by label, to name every violation.
     """
-    indexes = index_step(source, target, words)
+    indexes = index_step(source, target, [flat_word(w) for w in words])
     if indexes is not None:
         return ValidationReport(True, [], indexes)
     return ValidationReport(False, _violations(source, target, words))
 
 
-def identity_carry(shape: tuple[int, ...], words: tuple[Word, ...],
+def _invalid_step(n: int, source: tuple[int, ...], target: tuple[int, ...],
+                  words: list[FlatWord]) -> TowerValidationError:
+    """The error for step n -> n+1, which `index_step` rejected."""
+    violations = _violations(source, target, tuple(map(label_word, words)))
+    return TowerValidationError(f"embedding {n}->{n + 1} invalid: {violations}")
+
+
+def identity_carry(shape: tuple[int, ...], words: list[FlatWord],
                    summand: int) -> int | None:
     """Target summand that identity-carries `summand` exclusively, if any."""
-    targets = [t for t, w in enumerate(words) if any(l[0] == summand for l in w)]
-    if len(targets) == 1 and words[targets[0]] == tuple(
-            (summand, p) for p in range(1, shape[summand] + 1)):
+    targets = [t for t, w in enumerate(words) if summand in w[0::2]]
+    if len(targets) == 1 and words[targets[0]] == list(chain.from_iterable(
+            zip(repeat(summand), range(1, shape[summand] + 1)))):
         return targets[0]
     return None
 
@@ -308,7 +332,10 @@ def identity_carry(shape: tuple[int, ...], words: tuple[Word, ...],
 
 
 class TowerRule:
-    """Generates shapes and embedding steps for every level."""
+    """Generates shapes and embedding steps for every level.
+
+    A rule defines `words` or `flat_words`; each defaults to the other.
+    """
 
     name = "rule"
     self_similar = False      # transfer maps commute with K-normalization
@@ -318,7 +345,10 @@ class TowerRule:
         raise NotImplementedError
 
     def words(self, level: int) -> tuple[Word, ...]:
-        raise NotImplementedError
+        return tuple(map(label_word, self.flat_words(level)))
+
+    def flat_words(self, level: int) -> list[FlatWord]:
+        return [flat_word(w) for w in self.words(level)]
 
     def frozen_forever(self, level: int, summand: int) -> bool:
         """Whether `summand` is identity-carried at every level >= `level`."""
@@ -354,13 +384,17 @@ class BlockRule(TowerRule):
                                 for block in self.blocks))
         return shapes[level]
 
-    def words(self, level: int) -> tuple[Word, ...]:
+    def flat_words(self, level: int) -> list[FlatWord]:
         k = self.shape(level)
-        runs = [[(s, p) for p in range(1, size + 1)]
-                for s, size in enumerate(k)]
-        return tuple(tuple(chain.from_iterable(
-            runs[s] if r == 1 else chain.from_iterable(zip(*[runs[s]] * r))
-            for s, r in block)) for block in self.blocks)
+        words = []
+        for block in self.blocks:
+            word: FlatWord = []
+            for s, r in block:
+                run = [s] * (2 * r * k[s])
+                run[1::2] = sorted(list(range(1, k[s] + 1)) * r)
+                word += run
+            words.append(word)
+        return words
 
     def frozen_forever(self, level: int, summand: int) -> bool:
         # the carries form a partial injection, so a walk that does not
@@ -385,12 +419,9 @@ class PaperExampleRule(TowerRule):
     def shape(self, level: int) -> tuple[int, ...]:
         return (2,) + (4,) * level
 
-    def words(self, level: int) -> tuple[Word, ...]:
-        out: list[Word] = [((0, 1), (0, 2)),
-                           ((0, 1), (0, 2), (0, 1), (0, 2))]
-        for m in range(1, level + 1):
-            out.append(tuple((m, p) for p in range(1, 5)))
-        return tuple(out)
+    def flat_words(self, level: int) -> list[FlatWord]:
+        return [[0, 1, 0, 2], [0, 1, 0, 2, 0, 1, 0, 2]] + [
+            [m, 1, m, 2, m, 3, m, 4] for m in range(1, level + 1)]
 
     def frozen_forever(self, level: int, summand: int) -> bool:
         return summand >= 1
@@ -401,22 +432,40 @@ class PaperExampleRule(TowerRule):
 
 
 class TowerSpec:
-    """Levels, embedding words, and optional generating rule."""
+    """Levels, embedding words, and optional generating rule.
+
+    The explicit steps are kept as flat words (`flat_steps`); `steps` and
+    `words(n)` decode them to tuple words (`label_word`) when asked.
+    """
 
     def __init__(self, levels: list[tuple[int, ...]] | None = None,
                  steps: list[tuple[Word, ...]] | None = None,
                  rule: TowerRule | None = None,
                  rule_start: int = 0,
                  name: str = ""):
+        self._build(levels, [[flat_word(w) for w in s] for s in steps or ()],
+                    rule, rule_start, name)
+
+    @classmethod
+    def from_flat_steps(cls, levels: list[tuple[int, ...]],
+                        flat_steps: list[list[FlatWord]],
+                        rule: TowerRule | None = None, rule_start: int = 0,
+                        name: str = "") -> "TowerSpec":
+        """A tower whose explicit steps are given as flat words."""
+        tower = cls.__new__(cls)
+        tower._build(levels, flat_steps, rule, rule_start, name)
+        return tower
+
+    def _build(self, levels, flat_steps, rule, rule_start, name) -> None:
         self.levels = [tuple(l) for l in (levels or [])]
-        self.steps = [tuple(tuple(w) for w in s) for s in (steps or [])]
+        self.flat_steps = list(flat_steps)
         self.rule = rule
         self.rule_start = rule_start
         self.name = name
         self._occurrences: dict[int, tuple[WordIndex, ...]] = {}
         if rule is None and not self.levels:
             raise TowerValidationError("tower needs levels or a rule")
-        if self.levels and len(self.steps) != len(self.levels) - 1:
+        if self.levels and len(self.flat_steps) != len(self.levels) - 1:
             raise TowerValidationError("need exactly one embedding per level pair")
         for n, shape in enumerate(self.levels):
             if not shape:
@@ -425,12 +474,12 @@ class TowerSpec:
                 raise TowerValidationError(
                     f"level {n} summand sizes must be at least 1, "
                     f"got {list(shape)}")
-        for n, words in enumerate(self.steps):
-            rep = validate_embedding(self.levels[n], self.levels[n + 1], words)
-            if not rep.ok:
-                raise TowerValidationError(
-                    f"embedding {n}->{n + 1} invalid: {rep.violations}")
-            self._occurrences[n] = rep.occurrences
+        for n, words in enumerate(self.flat_steps):
+            source, target = self.levels[n], self.levels[n + 1]
+            index = index_step(source, target, words)
+            if index is None:
+                raise _invalid_step(n, source, target, words)
+            self._occurrences[n] = index
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -465,13 +514,23 @@ class TowerSpec:
             return self.levels[n]
         return self.rule.shape(n - self.rule_start)
 
+    @property
+    def steps(self) -> list[tuple[Word, ...]]:
+        """The explicit steps' words, decoded to tuple words."""
+        return [tuple(map(label_word, words)) for words in self.flat_steps]
+
     def words(self, n: int) -> tuple[Word, ...]:
         """Embedding words for the step level n -> n+1."""
+        return tuple(map(label_word, self.flat_words(n)))
+
+    def flat_words(self, n: int) -> list[FlatWord]:
+        """`words(n)` as flat words, the form an explicit step is kept in
+        (the tower's own lists: not to be changed)."""
         if n < 0 or not self.has_level(n + 1):
             raise LevelRangeError(f"no embedding at level {n}")
-        if n < len(self.steps):
-            return self.steps[n]
-        return self.rule.words(n - self.rule_start)
+        if n < len(self.flat_steps):
+            return self.flat_steps[n]
+        return self.rule.flat_words(n - self.rule_start)
 
     def occurrences(self, n: int) -> tuple[WordIndex, ...]:
         """Per target summand of step n -> n+1: the sorted index of its
@@ -484,13 +543,11 @@ class TowerSpec:
         """
         index = self._occurrences.get(n)
         if index is None:
-            words = self.words(n)
+            words = self.flat_words(n)
             source, target = self.shape(n), self.shape(n + 1)
             index = index_step(source, target, words)
             if index is None:
-                raise TowerValidationError(
-                    f"embedding {n}->{n + 1} invalid: "
-                    f"{validate_embedding(source, target, words).violations}")
+                raise _invalid_step(n, source, target, words)
             self._occurrences[n] = index
         return index
 
@@ -511,7 +568,8 @@ class TowerSpec:
             raise UnitShapeError("row > col is not upper triangular")
 
     def frozen_carry(self, level: int, summand: int) -> int | None:
-        return identity_carry(self.shape(level), self.words(level), summand)
+        return identity_carry(self.shape(level), self.flat_words(level),
+                              summand)
 
     def units_at(self, level: int, triangular: bool = True):
         """All matrix units at a level, canonical (summand,row,col) order."""

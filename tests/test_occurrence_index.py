@@ -17,7 +17,7 @@ from limitalg.dynamics import TowerAction
 from limitalg.links import CertifiedLinkless, certify_linkless, first_link
 from limitalg.tower import (PRESETS, BlockRule, MatrixUnit, TowerRule,
                             TowerSpec, TowerValidationError, embed_unit,
-                            index_step, random_lattice_word,
+                            flat_word, index_step, random_lattice_word,
                             validate_embedding, verify_embedding_order)
 from test_least_link import SEEDS, random_tower
 
@@ -201,15 +201,16 @@ class TestIndexCache:
                 label_positions(tower.occurrences(n + 2))
 
     def test_words_read_once_per_level(self):
+        # the index reads each step's words in the form it indexes them
         tower = TowerSpec.from_rule(DoublingRule(1, 3))
         calls = []
-        original = tower.words
+        original = tower.flat_words
 
         def counting(n):
             calls.append(n)
             return original(n)
 
-        tower.words = counting
+        tower.flat_words = counting
         for e in list(tower.units_at(0)) + list(tower.units_at(2)):
             embed_unit(tower, e, 6)
         assert sorted(calls) == list(range(6))
@@ -261,7 +262,7 @@ class TestSortedIndexMatchesLabelPositions:
             words = (random_lattice_word(
                 source, {s: 1 for s in range(len(source))}, rng),) + words
             target = tuple(len(w) for w in words)
-            indexes = index_step(source, target, words)
+            indexes = index_step(source, target, list(map(flat_word, words)))
             assert indexes is not None
             assert label_positions(indexes) == tuple(map(index_word, words))
             for (order, spans), word in zip(indexes, words):
@@ -276,7 +277,8 @@ class TestSortedIndexMatchesLabelPositions:
                     map(index_word, tower.words(n)))
                 target, words = twists[n]
                 assert label_positions(index_step(
-                    tower.shape(n), tower.shape(target), words)) == tuple(
+                    tower.shape(n), tower.shape(target),
+                    list(map(flat_word, words)))) == tuple(
                         map(index_word, words))
 
     def test_preset_levels(self):

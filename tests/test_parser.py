@@ -216,7 +216,12 @@ embed 0 -> 1 {
 
 
 def test_each_explicit_step_is_validated_once(monkeypatch):
-    original = tower_mod.validate_embedding
+    # an explicit step is decided by one `index_step` call on its flat
+    # words; a rejected one is named as `validate_embedding` names it
+    original = tower_mod.index_step
+    word = ((0, 2), (0, 1))
+    expected = tower_mod.validate_embedding(
+        (2,), (2, 4), (word, ((0, 1), (0, 2), (0, 1), (0, 2))))
     calls = []
 
     def counting(*args):
@@ -232,8 +237,6 @@ def test_each_explicit_step_is_validated_once(monkeypatch):
     bad = BASIC.replace("target 0 : (0,1) (0,2)", "target 0 : (0,2) (0,1)")
     with pytest.raises(TowerValidationError) as exc:
         parse_tower(bad)
-    word = ((0, 2), (0, 1))
-    expected = original((2,), (2, 4), (word, ((0, 1), (0, 2), (0, 1), (0, 2))))
     assert str(exc.value) == f"embedding 0->1 invalid: {expected.violations}"
     assert len(calls) == 1
     calls.clear()
