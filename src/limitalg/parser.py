@@ -37,6 +37,8 @@ whitespace character and `,` mapped to a space.  The text is accepted iff
 3. `"( "` does not occur in `blanked`; and
 4. `" )"` does not occur in `blanked`.
 
+(3) says that neither `"( "` nor `"(,"` occurs once whitespace is
+spaced, and (4) the same of `" )"` and `",)"`: two scans for four.
 This is exactly the grammar.  Every grammatical text passes: its
 skeleton is one `(,)` per label, its tokens are the two numbers of each
 label, and no blank or `,` follows a `(` or precedes a `)`.  Conversely,
@@ -44,11 +46,12 @@ label, and no blank or `,` follows a `(` or precedes a `)`.  Conversely,
 text reads `D0 ( D1 , D2 ) D3 ( D4 , D5 ) ...`, each D a run of digits
 and whitespace.  By (3) each D just after a `(` starts with a digit, and
 by (4) each D just before a `)` ends with one, so each of these 2k runs
-holds a token.  A token lies inside a single D, so `count == 2k` leaves
-exactly one token in each of them, with no whitespace between its
-digits, and none in the runs between labels, which are then whitespace.
-That is the grammar, as `\s` and `str.isspace` agree, and so do `\d`
-and `0-9`, on ASCII text.  Beyond ASCII, `\d` and `\s` are Unicode-wide,
+holds a token.  A token is a run of digits inside a single D, so
+`count == 2k` leaves exactly one token in each of them and none in the
+runs between labels.  So each label reads `(` digits, blanks, `,`,
+blanks, digits `)`, and only blanks lie between labels: that is the
+grammar, as `\s` and `str.isspace` agree, and so do `\d` and `0-9`,
+on ASCII text.  Beyond ASCII, `\d` and `\s` are Unicode-wide,
 so a non-ASCII word keeps the `fullmatch`.  Only a word that fails the
 gate is scanned label by label, to report the line column of its first
 character that no label covers.

@@ -10,7 +10,6 @@ criterion implemented here.
 """
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -698,32 +697,6 @@ def verify_embedding_order(tower: TowerSpec, level: int) -> dict:
             violations.append(i)
     return {"level": level, "source": n, "target": m,
             "entries": entries, "violations": violations, "ok": not violations}
-
-
-# ---------------------------------------------------------------------------
-# random valid words (seeded property tests)
-
-
-def random_lattice_word(source: tuple[int, ...], reps_per_source: dict[int, int],
-                        rng: random.Random) -> Word:
-    """Uniform-ish random word satisfying COUNT and LATTICE.
-
-    Greedy sampling: at every step pick any label whose ballot constraint
-    still allows it.
-    """
-    remaining = {(s, p): reps_per_source[s]
-                 for s in range(len(source)) for p in range(1, source[s] + 1)}
-    used: dict[Label, int] = {k: 0 for k in remaining}
-    word: list[Label] = []
-    total = sum(remaining.values())
-    for _ in range(total):
-        options = [lab for lab, rem in remaining.items()
-                   if rem > 0 and (lab[1] == 1 or used[(lab[0], lab[1] - 1)] > used[lab])]
-        lab = rng.choice(sorted(options))
-        word.append(lab)
-        remaining[lab] -= 1
-        used[lab] += 1
-    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""Shared fixtures: the enumerated crossed-product system family."""
+"""Shared fixtures: the enumerated crossed-product system family, and
+seeded random ballot words."""
 import itertools
+import random
+from bisect import bisect_left, insort
 
 import pytest
 
@@ -60,3 +63,32 @@ def family_algebras(family):
     return [(shape, group, action,
              C.build_crossed(shape, group, action, triangular=True))
             for shape, group, action in family]
+
+
+def random_lattice_word(source: tuple[int, ...], reps_per_source: dict[int, int],
+                        rng: random.Random) -> tuple[tuple[int, int], ...]:
+    """Uniform-ish random word satisfying COUNT and LATTICE.
+
+    Greedy sampling: at every step pick any label whose ballot constraint
+    still allows it, by `rng.choice` from the sorted list of allowed
+    labels.  Placing (s, p) changes that list by at most two labels: (s, p)
+    leaves it when its copies run out or it catches up with (s, p-1), and
+    (s, p+1) joins it when it falls behind (s, p).  So the list is kept up
+    to date by bisection instead of being rebuilt, in O(n log n) for an
+    n-label word.
+    """
+    reps = reps_per_source
+    used = {(s, p): 0 for s in range(len(source))
+            for p in range(1, source[s] + 1)}
+    options = [lab for lab in used if lab[1] == 1 and reps[lab[0]] > 0]
+    word = []
+    for _ in range(sum(reps[s] * source[s] for s in range(len(source)))):
+        lab = rng.choice(options)
+        word.append(lab)
+        s, p = lab
+        used[lab] += 1
+        if used[lab] == reps[s] or (p > 1 and used[s, p - 1] == used[lab]):
+            del options[bisect_left(options, lab)]
+        if p < source[s] and used[s, p + 1] == used[lab] - 1:
+            insort(options, (s, p + 1))
+    return tuple(word)

@@ -15,7 +15,8 @@ from limitalg.radical import (ChainCycle, InRadical, NotInRadical,
                               UniformNilpotency, donsig_chain,
                               radical_membership, uniform_nilpotency)
 from limitalg.tower import (Element, MatrixUnit, TowerSpec, decompose,
-                            embed_element, preset, random_lattice_word)
+                            embed_element, preset)
+from conftest import random_lattice_word
 from test_occurrence_index import label_positions
 
 E_GROWING = MatrixUnit(1, 0, 1, 2)  # level-1 e_12 of the T_2 summand

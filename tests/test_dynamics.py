@@ -10,8 +10,9 @@ from limitalg.dynamics import (ActionCompatibilityError, TowerAction,
                                twisted_link, validate_action)
 from limitalg import dynamics
 from limitalg.tower import (BlockRule, MatrixUnit, TowerSpec,
-                            TowerValidationError, embed_unit, preset,
-                            random_lattice_word)
+                            TowerValidationError, embed_unit, preset)
+
+from conftest import random_lattice_word
 
 Z2 = FiniteAbelianGroup((2,))
 

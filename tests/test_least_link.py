@@ -23,7 +23,9 @@ from limitalg.parser import parse_tower
 from limitalg.radical import (chain_cycle_certificate, donsig_chain,
                               radical_membership)
 from limitalg.tower import (MatrixUnit, TowerSpec, UnitShapeError, embed_unit,
-                            images, preset, random_lattice_word)
+                            images, preset)
+
+from conftest import random_lattice_word
 
 TOP = 6
 GOLDEN = Path(__file__).resolve().parent / "golden"

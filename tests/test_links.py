@@ -6,7 +6,9 @@ import pytest
 from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
                             donsig_report, has_link_at, link_status)
 from limitalg.tower import (Element, LevelRangeError, MatrixUnit, TowerSpec,
-                            embed_element, preset, random_lattice_word)
+                            embed_element, preset)
+
+from conftest import random_lattice_word
 
 
 def brute_force_link(tower, e, level):

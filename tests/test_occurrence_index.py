@@ -17,8 +17,9 @@ from limitalg.dynamics import TowerAction
 from limitalg.links import CertifiedLinkless, certify_linkless, first_link
 from limitalg.tower import (PRESETS, BlockRule, MatrixUnit, TowerRule,
                             TowerSpec, TowerValidationError, embed_unit,
-                            flat_word, index_step, random_lattice_word,
-                            validate_embedding, verify_embedding_order)
+                            flat_word, index_step, validate_embedding,
+                            verify_embedding_order)
+from conftest import random_lattice_word
 from test_least_link import SEEDS, random_tower
 
 TOP = 8

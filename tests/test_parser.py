@@ -5,8 +5,12 @@ import sys
 
 import pytest
 
+from pathlib import Path
+
 from limitalg import tower as tower_mod
-from limitalg.parser import (TowerSyntaxError, parse_system_file, parse_tower,
+from limitalg.links import link_status
+from limitalg.parser import (_LABEL_PUNCTUATION, _WORD_RE, TowerSyntaxError,
+                             _in_grammar, parse_system_file, parse_tower,
                              parse_tower_file, render_tower)
 from limitalg.tower import (MatrixUnit, TowerSpec, TowerValidationError,
                             embed_unit)
@@ -72,6 +76,8 @@ def test_repeat_tail_is_the_last_step_with_every_summand_frozen():
         steps.append(permutation_words(levels[-1], rng))
         levels.append(levels[-1])
         t = parse_tower(render_tower(TowerSpec(levels, steps)) + "repeat\n")
+        # the rule's level 0 is the last explicit level
+        assert t.rule_start == len(levels) - 1
         for n in range(len(steps) - 1, len(steps) + 5):
             assert t.words(n) == steps[-1]
             assert t.shape(n + 1) == levels[-1]
@@ -201,6 +207,114 @@ def test_parse_matches_the_regex_reference_on_seeded_words():
         else:
             assert (tower.steps[0], label_positions(tower.occurrences(0))) \
                 == expected, text
+
+
+def _gate(text):
+    return _in_grammar(text, len(text.translate(_LABEL_PUNCTUATION).split()))
+
+
+def _gate_inputs(rng):
+    """Random strings over label characters, all of ASCII and a few
+    non-ASCII digits and blanks; and valid words with one character
+    inserted, deleted or replaced."""
+    near = "0123456789(),  \t" + "(),( )"
+    wide = "".join(map(chr, range(128))) + "\u0661\xa0\u2003"
+    for _ in range(6000):
+        alphabet = rng.choice((near, near, wide, near + "\u0661\xa0\u2003"))
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+    for _ in range(6000):
+        word = tuple((rng.randint(0, 12), rng.randint(0, 12))
+                     for _ in range(rng.randint(1, 4)))
+        text = _render_word(word, rng).split("#")[0]
+        q = rng.randrange(len(text) + 1)
+        extra = rng.choice(near + "\x0b\x1c\u0661\xa0\u2003")
+        yield rng.choice((text, text[:q] + extra + text[q:],
+                          text[:q] + text[q + 1:],
+                          text[:q] + extra + text[q + 1:]))
+
+
+def test_word_gate_agrees_with_the_grammar_regex():
+    rng = random.Random(1913)
+    accepted = 0
+    for text in _gate_inputs(rng):
+        assert _gate(text) == (_WORD_RE.fullmatch(text) is not None), text
+        accepted += _gate(text)
+    assert accepted > 1000
+
+
+def test_ascii_blanks_and_digits_are_the_regex_classes():
+    # the gate's premise: on ASCII, `\s` is `str.isspace` and `\d` is 0-9
+    for c in map(chr, range(128)):
+        assert (re.fullmatch(r"\s", c) is not None) == c.isspace(), repr(c)
+        assert (re.fullmatch(r"\d", c) is not None) == (c in "0123456789")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _reference_steps(text):
+    """The words of each `embed` block of a spec text, by the regex
+    reference parse."""
+    steps, block = [], None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("embed"):
+            block = []
+        elif line == "}" and block is not None:
+            steps.append(tuple(block))
+            block = None
+        elif block is not None:
+            block.append(reference_parse_word(line.split(":", 1)[1]))
+    return steps
+
+
+def _reference_towers():
+    """(spec text, tower) for every golden tower file with explicit
+    steps and for 30 seeded `render_tower` round trips."""
+    for path in sorted(GOLDEN.glob("*.tower")):
+        text = path.read_text()
+        if "embed" in text:
+            yield text, parse_tower(text)
+    for seed in range(30):
+        rng = random.Random(900 + seed)
+        levels, steps = random_prefix(rng.choice(((2,), (2, 1), (1, 2, 2))),
+                                      1 + seed % 3, rng, cap=16)
+        text = render_tower(TowerSpec(levels, steps))
+        yield text, parse_tower(text)
+
+
+def test_steps_and_words_decode_to_the_reference_parse():
+    for text, tower in _reference_towers():
+        expected = _reference_steps(text)
+        assert tower.steps == expected, text
+        assert [tower.words(n) for n in range(len(expected))] == expected
+        if tower.stationary:
+            # a `repeat` tail gives back the last explicit step
+            assert tower.words(len(expected) + 3) == expected[-1]
+
+
+def test_parse_and_link_status_decode_no_tuple_word(monkeypatch):
+    original = tower_mod.label_word
+    calls = []
+
+    def counting(flat):
+        calls.append(flat)
+        return original(flat)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("limitalg"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    for path in ("finite.tower", "two-summand.tower"):
+        tower = parse_tower((GOLDEN / path).read_text())
+        for level in range(len(tower.levels)):
+            for e in tower.units_at(level):
+                link_status(tower, e, len(tower.levels))
+    assert calls == []
+    # the counter sees the decoder where the API does return tuple words
+    assert tower.words(0) == tuple(map(original, tower.flat_words(0)))
+    assert len(calls) == len(tower.flat_words(0)) == 2
 
 
 def test_invalid_embedding_is_rejected():

@@ -13,10 +13,11 @@ from limitalg.links import Linked, link_status
 from limitalg.radical import radical_membership
 from limitalg.tower import (BlockRule, Element, MatrixUnit, MatrixUnitSum,
                             TowerSpec, LevelRangeError, TowerValidationError,
-                            UnitShapeError, embed_element,
-                            embed_unit, decompose, preset, random_lattice_word,
-                            validate_embedding, verify_embedding_order)
+                            UnitShapeError, embed_element, embed_unit,
+                            decompose, preset, validate_embedding,
+                            verify_embedding_order)
 from limitalg.tower import _ratio
+from conftest import random_lattice_word
 from test_occurrence_index import label_positions
 
 
@@ -458,6 +459,37 @@ class TestOrderBounds:
         for _ in range(50):
             w = random_lattice_word((2, 3), {0: 2, 1: 1}, rng)
             assert validate_embedding((2, 3), (7,), (w,)).ok
+
+
+def rescanning_lattice_word(source, reps_per_source, rng):
+    """`random_lattice_word` as it was, rescanning every label per step."""
+    remaining = {(s, p): reps_per_source[s]
+                 for s in range(len(source)) for p in range(1, source[s] + 1)}
+    used = {k: 0 for k in remaining}
+    word = []
+    total = sum(remaining.values())
+    for _ in range(total):
+        options = [lab for lab, rem in remaining.items()
+                   if rem > 0 and (lab[1] == 1 or used[(lab[0], lab[1] - 1)] > used[lab])]
+        lab = rng.choice(sorted(options))
+        word.append(lab)
+        remaining[lab] -= 1
+        used[lab] += 1
+    return tuple(word)
+
+
+def test_random_lattice_word_draws_the_rescanning_words():
+    # the same option list in the same order, so rng.choice draws the
+    # same labels and leaves the generator in the same state
+    for seed in range(200):
+        rng = random.Random(seed)
+        source = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+        reps = {s: rng.randint(0, 3) for s in range(len(source))}
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert random_lattice_word(source, reps, a) == \
+                rescanning_lattice_word(source, reps, b)
+        assert a.random() == b.random()
 
 
 def test_decompose_extremal_indices():
