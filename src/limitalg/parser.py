@@ -148,7 +148,7 @@ def parse_tower_file(text: str):
     """Parse tower source; returns (TowerSpec, list[ActionSpecData])."""
     lines = text.splitlines()
     levels: dict[int, tuple[int, ...]] = {}
-    embeds: dict[int, tuple[FlatWord, ...]] = {}
+    embeds: dict[int, list[FlatWord]] = {}
     actions: list[ActionSpecData] = []
     repeat = False
     preset_name: str | None = None
@@ -178,7 +178,7 @@ def parse_tower_file(text: str):
                 n = max(targets) + 1
                 if sorted(targets) != list(range(n)):
                     syntax("target indices must be 0..r-1", j)
-                return tuple(targets[t] for t in range(n)), j
+                return [targets[t] for t in range(n)], j
             m = re.match(r"target\s+(\d+)\s*:\s*(.*)$", s)
             if not m:
                 syntax(f"expected 'target t : ...' or '}}', got {s!r}", j)

@@ -448,11 +448,11 @@ class TowerSpec:
     @classmethod
     def from_flat_steps(cls, levels: list[tuple[int, ...]],
                         flat_steps: list[list[FlatWord]],
-                        rule: TowerRule | None = None, rule_start: int = 0,
-                        name: str = "") -> "TowerSpec":
+                        rule: TowerRule | None = None,
+                        rule_start: int = 0) -> "TowerSpec":
         """A tower whose explicit steps are given as flat words."""
         tower = cls.__new__(cls)
-        tower._build(levels, flat_steps, rule, rule_start, name)
+        tower._build(levels, flat_steps, rule, rule_start, "")
         return tower
 
     def _build(self, levels, flat_steps, rule, rule_start, name) -> None:
