@@ -217,6 +217,14 @@ class TestValidation:
             seen.update(v["kind"] for v in violations)
         assert seen == {"SHAPE", "LABEL", "COUNT", "LATTICE", "INJECTIVE"}
 
+    def test_labels_must_be_pairs(self):
+        # flattened, ((0, 1, 0), (2,)) would read as the labels (0, 1), (0, 2)
+        for word in (((0, 1, 0), (2,)), ((0, 1, 1), (0, 2)), ((0, 1), (0,))):
+            with pytest.raises(TowerValidationError, match="pair"):
+                validate_embedding((2,), (2,), (word,))
+            with pytest.raises(TowerValidationError, match="pair"):
+                TowerSpec([(2,), (2,)], [(word,)])
+
 
 class TestImages:
     def test_standard_image_rule(self):
