@@ -2,10 +2,9 @@
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
-
-from pathlib import Path
 
 from limitalg import tower as tower_mod
 from limitalg.links import link_status
@@ -217,7 +216,7 @@ def _gate_inputs(rng):
     """Random strings over label characters, all of ASCII and a few
     non-ASCII digits and blanks; and valid words with one character
     inserted, deleted or replaced."""
-    near = "0123456789(),  \t" + "(),( )"
+    near = "0123456789(),(),( )  \t"
     wide = "".join(map(chr, range(128))) + "\u0661\xa0\u2003"
     for _ in range(6000):
         alphabet = rng.choice((near, near, wide, near + "\u0661\xa0\u2003"))
