@@ -265,6 +265,23 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                                   "perm=1,0", "--action", "perm=0,1"), None),
     "crossed-permanence-triangular": (("crossed", "permanence", *PAIR_Z2xZ2),
                                       None),
+    # action relations refuted: a twist of order 2 on a Z3 factor, a
+    # 3-cycle of summands as an order-2 generator, and a twist that does
+    # not commute with a swap
+    "crossed-tight-order-twist": (("crossed", "tight", "--base", "2",
+                                   "--group", "2x3", "--action", "diag=0,1",
+                                   "--action", "diag=0,0"), None),
+    "crossed-tight-order-cycle": (("crossed", "tight", "--base", "2,2,2",
+                                   "--group", "2", "--action", "perm=1,2,0"),
+                                  None),
+    "crossed-tight-noncommuting": (("crossed", "tight", "--base", "2,2",
+                                    "--group", "2x2", "--action", "perm=1,0",
+                                    "--action", "diag=0,1|0,0"), None),
+    # the diagonal of a full base with Z3, and a Z3 twist of a 3-block
+    "crossed-diag-full-z3": (("crossed", "diag", "--full", "--base", "2",
+                              "--group", "3", "--action", "diag=0,1"), None),
+    "crossed-diag-z3-3": (("crossed", "diag", "--base", "3", "--group", "3",
+                           "--action", "diag=0,1,2"), None),
     # peters
     "peters-enum": (("peters", "@swap.sys", "enum", "--horizon", "1"), None),
     "peters-enum-cycle": (("peters", "@cycle.sys", "enum", "--horizon", "2",
