@@ -97,8 +97,11 @@ class LevelAction:
     Each generator is a permutation of equal-size summands composed with
     conjugation by a diagonal unitary whose entries are zeta_m powers:
     alpha(e_ij^(s)) = u_i conj(u_j) e_ij^(perm(s)) with u the diagonal
-    word of the target summand.  Generator orders and commutativity are
-    verified exactly at construction.
+    word of the target summand.  Every scalar is a power of zeta_m, so a
+    table is kept as unit -> (k mod m, image unit) and tables compose by
+    adding exponents; zeta^a = zeta^b iff a = b mod m, so generator orders
+    and commutativity are verified exactly at construction on the
+    integer tables.  `table(g)` turns the exponents into Cyc scalars.
     """
 
     def __init__(self, group: FiniteAbelianGroup, shape: tuple[int, ...],
@@ -120,7 +123,7 @@ class LevelAction:
         # full-matrix support: the action must be defined off-diagonal too
         return multi_matrix_units(self.shape, triangular=False)
 
-    def _gen_table(self, perm, diag) -> dict[UnitKey, tuple[Cyc, UnitKey]]:
+    def _gen_table(self, perm, diag) -> dict[UnitKey, tuple[int, UnitKey]]:
         if sorted(perm) != list(range(len(self.shape))):
             raise ActionRelationError(
                 f"{list(perm)} is not a permutation of the summands")
@@ -132,29 +135,29 @@ class LevelAction:
         for (s, i, j) in self._units():
             t = perm[s]
             exp = diag[t][i - 1] - diag[t][j - 1]
-            table[(s, i, j)] = (Cyc.zeta(self.m, exp), (t, i, j))
+            table[(s, i, j)] = (exp % self.m, (t, i, j))
         return table
 
-    @staticmethod
-    def _compose(t2: dict, t1: dict) -> dict:
+    def _compose(self, t2: dict, t1: dict) -> dict:
         out = {}
-        for k, (c1, k1) in t1.items():
-            c2, k2 = t2[k1]
-            out[k] = (c1 * c2, k2)
+        for k, (e1, k1) in t1.items():
+            e2, k2 = t2[k1]
+            out[k] = ((e1 + e2) % self.m, k2)
         return out
 
     def _identity_table(self) -> dict:
-        one = Cyc.one(self.m)
-        return {k: (one, k) for k in self._units()}
+        return {k: (0, k) for k in self._units()}
 
     def table(self, g: tuple[int, ...]) -> dict[UnitKey, tuple[Cyc, UnitKey]]:
         t = self._cache.get(g)
         if t is None:
-            t = self._identity_table()
+            exps = self._identity_table()
             for i, (reps, d) in enumerate(zip(g, self.group.orders)):
                 for _ in range(reps % d):
-                    t = self._compose(self._gen_tables[i], t)
-            self._cache[g] = t
+                    exps = self._compose(self._gen_tables[i], exps)
+            zeta = [Cyc.zeta(self.m, k) for k in range(self.m)]
+            t = self._cache[g] = {k: (zeta[e], k2)
+                                  for k, (e, k2) in exps.items()}
         return t
 
     def _validate(self):
@@ -203,6 +206,7 @@ class CrossedAlgebra:
     e f' = k in the base, alpha_g(f) = c f' gives (e U_g)(f U_h) = c k U_gh.
     Base matrix units multiply with scalar 1, so c is the whole scalar.
     `base` is that base algebra, with its rows once the crossed rows exist.
+    `shifts[g]` lists the pairs (h, gh) over h in G, built once per g.
     """
 
     def __init__(self, shape: tuple[int, ...], group: FiniteAbelianGroup,
@@ -217,6 +221,8 @@ class CrossedAlgebra:
         self.base = base = multi_matrix_algebra(self.shape, triangular)
         gs = group.elements()
         basis = [(u, g) for u in base.basis for g in gs]
+        self.shifts = shifts = {g: [(h, group.op(g, h)) for h in gs]
+                                for g in gs}
 
         @functools.cache
         def preimages(g) -> dict:  # f' -> (c, f) where alpha_g(f) = c f'
@@ -226,8 +232,8 @@ class CrossedAlgebra:
             e, g = a
             for f2, (_, k) in base.rows[e].items():
                 c, f = preimages(g)[f2]
-                for h in gs:
-                    yield (f, h), c, (k, group.op(g, h))
+                for h, gh in shifts[g]:
+                    yield (f, h), c, (k, gh)
 
         self.alg = MonomialAlgebra(basis, right, one=Cyc.one(self.m))
         self._radical = None
@@ -536,7 +542,6 @@ def verify_lattice_iso(shape, group: FiniteAbelianGroup, action: LevelAction,
 def _model_matrices(a: CrossedAlgebra) -> tuple[list[dict], int]:
     """Left-regular model: block (h, g^{-1}h) of e U_g is alpha_{h^{-1}}(e)."""
     gs = a.group.elements()
-    gidx = {g: i for i, g in enumerate(gs)}
     offs = []
     off = 0
     for k in a.shape:
@@ -544,16 +549,20 @@ def _model_matrices(a: CrossedAlgebra) -> tuple[list[dict], int]:
         off += k
     s_total = off
     size = s_total * len(gs)
+    # per h: the row offset of block row h and the table of alpha_{h^{-1}}
+    inverse_tables = {h: (n * s_total, a.action.table(a.group.inverse(h)))
+                      for n, h in enumerate(gs)}
+    col_offs = {k: n * s_total for n, k in enumerate(gs)}
 
     def rep(key) -> dict:
-        (s, i, j), g = key
+        e, g = key
         mat = {}
-        for k in gs:
-            h = a.group.op(g, k)
-            c, (s2, i2, j2) = a.action.table(a.group.inverse(h))[(s, i, j)]
-            r = gidx[h] * s_total + offs[s2] + i2 - 1
-            cc = gidx[k] * s_total + offs[s2] + j2 - 1
-            mat[(r, cc)] = c  # h = g k differs per k: no entry repeats
+        for k, h in a.shifts[g]:
+            row_off, table = inverse_tables[h]
+            c, (s2, i2, j2) = table[e]
+            # h = g k differs per k: no entry repeats
+            mat[(row_off + offs[s2] + i2 - 1,
+                 col_offs[k] + offs[s2] + j2 - 1)] = c
         return mat
 
     return [rep(key) for key in a.alg.basis], size
@@ -577,14 +586,19 @@ def _kron(mat: dict, size: int, n: int) -> list[dict]:
 
 
 def _diag_dims(mats: list[dict], size: int, expected: list[dict]) -> dict:
+    """dim(B intersect B*) and whether it is the span of `expected`.
+
+    dim(B + B*) is rank B plus the rank of the B* rows reduced modulo B,
+    so dim(B intersect B*) = rank B* minus that rank.
+    """
     rows_b = _mats_to_rows(mats, size)
     rows_bstar = _mats_to_rows([_adjoint(m) for m in mats], size)
     rows_exp = _mats_to_rows(expected, size)
-    rb, rbs = linalg.rank(rows_b), linalg.rank(rows_bstar)
-    r_union = linalg.rank(rows_b + rows_bstar)
-    dim_diag = rb + rbs - r_union
-    in_b = linalg.rank(rows_b + rows_exp) == rb
-    in_bstar = linalg.rank(rows_bstar + rows_exp) == rbs
+    span_b, span_bstar = linalg.Span(rows_b), linalg.Span(rows_bstar)
+    dim_diag = span_bstar.dim - linalg.rank(
+        [span_b.reduce(r) for r in rows_bstar])
+    in_b = all(map(span_b.contains, rows_exp))
+    in_bstar = all(map(span_bstar.contains, rows_exp))
     dim_exp = linalg.rank(rows_exp)
     return {"diag_dim": dim_diag, "expected_dim": dim_exp,
             "ok": in_b and in_bstar and dim_diag == dim_exp}

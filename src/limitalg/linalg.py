@@ -84,14 +84,12 @@ def nullspace(rows: list[dict], ncols: int, one) -> list[dict]:
 
 
 def same_span(rows_a: list[dict], rows_b: list[dict]) -> bool:
-    ra, rb = rank(rows_a), rank(rows_b)
-    if ra != rb:
-        return False
-    return rank(rows_a + rows_b) == ra
+    span = Span(rows_a)
+    return rank(rows_b) == span.dim and all(map(span.contains, rows_b))
 
 
 class Span:
-    """A row space with its rref cached, for repeated membership queries."""
+    """A row space with its rref cached, for repeated reductions."""
 
     def __init__(self, rows: list[dict]):
         red, self.pivots = rref(rows)
@@ -101,5 +99,10 @@ class Span:
     def dim(self) -> int:
         return len(self.pivots)
 
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its component along the span's pivot rows: `{}` iff
+        vec is in the span; linear in vec, with the span as its kernel."""
+        return _reduced(vec, self._pivot_rows)
+
     def contains(self, vec: dict) -> bool:
-        return not _reduced(vec, self._pivot_rows)
+        return not self.reduce(vec)

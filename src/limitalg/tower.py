@@ -464,7 +464,8 @@ class TowerSpec:
         self._occurrences: dict[int, tuple[WordIndex, ...]] = {}
         if rule is None and not self.levels:
             raise TowerValidationError("tower needs levels or a rule")
-        if self.levels and len(self.flat_steps) != len(self.levels) - 1:
+        if ((self.levels or self.flat_steps)
+                and len(self.flat_steps) != len(self.levels) - 1):
             raise TowerValidationError("need exactly one embedding per level pair")
         for n, shape in enumerate(self.levels):
             if not shape:

@@ -24,30 +24,47 @@ def _diag_options(shape, m, d):
     return [tuple(combo) for combo in itertools.product(*per_summand)]
 
 
-def family_systems():
-    """Deterministic family of (shape, group, action) triples, >= 40 systems."""
+def candidate_gens(shape, group):
+    """Every generator list offered for (shape, group), relations unchecked.
+
+    Each generator twists by a diagonal option of its factor's order;
+    the summand reversal is offered too on a base of equal summands when
+    the factor's order is even.
+    """
+    per_gen = []
+    for d in group.orders:
+        diags = _diag_options(shape, group.exponent, d)
+        perms = [tuple(range(len(shape)))]
+        if len(shape) > 1 and len(set(shape)) == 1 and d % 2 == 0:
+            perms.append(tuple(reversed(range(len(shape)))))
+        per_gen.append([(p, dg) for p in perms for dg in diags])
+    return [list(gens) for gens in itertools.product(*per_gen)]
+
+
+def family_gens(bases=BASES):
+    """(shape, group, gens) of the family: at most MAX_PER_CELL generator
+    lists per (base, group) cell that satisfy the group's relations."""
     systems = []
-    for shape in BASES:
+    for shape in bases:
         for orders in GROUPS:
             group = C.FiniteAbelianGroup(orders)
-            per_gen = []
-            for d in orders:
-                diags = _diag_options(shape, group.exponent, d)
-                perms = [tuple(range(len(shape)))]
-                if shape == (2, 2) and d % 2 == 0:
-                    perms.append((1, 0))
-                per_gen.append([(p, dg) for p in perms for dg in diags])
             kept = 0
-            for gens in itertools.product(*per_gen):
+            for gens in candidate_gens(shape, group):
                 if kept == MAX_PER_CELL:
                     break
                 try:
-                    action = C.LevelAction(group, shape, list(gens))
+                    C.LevelAction(group, shape, gens)
                 except C.ActionRelationError:
                     continue  # e.g. a swap composed with an asymmetric twist
-                systems.append((shape, group, action))
+                systems.append((shape, group, gens))
                 kept += 1
     return systems
+
+
+def family_systems():
+    """Deterministic family of (shape, group, action) triples, >= 40 systems."""
+    return [(shape, group, C.LevelAction(group, shape, gens))
+            for shape, group, gens in family_gens()]
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
 """Crossed products by finite abelian groups over exact cyclotomic scalars."""
+import random
+
 import pytest
 
-from limitalg.algebra import multi_matrix_algebra
+from limitalg import linalg
+from limitalg.algebra import multi_matrix_algebra, multi_matrix_units
 from limitalg.crossed import (ActionRelationError, Character, CrossedAlgebra,
                               FiniteAbelianGroup, LevelAction, all_characters,
                               apply_table, build_crossed,
@@ -11,8 +14,11 @@ from limitalg.crossed import (ActionRelationError, Character, CrossedAlgebra,
                               perm_action, radical_nilpotency_check,
                               radical_tightness_check,
                               semisimplicity_permanence_check, trivial_action,
-                              verify_lattice_iso, _verify_multiplicative)
+                              verify_lattice_iso, _adjoint, _diag_dims,
+                              _mats_to_rows, _model_matrices,
+                              _verify_multiplicative)
 from limitalg.cyclotomic import Cyc
+from conftest import BASES, candidate_gens, family_gens
 
 Z2 = FiniteAbelianGroup((2,))
 TRIVIAL = FiniteAbelianGroup(())
@@ -282,3 +288,156 @@ class TestPermanenceAndLinks:
         for e in by_status["witnessed"]:
             s, i, j, _ = e["element"]
             assert e["middle"][1] == j
+
+
+# -- references: Cyc-composed action tables and the six-rank diagonal --------
+
+
+def reference_gen_table(group, shape, perm, diag) -> dict:
+    """A generator's table with Cyc scalars, as LevelAction once built it."""
+    m = group.exponent
+    return {(s, i, j): (Cyc.zeta(m, diag[perm[s]][i - 1] - diag[perm[s]][j - 1]),
+                        (perm[s], i, j))
+            for (s, i, j) in multi_matrix_units(shape, triangular=False)}
+
+
+def reference_compose(t2: dict, t1: dict) -> dict:
+    return {k: (c1 * t2[k1][0], t2[k1][1]) for k, (c1, k1) in t1.items()}
+
+
+def reference_table(group, shape, gens, g) -> dict:
+    """alpha_g as the product of Cyc generator tables."""
+    t = {k: (Cyc.one(group.exponent), k)
+         for k in multi_matrix_units(shape, triangular=False)}
+    for (perm, diag), reps in zip(gens, g):
+        for _ in range(reps):
+            t = reference_compose(reference_gen_table(group, shape, perm, diag),
+                                  t)
+    return t
+
+
+def reference_relations_hold(group, shape, gens) -> bool:
+    """Generator orders and commutativity, checked on Cyc tables."""
+    ident = reference_table(group, shape, gens, group.identity)
+    tables = [reference_gen_table(group, shape, *gen) for gen in gens]
+    for t, d in zip(tables, group.orders):
+        acc = ident
+        for _ in range(d):
+            acc = reference_compose(t, acc)
+        if acc != ident:
+            return False
+    return all(reference_compose(ti, tj) == reference_compose(tj, ti)
+               for n, ti in enumerate(tables) for tj in tables[n + 1:])
+
+
+LARGER_BASES = [(3, 3), (2, 2, 2), (4,)]
+
+
+def test_action_tables_match_cyc_composition():
+    for shape, group, gens in family_gens(BASES + LARGER_BASES):
+        action = LevelAction(group, shape, gens)
+        for g in group.elements():
+            assert action.table(g) == reference_table(group, shape, gens, g), \
+                (shape, group, gens, g)
+
+
+def test_action_relations_match_cyc_composition():
+    verdicts = set()
+    for shape in BASES + LARGER_BASES:
+        for orders in [(2,), (3,), (2, 2)]:
+            group = FiniteAbelianGroup(orders)
+            for gens in candidate_gens(shape, group):
+                holds = reference_relations_hold(group, shape, gens)
+                try:
+                    LevelAction(group, shape, gens)
+                except ActionRelationError:
+                    assert not holds, (shape, orders, gens)
+                else:
+                    assert holds, (shape, orders, gens)
+                verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def reference_diag_dims(mats, size, expected):
+    """The diagonal report from six ranks, with its three conditions."""
+    rows_b = _mats_to_rows(mats, size)
+    rows_bstar = _mats_to_rows([_adjoint(m) for m in mats], size)
+    rows_exp = _mats_to_rows(expected, size)
+    rb, rbs = linalg.rank(rows_b), linalg.rank(rows_bstar)
+    dim_diag = rb + rbs - linalg.rank(rows_b + rows_bstar)
+    in_b = linalg.rank(rows_b + rows_exp) == rb
+    in_bstar = linalg.rank(rows_bstar + rows_exp) == rbs
+    dim_exp = linalg.rank(rows_exp)
+    report = {"diag_dim": dim_diag, "expected_dim": dim_exp,
+              "ok": in_b and in_bstar and dim_diag == dim_exp}
+    return report, {"in_b": in_b, "in_bstar": in_bstar,
+                    "dim_diag": dim_diag == dim_exp}
+
+
+def diag_mutants(rng, mats, expected, off_diagonal):
+    """(mats, expected) pairs, each broken in one seeded way or two."""
+    drop = rng.randrange(len(expected))
+    upper = mats[rng.choice(off_diagonal)]
+    fewer = expected[:drop] + expected[drop + 1:]
+    swapped = list(mats)
+    n = rng.randrange(len(mats))
+    swapped[n] = _adjoint(mats[n])
+    return [(mats, expected), (mats, fewer),
+            (mats, expected + [upper]), (mats, expected + [_adjoint(upper)]),
+            (mats, fewer + [upper]), (mats, fewer + [_adjoint(upper)]),
+            (swapped, expected)]
+
+
+def test_diag_dims_match_the_six_rank_reference(family):
+    rng = random.Random("diag-mutants")
+    alone = set()
+    for shape, group, action in family:
+        a = build_crossed(shape, group, action)
+        mats, size = _model_matrices(a)
+        diagonal = [r == c for ((_, r, c), _) in a.alg.basis]
+        expected = [m for m, d in zip(mats, diagonal) if d]
+        off_diagonal = [n for n, d in enumerate(diagonal) if not d]
+        for ms, exp in diag_mutants(rng, mats, expected, off_diagonal):
+            report, conditions = reference_diag_dims(ms, size, exp)
+            assert _diag_dims(ms, size, exp) == report, (shape, group)
+            failed = [name for name, holds in conditions.items() if not holds]
+            if len(failed) == 1:
+                alone.update(failed)
+    # each condition is the only one to fail on some mutant
+    assert alone == {"in_b", "in_bstar", "dim_diag"}
+
+
+# -- work counts: Cyc products of the checks, recorded bounds ----------------
+
+PAIR_GENS = [((1, 0), ((0, 0), (0, 0))), ((0, 1), ((0, 1), (0, 1)))]
+
+
+def mul_calls(monkeypatch, fn) -> int:
+    """Cyc.__mul__ calls made while fn() runs."""
+    calls = 0
+    mul = Cyc.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Cyc, "__mul__", counting)
+        patch.setattr(Cyc, "__rmul__", counting)
+        fn()
+    return calls
+
+
+def test_crossed_checks_stay_within_their_recorded_products(monkeypatch):
+    group = FiniteAbelianGroup((2, 2))
+    # exponent tables compose by adding integers: no product at all
+    assert mul_calls(monkeypatch,
+                     lambda: LevelAction(group, (2, 2), PAIR_GENS)) == 0
+    action = LevelAction(group, (2, 2), PAIR_GENS)
+    assert mul_calls(monkeypatch,
+                     lambda: diag_check((2, 2), group, action)) <= 2400
+    z3 = FiniteAbelianGroup((3,))
+    twist = diag_action(z3, (2,), [((0, 1),)])
+    assert mul_calls(monkeypatch,
+                     lambda: radical_tightness_check((2,), z3, twist)) <= 40

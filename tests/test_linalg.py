@@ -211,3 +211,58 @@ def test_empty_and_zero_rows(one):
         assert span.dim == 0 and span.pivots == []
         assert span.contains({})
         assert not span.contains({2: one})
+
+
+def combinations(rng, rows, n, scalar, zero):
+    """n random combinations of the sparse `rows` (all zero when empty)."""
+    out = []
+    for _ in range(n):
+        v: dict = {}
+        for r in rows:
+            f = scalar(rng)
+            for c, x in r.items():
+                v[c] = v.get(c, zero) + f * x
+        out.append({c: x for c, x in v.items() if x})
+    return out
+
+
+@pytest.mark.parametrize("name,scalar,zero",
+                         [(s[0], s[1], s[2]) for s in SCALARS
+                          if s[0] in ("fraction", "cyc3")])
+def test_same_span_matches_the_rank_formula(name, scalar, zero):
+    # span(a) = span(b) iff rank a = rank b = rank(a + b)
+    rng = random.Random(f"same-span-{name}")
+    cases = [([], []), ([], [{}]), ([{}, {}], [])]
+    for nrows, ncols in SHAPES:
+        for density in (0.2, 0.6):
+            a = sparse(random_sparse(rng, nrows, ncols, density, scalar, zero))
+            extra = sparse(random_sparse(rng, 1, ncols, density, scalar, zero))
+            cases += [(a, a[::-1] + [{}]),
+                      (a, combinations(rng, a, nrows, scalar, zero)),
+                      (a, combinations(rng, a, nrows + 2, scalar, zero)),
+                      (a, a[1:]), (a, a + extra), (a, []), ([], a)]
+    verdicts = set()
+    for a, b in cases:
+        formula = linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b)
+        assert linalg.same_span(a, b) == formula, (a, b)
+        verdicts.add(formula)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name,scalar,zero,one", SCALARS,
+                         ids=[s[0] for s in SCALARS])
+def test_span_reduce_is_the_projection_along_the_span(name, scalar, zero,
+                                                      one):
+    rng = random.Random(f"reduce-{name}")
+    rows = sparse(random_sparse(rng, 5, 8, 0.4, scalar, zero))
+    span = linalg.Span(rows)
+    for v in sparse(random_sparse(rng, 6, 8, 0.5, scalar, zero)):
+        red = span.reduce(v)
+        assert not set(red) & set(span.pivots)
+        assert all(x for x in red.values())
+        assert (red == {}) == span.contains(v)
+        # v - red lies in the span, and red adds what v adds to it
+        diff = {c: x for c in set(v) | set(red)
+                if (x := v.get(c, zero) - red.get(c, zero))}
+        assert span.contains(diff)
+        assert linalg.rank(rows + [v]) == span.dim + linalg.rank([red])

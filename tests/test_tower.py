@@ -359,6 +359,13 @@ class TestImages:
                            match="level 1 has no summands"):
             TowerSpec([(2,), ()], [()])
 
+    def test_steps_without_levels_are_rejected(self):
+        # with a rule a tower may have no levels, but then no steps either
+        rule = BlockRule((2,), (((0, 1),),))
+        with pytest.raises(TowerValidationError, match="one embedding per"):
+            TowerSpec([], [[((0, 1), (0, 2))]], rule=rule)
+        assert TowerSpec([], [], rule=rule).levels == []
+
     def test_negative_levels_are_out_of_range(self):
         finite = TowerSpec([(2,), (4,)],
                            [(((0, 1), (0, 2), (0, 1), (0, 2)),)])
