@@ -4,6 +4,19 @@ A matrix unit e has a link when e*A*e != 0; concretely, when two
 occurrences r, r' of an embedded image of e sit in the same summand with
 col(r) <= row(r').  Linklessness is only co-semi-decidable, so the API is
 tri-state: Linked / CertifiedLinkless / NotLinkedUpTo(horizon).
+
+Link questions are decided on the extremal pairs of e's image, not on
+the image: per summand t met at level n, I_t is the largest row and J_t
+the least col, and e has a link at level n iff J_t <= I_t in some t.
+The ballot (LATTICE) condition makes the first and the last occurrence
+of (s, p) in every word increase with p, so one level up
+
+    I'_t = max over s of last_t(s, I_s),  J'_t = min over s of first_t(s, J_s)
+
+exactly: the image's largest row in t is the last occurrence of the
+largest row label, and its least col the first occurrence of the least
+col label.  Each read is one entry of the step's index.  The image
+itself is built only at the least linked level, for the witness.
 """
 from __future__ import annotations
 
@@ -91,19 +104,61 @@ def has_link_at(tower: TowerSpec, e: MatrixUnit, level: int) -> MatrixUnit | Non
     return MatrixUnit(level, a.summand, a.col, b.row)
 
 
+def _climb(index, pairs: dict[int, tuple[int, int]]
+           ) -> tuple[dict[int, tuple[int, int]], bool]:
+    """The extremal pairs one level up, through a step's `index`, and
+    whether they show a link.
+
+    `pairs` maps each summand that an image meets to its (I, J), largest
+    row and least col.  With `spans[s] = (a, m, size)`, the last
+    occurrence of (s, I) in a word is `order[a + I*m - 1]` and the first
+    of (s, J) is `order[a + (J-1)*m]`: two reads per source and target.
+    """
+    up = {}
+    linked = False
+    for t, (order, spans) in enumerate(index):
+        hi = lo = 0  # positions are at least 1
+        for s, (i, j) in pairs.items():
+            a, m, _ = spans[s]
+            if m:
+                row, col = order[a + i * m - 1], order[a + (j - 1) * m]
+                if row > hi:
+                    hi = row
+                if not lo or col < lo:
+                    lo = col
+        if hi:
+            up[t] = (hi, lo)
+            linked = linked or lo <= hi
+    return up, linked
+
+
+def _link_at(tower: TowerSpec, e: MatrixUnit,
+             n: int) -> tuple[MatrixUnit, MatrixUnit]:
+    """(S, T') from e's image at level n, where e has a link."""
+    *_, (_, img) = images(tower, [e], n)
+    a, b = least_link(img, img)
+    return (MatrixUnit(n, a.summand, a.col, b.row),
+            MatrixUnit(n, a.summand, a.row, b.col))
+
+
 def first_link(tower: TowerSpec, e: MatrixUnit,
                top: int) -> tuple[MatrixUnit, MatrixUnit] | None:
     """(S, T') at the least level n <= top where e has a link, or None.
 
     S is the least witness at n and T' = embed(e) S embed(e) != 0 the
-    unit it leaves; a Donsig chain steps from e to T'.
+    unit it leaves; a Donsig chain steps from e to T'.  The levels are
+    scanned on the extremal pairs (I, J) of e's image (see the module
+    docstring), which the monotone first and last occurrences carry
+    exactly, so the image is built only at level n.
     """
-    for n, img in images(tower, [e], top):
-        link = least_link(img, img)
-        if link is not None:
-            a, b = link
-            return (MatrixUnit(n, a.summand, a.col, b.row),
-                    MatrixUnit(n, a.summand, a.row, b.col))
+    tower.check_unit(e)
+    pairs = {e.summand: (e.row, e.col)}
+    linked = e.col <= e.row
+    for n in range(e.level, top + 1):
+        if n > e.level:
+            pairs, linked = _climb(tower.occurrences(n - 1), pairs)
+        if linked:
+            return _link_at(tower, e, n)
     return None
 
 
@@ -127,93 +182,92 @@ def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
     return tower.rule.frozen_forever(level - tower.rule_start, summand)
 
 
-def _separation_certificate(tower: TowerSpec, e: MatrixUnit,
-                            max_steps: int = 64) -> tuple | None:
-    """Certificate (S): separation induction on stationary towers.
+def _decide(tower: TowerSpec, e: MatrixUnit, top: int,
+            frozen: bool | None = None,
+            max_steps: int = 64) -> CertifiedLinkless | int | None:
+    """e's verdict from one walk of its extremal pairs: a linkless
+    certificate, or the least level at which e has a link, or None when
+    neither turns up by level `top`.  e must be a checked unit.
 
-    State (maxRow, minCol) of e's image per level.  The ballot condition
-    makes the first and last occurrences of (0, p) increase with p, so
-    the next state is exactly (last of maxRow, first of minCol), two
-    index reads.  Preserved separation plus recurrence of the normalized
-    state (maxRow/K, (minCol-1)/K) certifies linklessness at every level.
-    Over K > 0 two such pairs are equal exactly when their triples
-    (maxRow, minCol-1, K) are proportional, so the triple divided by its
-    gcd is the exact recurrence key.
+    Any certificate needs no link at e's own level.  A finite tower IS
+    the finite algebra, so a walk to its top decides.  Otherwise e is
+    certified when its summand is identity-carried forever (`frozen`,
+    computed here when not given), or by the separation induction
+    below; failing both, the walk goes on to `top` for a link.
+
+    Separation runs on a self-similar tower while the levels stay TUHF,
+    for at most `max_steps` levels, and may pass `top`.  Preserved
+    separation plus recurrence of the normalized pair (I/K, (J-1)/K)
+    certifies linklessness at every level.  Over K > 0 two such pairs are
+    equal exactly when their triples (I, J-1, K) are proportional, so the
+    triple divided by its gcd is the exact recurrence key.  A link met
+    on the way is the least one, so no level is walked twice.
     """
-    if tower.finite or not tower.rule.self_similar:
-        return None
-    shape = tower.shape(e.level)
-    if len(shape) != 1:
-        return None
-    max_row, min_col = e.row, e.col
-    if min_col <= max_row:
-        return None
-    level = e.level
+    n = e.level
+    if e.col <= e.row:
+        return n
+    shape = tower.shape(n)
+    if tower.finite:
+        top = tower.max_level
+        separating = False
+    else:
+        if frozen is None:
+            frozen = _reachable_frozen(tower, e)
+        if frozen:
+            return CertifiedLinkless("frozen")
+        separating = tower.rule.self_similar and len(shape) == 1
+    pairs = {e.summand: (e.row, e.col)}
+    k = shape[e.summand]
     seen: set[tuple[int, int, int]] = set()
     trace = []
-    for _ in range(max_steps):
-        (k,) = shape
-        g = gcd(max_row, min_col - 1, k)
-        state = (max_row // g, (min_col - 1) // g, k // g)
-        trace.append((level, max_row, min_col))
-        if state in seen:
-            return tuple(trace)
-        seen.add(state)
-        shape = tower.shape(level + 1)
-        if len(shape) != 1:
-            return None
-        # the last occurrence of (0, I) and the first of (0, J)
-        order, ((a, m, _),) = tower.occurrences(level)[0]
-        max_row = order[a + max_row * m - 1]
-        min_col = order[a + (min_col - 1) * m]
-        if min_col <= max_row:
-            return None
-        level += 1
-    return None
-
-
-def _certify(tower: TowerSpec, e: MatrixUnit) -> tuple[
-        CertifiedLinkless | None, tuple[MatrixUnit, MatrixUnit] | None]:
-    """(certificate, link): a sound linkless certificate, or None with the
-    least link (S, T') the search met, if any.
-
-    Any certificate needs no link at the unit's own level; a finite tower
-    IS the finite algebra, so one walk to its top decides, and a link it
-    finds is the unit's least link.
-    """
-    top = tower.max_level if tower.finite else e.level
-    link = first_link(tower, e, top)
-    if link is not None:
-        return None, link
-    if tower.finite:
-        return CertifiedLinkless("finite-tower"), None
-    if _reachable_frozen(tower, e):
-        return CertifiedLinkless("frozen"), None
-    trace = _separation_certificate(tower, e)
-    if trace is not None:
-        return CertifiedLinkless("separation", trace), None
-    return None, None
+    while True:
+        if separating:
+            ((i, j),) = pairs.values()
+            g = gcd(i, j - 1, k)
+            state = (i // g, (j - 1) // g, k // g)
+            trace.append((n, i, j))
+            if state in seen:
+                return CertifiedLinkless("separation", tuple(trace))
+            seen.add(state)
+        elif n >= top:
+            return CertifiedLinkless("finite-tower") if tower.finite else None
+        index = tower.occurrences(n)
+        pairs, linked = _climb(index, pairs)
+        n += 1
+        if linked:
+            return n
+        if separating:
+            # level n is TUHF iff the step into it has one word, of length K
+            separating = len(index) == 1 and len(trace) < max_steps
+            k = len(index[0][0])
 
 
 def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
     """Sound linkless certificate, or None when no certificate applies."""
-    return _certify(tower, e)[0]
+    tower.check_unit(e)
+    verdict = _decide(tower, e, e.level)
+    return verdict if isinstance(verdict, CertifiedLinkless) else None
+
+
+def _status(tower: TowerSpec, e: MatrixUnit, horizon: int,
+            frozen: bool | None = None) -> LinkStatus:
+    """`link_status` of a checked unit; the witness of a link is built
+    only when the link lies within the horizon."""
+    verdict = _decide(tower, e, tower.top(horizon), frozen)
+    if isinstance(verdict, CertifiedLinkless):
+        return verdict
+    if verdict is not None and verdict <= horizon:
+        return Linked(verdict, _link_at(tower, e, verdict)[0])
+    return NotLinkedUpTo(horizon)
 
 
 def link_status(tower: TowerSpec, e: MatrixUnit,
                 horizon: int = DEFAULT_HORIZON) -> LinkStatus:
     if horizon < e.level:
         raise LevelRangeError("horizon below the unit's level")
-    # certificates are sound, so they short-circuit the horizon scan; a
-    # link met on the way is the least one
-    cert, link = _certify(tower, e)
-    if cert is not None:
-        return cert
-    if link is None:
-        link = first_link(tower, e, tower.top(horizon))
-    if link is not None and link[0].level <= horizon:
-        return Linked(link[0].level, link[0])
-    return NotLinkedUpTo(horizon)
+    tower.check_unit(e)
+    # certificates are sound, so they short-circuit the horizon scan
+    return _status(tower, e, horizon)
 
 
 def donsig_report(tower: TowerSpec, level: int,
@@ -228,8 +282,11 @@ def donsig_report(tower: TowerSpec, level: int,
     any_unknown = False
     top = tower.top(level)
     for n in range(top + 1):
+        frozen: dict[int, bool] = {}
         for u in tower.units_at(n):
-            st = link_status(tower, u, horizon)
+            if u.summand not in frozen:
+                frozen[u.summand] = _reachable_frozen(tower, u)
+            st = _status(tower, u, horizon, frozen[u.summand])
             entries.append({"unit": [u.level, u.summand, u.row, u.col],
                             **st.to_json()})
             any_linkless |= isinstance(st, CertifiedLinkless)

@@ -253,7 +253,6 @@ def parse_tower_file(text: str):
     if set(embeds) - set(range(count - 1)):
         raise TowerSyntaxError("embedding refers to an undefined level", 1)
 
-    rule = None
     if repeat:
         if count < 2:
             raise TowerValidationError("repeat needs at least one embedding")
@@ -261,17 +260,18 @@ def parse_tower_file(text: str):
             raise TowerValidationError(
                 "repeat requires the last two level shapes to be equal "
                 f"(got {shapes[-2]} -> {shapes[-1]})")
-        # a valid step between equal shapes sends each source to one
-        # target, once (its word lengths add up to the sum of the sizes),
-        # and the ballot order forces identity words.  TowerSpec rejects
-        # an invalid last step before any rule step is read.
-        rule = BlockRule(shapes[-1], tuple(
+    tower = TowerSpec.from_flat_steps(shapes, steps)
+    if repeat:
+        # the last step is valid now: between equal shapes it sends each
+        # source to one target, once (its word lengths add up to the sum
+        # of the sizes), and the ballot order forces identity words, so
+        # its blocks pass BlockRule's checks.  The rule's level 0 is the
+        # last explicit level.
+        tower.rule = BlockRule(shapes[-1], tuple(
             tuple((s, 1) for s, p in zip(word[0::2], word[1::2]) if p == 1)
             for word in steps[-1]))
-
-    # the rule's level 0 is the last explicit level
-    return TowerSpec.from_flat_steps(shapes, steps, rule=rule,
-                                     rule_start=count - 1), actions
+        tower.rule_start = count - 1
+    return tower, actions
 
 
 def parse_tower(text: str) -> TowerSpec:

@@ -9,6 +9,7 @@ from limitalg.tower import (Element, LevelRangeError, MatrixUnit, TowerSpec,
                             embed_element, preset)
 
 from conftest import random_lattice_word
+from test_occurrence_index import repeat_tail_tower
 
 
 def brute_force_link(tower, e, level):
@@ -113,3 +114,20 @@ def test_donsig_rejects_a_negative_level():
     # level -1 has no units: a "semisimple" verdict over them says nothing
     with pytest.raises(LevelRangeError, match="at least 0"):
         donsig_report(preset("standard-2"), -1)
+
+
+def test_donsig_entries_are_the_link_status_of_their_units():
+    # the report decides each level in one pass, with the frozen
+    # certificate read once per summand; each entry must still be the
+    # unit's own link_status
+    towers = [(preset(name), 4) for name in
+              ("standard-2", "refinement-2", "paper-example-taf")]
+    towers += [(repeat_tail_tower(seed), 4) for seed in range(3)]
+    for tower, level in towers:
+        report = donsig_report(tower, level, 6)
+        units = [u for n in range(level + 1) for u in tower.units_at(n)]
+        assert [entry["unit"] for entry in report["units"]] == \
+            [list(u) for u in units]
+        for entry, u in zip(report["units"], units):
+            assert entry == {"unit": list(u),
+                             **link_status(tower, u, 6).to_json()}, u

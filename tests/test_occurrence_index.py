@@ -14,13 +14,16 @@ import pytest
 from limitalg import links
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import TowerAction
-from limitalg.links import CertifiedLinkless, certify_linkless, first_link
-from limitalg.tower import (PRESETS, BlockRule, MatrixUnit, TowerRule,
-                            TowerSpec, TowerValidationError, embed_unit,
-                            flat_word, index_step, validate_embedding,
+from limitalg.links import (CertifiedLinkless, certify_linkless, first_link,
+                            link_status)
+from limitalg.tower import (PRESETS, BlockRule, MatrixUnit,
+                            PaperExampleRule, TowerRule, TowerSpec,
+                            TowerValidationError, embed_unit, flat_word,
+                            index_step, validate_embedding,
                             verify_embedding_order)
 from conftest import random_lattice_word
-from test_least_link import SEEDS, random_tower
+from test_least_link import (SEEDS, random_tower, reference_chain_step,
+                             separation_trace)
 
 TOP = 8
 
@@ -216,6 +219,50 @@ class TestIndexCache:
             embed_unit(tower, e, 6)
         assert sorted(calls) == list(range(6))
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_levels_are_indexed_once_without_words(self, name):
+        # a preset's steps are indexed in closed form: no rule word is
+        # read, and each level's index is built once, when first read
+        tower = PRESETS[name]()
+        words, indexed = [], []
+        original = tower.rule.index
+
+        def counting(level):
+            indexed.append(level)
+            return original(level)
+
+        tower.flat_words = words.append
+        tower.rule.index = counting
+        for e in list(tower.units_at(0)) + list(tower.units_at(2)):
+            embed_unit(tower, e, 6)
+            link_status(tower, e, 6)
+        assert words == [] and sorted(indexed) == list(range(6))
+
+
+def repeat_tail_tower(seed):
+    """A random multi-summand prefix of 2 steps, then a summand
+    permutation repeated forever, as a `repeat` tail gives."""
+    rng = random.Random(500 + seed)
+    levels, steps = random_prefix((2, 1, 2), 2, rng)
+    rule = permutation_rule(levels[-1], rng)
+    return TowerSpec(levels, steps, rule=rule, rule_start=len(steps))
+
+
+def test_first_link_matches_all_pairs_to_level_eight():
+    # the extremal (I, J) recurrence against the least link of the built
+    # image at every level
+    towers = [TowerSpec(*random_prefix(base, TOP, random.Random(seed), 16))
+              for seed, base in enumerate(((1, 2), (2, 1), (1, 1, 2)))]
+    towers += [repeat_tail_tower(seed) for seed in range(3)]
+    linked = 0
+    for tower in towers:
+        for start in range(3):
+            for e in tower.units_at(start):
+                found = first_link(tower, e, TOP)
+                assert found == reference_chain_step(tower, e, TOP), e
+                linked += found is not None and found[0].level > start
+    assert linked
+
 
 class TestApplyGenMatchesBruteForce:
     def test_generator_chains_to_level_eight(self):
@@ -289,6 +336,45 @@ class TestSortedIndexMatchesLabelPositions:
                 assert label_positions(tower.occurrences(n)) == tuple(
                     map(index_word, tower.words(n))), (name, n)
 
+    def test_closed_form_block_rule_steps(self):
+        # seeded templates on 1-3 summands with r in 1..3 and, in some,
+        # several tokens naming one source, against their words' index
+        rng = random.Random(31)
+        repeated = 0
+        for _ in range(120):
+            r = rng.randint(1, 3)
+            base = tuple(rng.randint(1, 3) for _ in range(r))
+            while True:
+                blocks = tuple(
+                    tuple((rng.randrange(r), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 3)))
+                    for _ in range(r))
+                try:
+                    rule = BlockRule(base, blocks)
+                except TowerValidationError:
+                    continue  # e.g. a source that no token names
+                if sum(rule.shape(5)) <= 3000:
+                    break
+            repeated += any(len({s for s, _ in b}) < len(b) for b in blocks)
+            for n in range(5):
+                assert rule.index(n) == index_step(
+                    rule.shape(n), rule.shape(n + 1), rule.flat_words(n)), \
+                    (base, blocks, n)
+        assert repeated
+
+    def test_closed_form_paper_example_steps(self):
+        rule = PaperExampleRule()
+        for n in range(7):
+            assert rule.index(n) == index_step(
+                rule.shape(n), rule.shape(n + 1), rule.flat_words(n)), n
+
+    def test_rule_base_unlike_the_last_level_is_validated(self):
+        # the closed form is the rule's own step; a source shape that
+        # differs from the rule's base goes through `index_step`
+        tower = TowerSpec([(3,)], [], rule=BlockRule((2,), (((0, 2),),)))
+        with pytest.raises(TowerValidationError, match="0->1 invalid"):
+            tower.occurrences(0)
+
     def test_invalid_rule_step_raises_on_first_use(self):
         # the step into a rule is indexed, and so validated, on first use
         tower = TowerSpec(rule=FixedRule((2,), (((0, 2), (0, 1)),)))
@@ -297,7 +383,7 @@ class TestSortedIndexMatchesLabelPositions:
 
 
 def reference_separation(tower, e, max_steps=64):
-    """`links._separation_certificate` scanning a whole dict index per
+    """`separation_trace` scanning a whole dict index per
     level, as it did before the sorted index."""
     if tower.finite or not tower.rule.self_similar:
         return None
@@ -365,7 +451,7 @@ def test_separation_reads_match_the_scan_on_seeded_ballot_words():
         tower = TowerSpec(rule=RandomTUHFRule(seed))
         for level in range(3):
             for e in tower.units_at(level):
-                trace = links._separation_certificate(tower, e, max_steps=5)
+                trace = separation_trace(tower, e, max_steps=5)
                 assert trace == reference_separation(tower, e, max_steps=5)
                 certified += trace is not None
     assert certified
@@ -398,7 +484,7 @@ def test_walk_reads_match_the_dict_index_scans(name):
     tower = PRESETS[name]()
     for level in range(4):
         for e in tower.units_at(level):
-            assert links._separation_certificate(tower, e) == \
+            assert separation_trace(tower, e) == \
                 reference_separation(tower, e), e
             assert certify_linkless(tower, e) == \
                 reference_certificate(tower, e), e

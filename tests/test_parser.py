@@ -64,6 +64,22 @@ def test_repeat_requires_equal_final_shapes():
         parse_tower(BASIC + "repeat\n")
 
 
+def test_repeat_after_an_invalid_step_names_the_step():
+    # the last step's p = 1 labels would make an empty block, which
+    # BlockRule rejects; the step itself is checked first and named
+    text = """
+level 0 = [2]
+level 1 = [2]
+embed 0 -> 1 {
+  target 0 : (0,2) (0,2)
+}
+repeat
+"""
+    with pytest.raises(TowerValidationError,
+                       match=r"embedding 0->1 invalid: .*'COUNT'"):
+        parse_tower(text)
+
+
 def test_repeat_tail_is_the_last_step_with_every_summand_frozen():
     # a valid step between equal shapes is a summand permutation with
     # identity words, so the `repeat` rule gives back the file's last step

@@ -366,6 +366,27 @@ class TestImages:
             TowerSpec([], [[((0, 1), (0, 2))]], rule=rule)
         assert TowerSpec([], [], rule=rule).levels == []
 
+    @pytest.mark.parametrize("base, blocks, message", [
+        ((2, 1), (((0, 1),), ((2, 1),)),
+         r"block 1 token \(2, 1\) names no base summand"),
+        ((2, 1), (((0, 1),), ((-1, 1),)),
+         r"block 1 token \(-1, 1\) names no base summand"),
+        ((2,), (((0, 0),),), r"block 0 token \(0, 0\) has r < 1"),
+        ((2, 1), (((0, 1), (1, 1)), ()), "block 1 is empty"),
+        ((2, 1), (((0, 1),), ((0, 2),)),
+         "names no token for source summand 1"),
+        ((2, 0), (((0, 1),), ((1, 1),)), r"size at least 1, got \[2, 0\]"),
+        ((), (), r"size at least 1, got \[\]"),
+        ((2,), (((0, 1),), ((0, 1),)), "one block per base summand"),
+    ], ids=["summand-outside-base", "negative-summand", "r-below-1",
+            "empty-block", "unnamed-source", "zero-size-base", "empty-base",
+            "block-count"])
+    def test_block_rules_reject_invalid_blocks(self, base, blocks, message):
+        # a rule step is indexed in closed form, with no validation, so a
+        # block rule is checked when it is made
+        with pytest.raises(TowerValidationError, match=message):
+            BlockRule(base, blocks)
+
     def test_negative_levels_are_out_of_range(self):
         finite = TowerSpec([(2,), (4,)],
                            [(((0, 1), (0, 2), (0, 1), (0, 2)),)])
