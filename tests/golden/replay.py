@@ -155,6 +155,18 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                                       "0:0:1:2", "--horizon", "2"), None),
     "radical-negative-horizon": (("radical", "standard-2", "--unit",
                                   "0:0:1:2", "--horizon", "-1"), None),
+    # diagonal units: one per preset and level 0-2, a finite tower and a
+    # `repeat` tail
+    **{f"radical-diagonal-{name}-{level}": (
+        ("radical", name, "--unit", f"{level}:{summand}:1:1"), None)
+       for name, summands in (("standard-2", (0, 0, 0)),
+                              ("refinement-2", (0, 0, 0)),
+                              ("paper-example-taf", (0, 1, 2)))
+       for level, summand in enumerate(summands)},
+    "radical-diagonal-finite": (("radical", "@finite.tower", "--unit",
+                                 "1:0:2:2"), None),
+    "radical-diagonal-repeat": (("radical", "@prefix.tower", "--unit",
+                                 "1:1:1:1"), None),
     # audits
     "audit-technical-action": (("audit-technical", "@action.tower", "--unit",
                                 "0:0:1:2", "--horizons", "2,3"), None),
@@ -319,6 +331,16 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
            ("repeated-points", "points = a b\npoints = c\nphi: c->c\n"),
            ("repeated-phi-source", "points = a b\nphi: a->b b->a a->a\n"))},
     "preset": (("preset", "standard-2"), None),
+    # usage errors: one `error:` line each, however argv goes wrong
+    "usage-empty": ((), None),
+    "usage-unknown-command": (("frob", "standard-2"), None),
+    "usage-missing-unit": (("radical", "standard-2"), None),
+    "usage-unrecognized-argument": (("links", "standard-2", "--unit",
+                                     "0:0:1:2", "--bogus"), None),
+    "usage-crossed-invalid-report": (("crossed", "nope", "--base", "2"),
+                                     None),
+    "usage-json-before-command": (("--json", "radical", "standard-2",
+                                   "--unit", "0:0:1:1"), None),
     # sizes with nothing in them: one error line each
     "peters-enum-negative-horizon": (("peters", "@swap.sys", "enum",
                                       "--horizon", "-1"), None),
