@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
 
 from . import crossed, dynamics, links, peters, radical
 from .parser import (ActionSpecData, TowerSyntaxError, parse_system_file,
@@ -82,7 +81,7 @@ _LEAF = {int: int.__repr__, str: _quote}
 _KEYWORDS = {True: "true", False: "false", None: "null"}
 
 
-def _pretty(obj, nl: str = "\n") -> str:
+def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
 
     Any `indent` makes `json` fall back to its pure-Python encoder; this
@@ -90,14 +89,34 @@ def _pretty(obj, nl: str = "\n") -> str:
     items sorted on the original keys, non-str keys written as `json`
     writes them, and a `TypeError` on any other type.  `nl` is the
     newline and indentation that closes `obj`.
+
+    A list item that is itself a `list` is written once per indentation:
+    `memo` maps (id, nl) to its text, so a list shared by many items (the
+    name lists of `peters enum`) is rendered at its first occurrence and
+    copied after.  The memo belongs to one top-level call, while every
+    object it keys is alive, so an id is never reused under it.
     """
+    if memo is None:
+        memo = {}
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = nl + "  "
         kinds = set(map(type, obj))
         leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(leaf, obj) if leaf else map(_pretty, obj, repeat(inner))
+        if leaf:
+            items = map(leaf, obj)
+        else:
+            items = []
+            for x in obj:
+                if type(x) is list:
+                    key = id(x), inner
+                    text = memo.get(key)
+                    if text is None:
+                        text = memo[key] = _pretty(x, inner, memo)
+                else:
+                    text = _pretty(x, inner, memo)
+                items.append(text)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -105,7 +124,8 @@ def _pretty(obj, nl: str = "\n") -> str:
         inner = nl + "  "
         return "{" + inner + ("," + inner).join(
             _quote(k if isinstance(k, str) else _key(k)) + ": "
-            + _pretty(v, inner) for k, v in sorted(obj.items())) + nl + "}"
+            + _pretty(v, inner, memo) for k, v in sorted(obj.items())) \
+            + nl + "}"
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or obj is True or obj is False:
@@ -355,10 +375,12 @@ def _build_parser(horizon: int) -> _Parser:
     """The argument parser with `horizon` as the default search horizon.
 
     Built once per horizon: parse_args leaves the parser unchanged and
-    gives every call a fresh namespace.
+    gives every call a fresh namespace.  `commands` maps each subcommand
+    name to its own parser, for `run` to dispatch on.
     """
     p = _Parser(prog="limitalg", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    p.commands = sub.choices
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
@@ -429,8 +451,21 @@ def _build_parser(horizon: int) -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command line (`sys.argv[1:]` when `argv` is None).
+
+    An argv that starts with a subcommand name is parsed by that
+    subcommand's parser alone; any other argv (empty, an unknown name,
+    an option first) goes through the top-level parser, which reports
+    the usage error.  `_Parser.error` writes the message alone, so both
+    paths give the same message for the same mistake.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser(_default_horizon()).parse_args(argv)
+        parser = _build_parser(_default_horizon())
+        command = parser.commands.get(argv[0]) if argv else None
+        args = (command.parse_args(argv[1:]) if command
+                else parser.parse_args(argv))
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

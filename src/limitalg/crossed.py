@@ -318,14 +318,15 @@ def radical_tightness_check(shape, group: FiniteAbelianGroup,
     """
     a = build_crossed(shape, group, action, triangular)
     rad = a.radical()
+    span = a.radical_span()  # Rad(A x G), eliminated once for both checks
     rad_base = a.base.radical_basis()
     lifted = [a.lift_base_vector(v, g) for v in rad_base
               for g in group.elements()]
-    tight = a.alg.span_equal(rad, lifted)
+    tight = span.equals(a.alg.vectors_to_rows(lifted))
     core = _identity_slice(a, a.alg.vectors_to_rows(rad))
     core_lift = [{(k, g): c for k, c in v.items()} for v in core
                  for g in group.elements()]
-    graded = a.alg.span_equal(rad, core_lift)
+    graded = span.equals(a.alg.vectors_to_rows(core_lift))
     base_as_cyc = [a.lift_base_vector(v, group.identity) for v in rad_base]
     core_as_cyc = [{(k, group.identity): c for k, c in v.items()} for v in core]
     return {"tight": tight,
@@ -344,7 +345,7 @@ def corollary_formula_check(shape, group: FiniteAbelianGroup,
     span = [a.alg.vec(((s, i, j), g)) for (s, i, j) in
             multi_matrix_units(a.shape, triangular=True) if i < j
             for g in group.elements()]
-    equal = a.alg.span_equal(rad, span)
+    equal = a.radical_span().equals(a.alg.vectors_to_rows(span))
     return {"equal": equal, "radical_dim": len(rad), "span_dim": len(span)}
 
 

@@ -84,8 +84,7 @@ def nullspace(rows: list[dict], ncols: int, one) -> list[dict]:
 
 
 def same_span(rows_a: list[dict], rows_b: list[dict]) -> bool:
-    span = Span(rows_a)
-    return rank(rows_b) == span.dim and all(map(span.contains, rows_b))
+    return Span(rows_a).equals(rows_b)
 
 
 class Span:
@@ -106,3 +105,8 @@ class Span:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+    def equals(self, rows: list[dict]) -> bool:
+        """Whether `rows` span exactly this space: each lies in it, and
+        their rank is its dimension."""
+        return all(map(self.contains, rows)) and rank(rows) == self.dim

@@ -16,10 +16,12 @@ of (s, p) in every word increase with p, so one level up
 exactly: the image's largest row in t is the last occurrence of the
 largest row label, and its least col the first occurrence of the least
 col label.  Each read is one entry of the step's index.  The image
-itself is built only at the least linked level, for the witness.
+itself is built only for the witness, and only up to the level below
+the least linked one: the witness is read off the last step's index.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -134,11 +136,40 @@ def _climb(index, pairs: dict[int, tuple[int, int]]
 
 def _link_at(tower: TowerSpec, e: MatrixUnit,
              n: int) -> tuple[MatrixUnit, MatrixUnit]:
-    """(S, T') from e's image at level n, where e has a link."""
-    *_, (_, img) = images(tower, [e], n)
-    a, b = least_link(img, img)
-    return (MatrixUnit(n, a.summand, a.col, b.row),
-            MatrixUnit(n, a.summand, a.row, b.col))
+    """(S, T') at level n, where e has a link: `least_link` on e's image
+    at n, read off the index of step n-1 without building that image.
+
+    At e's own level only a diagonal unit links, and (S, T') = (e, e).
+    Above it, e's image u at level n-1 sends its r-th row occurrence
+    `order[a + (i_u-1)*m + r]` and its r-th col occurrence to one unit of
+    target t.  The slices are increasing, and images have distinct rows
+    and distinct cols, so t's least col is the least first col occurrence
+    over u, and the least row at or above it is one bisect in each u's
+    row slice, its col at the same offset.  The least t with such a row
+    gives the witness.
+    """
+    if n == e.level:
+        return e, e
+    *_, (_, img) = images(tower, [e], n - 1)
+    for t, (order, spans) in enumerate(tower.occurrences(n - 1)):
+        slices = []  # (offset of u's row slice, of u's col slice, m)
+        col = 0
+        for _, s, i, j in img:
+            a, m, _ = spans[s]
+            if m:
+                r, c = a + (i - 1) * m, a + (j - 1) * m
+                slices.append((r, c, m))
+                if not col or order[c] < col:
+                    col, row = order[c], order[r]
+        best = None
+        for r, c, m in slices:
+            k = bisect_left(order, col, r, r + m)
+            if k < r + m and (best is None or order[k] < best[0]):
+                best = order[k], order[c + k - r]
+        if best is not None:
+            return (MatrixUnit(n, t, col, best[0]),
+                    MatrixUnit(n, t, row, best[1]))
+    raise ValueError(f"{e} has no link at level {n}")
 
 
 def first_link(tower: TowerSpec, e: MatrixUnit,

@@ -301,11 +301,15 @@ def radical_membership(tower: TowerSpec, e: MatrixUnit,
     if link_horizon < e.level:
         raise LevelRangeError("horizon below the unit's level")
     top = tower.top(expand_horizon)
-    # (1) all-linkless decomposition (TUHF criterion; sound for TAF too)
-    for n, img in images(tower, [e], top):
-        units = tuple(sorted(img))
-        if all(certify_linkless(tower, u) is not None for u in units):
-            return InRadical(LinklessDecomposition(n, units))
+    # (1) all-linkless decomposition (TUHF criterion; sound for TAF too).
+    # A diagonal unit's images are non-empty sums of diagonal units, each
+    # linked at its own level, so no level can give one: a nonzero
+    # idempotent lies in no radical
+    if not e.diagonal:
+        for n, img in images(tower, [e], top):
+            units = tuple(sorted(img))
+            if all(certify_linkless(tower, u) is not None for u in units):
+                return InRadical(LinklessDecomposition(n, units))
     # (2) recurrent Donsig chain
     if not tower.finite and tower.rule.self_similar:
         cc = chain_cycle_certificate(tower, e, horizon=link_horizon)

@@ -392,6 +392,10 @@ class BlockRule(TowerRule):
             if not block:
                 raise TowerValidationError(f"block {t} is empty")
             for s, r in block:
+                if not (isinstance(s, int) and isinstance(r, int)):
+                    raise TowerValidationError(
+                        f"block {t} token ({s!r}, {r!r}) is not a pair of "
+                        f"integers")
                 if not 0 <= s < len(base):
                     raise TowerValidationError(
                         f"block {t} token ({s}, {r}) names no base summand")

@@ -420,3 +420,52 @@ class TestPrettyEncoder:
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             cli._pretty(value)
+
+    def test_a_list_held_at_two_indentations(self):
+        # a shared list is written once per indentation it is met at
+        shared = ["a", "b"]
+        for value in ([shared, [shared], {"k": [shared, shared]}],
+                      {"x": [[shared], shared], "y": [shared, [[shared]]]}):
+            assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                    indent=2)
+
+    def test_calls_whose_objects_reuse_ids(self):
+        # one list object, changed between two calls, keeps its id; a
+        # memo that outlived a call would write its old text
+        inner = ["a"]
+        for word in ("a", "b", "c"):
+            inner[0] = word
+            value = [[inner], [inner, inner]]
+            assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                    indent=2)
+
+
+def _parsed(parse, argv):
+    """The namespace `parse(argv)` gives, without `cmd`, or the usage
+    error it raises."""
+    try:
+        args = vars(parse(argv))
+    except cli.CliError as exc:
+        return f"error: {exc}"
+    args.pop("cmd", None)
+    return args
+
+
+def test_both_dispatch_paths_parse_golden_argvs_alike():
+    # `run` hands an argv that starts with a subcommand name to that
+    # subcommand's parser; the top-level parser must read it the same way
+    sys.path.insert(0, str(GOLDEN))
+    try:
+        import replay
+    finally:
+        sys.path.remove(str(GOLDEN))
+    parser = cli._build_parser(DEFAULT_HORIZON)
+    direct = 0
+    for argv, _ in replay.CASES.values():
+        argv = replay._argv(argv)
+        if argv and argv[0] in parser.commands:
+            command = parser.commands[argv[0]]
+            assert _parsed(command.parse_args, argv[1:]) == \
+                _parsed(parser.parse_args, argv), argv
+            direct += 1
+    assert direct > 100

@@ -441,3 +441,21 @@ def test_crossed_checks_stay_within_their_recorded_products(monkeypatch):
     twist = diag_action(z3, (2,), [((0, 1),)])
     assert mul_calls(monkeypatch,
                      lambda: radical_tightness_check((2,), z3, twist)) <= 40
+
+
+def test_tightness_eliminates_the_crossed_radical_once(monkeypatch):
+    # both span comparisons go through the cached `radical_span()`; the
+    # two row sets compared with it used to eliminate the radical rows
+    # again each, in 12 `rref` calls in all
+    calls = []
+    rref = linalg.rref
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    z3 = FiniteAbelianGroup((3,))
+    rep = radical_tightness_check((2,), z3, diag_action(z3, (2,), [((0, 1),)]))
+    assert rep["tight"] and rep["radical_is_core_crossed"]
+    assert len(calls) < 12

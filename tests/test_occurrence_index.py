@@ -15,7 +15,7 @@ from limitalg import links
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import TowerAction
 from limitalg.links import (CertifiedLinkless, certify_linkless, first_link,
-                            link_status)
+                            least_link, link_status)
 from limitalg.tower import (PRESETS, BlockRule, MatrixUnit,
                             PaperExampleRule, TowerRule, TowerSpec,
                             TowerValidationError, embed_unit, flat_word,
@@ -248,20 +248,47 @@ def repeat_tail_tower(seed):
     return TowerSpec(levels, steps, rule=rule, rule_start=len(steps))
 
 
+def deep_towers():
+    """Seeded random finite towers to level 8, and `repeat`-tail towers."""
+    towers = [TowerSpec(*random_prefix(base, TOP, random.Random(seed), 16))
+              for seed, base in enumerate(((1, 2), (2, 1), (1, 1, 2)))]
+    return towers + [repeat_tail_tower(seed) for seed in range(3)]
+
+
 def test_first_link_matches_all_pairs_to_level_eight():
     # the extremal (I, J) recurrence against the least link of the built
     # image at every level
-    towers = [TowerSpec(*random_prefix(base, TOP, random.Random(seed), 16))
-              for seed, base in enumerate(((1, 2), (2, 1), (1, 1, 2)))]
-    towers += [repeat_tail_tower(seed) for seed in range(3)]
     linked = 0
-    for tower in towers:
+    for tower in deep_towers():
         for start in range(3):
             for e in tower.units_at(start):
                 found = first_link(tower, e, TOP)
                 assert found == reference_chain_step(tower, e, TOP), e
                 linked += found is not None and found[0].level > start
     assert linked
+
+
+def test_witness_read_off_the_index_is_the_least_link_of_the_image():
+    # `links._link_at` reads level n from step n-1's index; `least_link`
+    # on the image built at n is the witness it replaced.  Every level at
+    # which a unit links is tried, not only the least one
+    cases = [(PRESETS[name](), 3) for name in PRESETS]
+    cases += [(tower, TOP) for tower in deep_towers()]
+    linked = 0
+    for tower, top in cases:
+        for start in range(min(top, 3) + 1):
+            for e in tower.units_at(start):
+                for n in range(start, top + 1):
+                    img = embed_unit(tower, e, n).units
+                    found = least_link(img, img)
+                    if found is None:
+                        continue
+                    a, b = found
+                    assert links._link_at(tower, e, n) == (
+                        MatrixUnit(n, a.summand, a.col, b.row),
+                        MatrixUnit(n, a.summand, a.row, b.col)), (e, n)
+                    linked += n > start
+    assert linked > 1000
 
 
 class TestApplyGenMatchesBruteForce:

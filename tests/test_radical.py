@@ -5,15 +5,16 @@ import pytest
 
 from limitalg import radical
 from limitalg.algebra import multi_matrix_algebra
-from limitalg.links import link_status
+from limitalg.links import certify_linkless, link_status
 from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
                               chain_cycle_certificate, donsig_chain,
                               radical_membership,
                               strictly_upper_units, uniform_nilpotency)
 from limitalg.tower import (BlockRule, Element, MatrixUnit, TowerRule,
-                            TowerSpec, UnitShapeError, embed_element, preset)
-from test_occurrence_index import permutation_rule, random_prefix
+                            TowerSpec, UnitShapeError, embed_element, images,
+                            preset)
+from test_occurrence_index import deep_towers, permutation_rule, random_prefix
 
 
 def exhaustive_nilpotency(tower, e, exponent, horizon):
@@ -271,3 +272,34 @@ class TestMembership:
         st = radical_membership(t, MatrixUnit(0, 0, 1, 2),
                                 expand_horizon=0, link_horizon=4)
         assert isinstance(st, Unknown) and calls == []
+
+
+def linkless_decomposition(tower, e, expand_horizon):
+    """Step (1) of `radical_membership` as it ran on every unit."""
+    for n, img in images(tower, [e], tower.top(expand_horizon)):
+        units = tuple(sorted(img))
+        if all(certify_linkless(tower, u) is not None for u in units):
+            return LinklessDecomposition(n, units)
+    return None
+
+
+def test_no_linkless_decomposition_holds_a_diagonal_unit():
+    # `radical_membership` skips step (1) for a diagonal unit: each unit of
+    # its image is diagonal, so linked at its own level
+    towers = deep_towers() + [preset(name) for name in
+                              ("standard-2", "refinement-2",
+                               "paper-example-taf")]
+    diagonal = 0
+    for tower in towers:
+        for level in range(3):
+            for e in tower.units_at(level):
+                if e.diagonal:
+                    diagonal += 1
+                    for horizon in range(7):
+                        assert linkless_decomposition(tower, e, horizon) \
+                            is None, (e, horizon)
+    assert diagonal > 100
+    # the copy does find the decompositions that step (1) reports
+    e = MatrixUnit(0, 0, 1, 2)
+    assert linkless_decomposition(preset("refinement-2"), e, 6) == \
+        radical_membership(preset("refinement-2"), e).certificate

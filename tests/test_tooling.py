@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import limitalg
-from limitalg import cli, links
+from limitalg import cli, links, tower
 
 PACKAGE = Path(limitalg.__file__).resolve().parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -95,6 +95,44 @@ def test_pairing_runs_only_in_the_walk_and_the_generator_step():
     callers = _callers(sorted(PACKAGE.glob("*.py")), "pair_occurrences")
     assert sorted(callers) == ["dynamics.TowerAction.apply_gen",
                                "tower.images"]
+
+
+def test_a_subcommand_argv_is_parsed_once(monkeypatch, capsys):
+    # the subcommand's own parser reads it; the top-level parser does not
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert cli.run(["links", "standard-2", "--unit", "0:0:1:2"]) == 0
+    assert calls == ["limitalg links"]
+    calls.clear()
+    assert cli.run(["--json", "preset", "standard-2"]) == 1
+    assert calls[0] == "limitalg"
+    capsys.readouterr()
+
+
+def test_radical_on_a_diagonal_unit_pairs_no_level(monkeypatch, capsys):
+    # no all-linkless scan: a diagonal unit's images are diagonal units,
+    # each linked at its own level
+    steps = []
+    original = tower.pair_occurrences
+
+    def counting(*args):
+        steps.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(tower, "pair_occurrences", counting)
+    for spec, unit in (("standard-2", "1:0:2:2"), ("refinement-2", "0:0:1:1"),
+                       ("paper-example-taf", "2:1:1:1"),
+                       (str(GOLDEN / "finite.tower"), "1:0:2:2"),
+                       (str(GOLDEN / "prefix.tower"), "1:1:1:1")):
+        assert cli.run(["radical", spec, "--unit", unit]) in (0, 2), spec
+        assert steps == [], spec
+    capsys.readouterr()
 
 
 def test_cyclotomic_builds_fractions_only_at_its_public_boundary():

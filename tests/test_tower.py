@@ -378,9 +378,13 @@ class TestImages:
         ((2, 0), (((0, 1),), ((1, 1),)), r"size at least 1, got \[2, 0\]"),
         ((), (), r"size at least 1, got \[\]"),
         ((2,), (((0, 1),), ((0, 1),)), "one block per base summand"),
+        ((2,), (((0, 1.5),),),
+         r"block 0 token \(0, 1\.5\) is not a pair of integers"),
+        ((2,), ((("0", 1),),),
+         r"block 0 token \('0', 1\) is not a pair of integers"),
     ], ids=["summand-outside-base", "negative-summand", "r-below-1",
             "empty-block", "unnamed-source", "zero-size-base", "empty-base",
-            "block-count"])
+            "block-count", "float-r", "string-summand"])
     def test_block_rules_reject_invalid_blocks(self, base, blocks, message):
         # a rule step is indexed in closed form, with no validation, so a
         # block rule is checked when it is made
