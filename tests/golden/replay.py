@@ -67,6 +67,11 @@ ALIAS_SPEC = ("level 0 = [2,2]\nlevel 1 = [4,4]\nembed 0 -> 1 {\n"
 # a `repeat` tail whose last step breaks the ballot order
 REPEAT_LATTICE_SPEC = ("level 0 = [2]\nlevel 1 = [2]\nembed 0 -> 1 {\n"
                        "  target 0 : (0,2) (0,1)\n}\nrepeat\n")
+# points whose `str` order is not file order: digits before letters, a
+# two-digit name before a one-digit one, and a name outside ASCII last
+STR_ORDER_SYSTEM = "points = 10 9 b a\nphi: 10->9 9->10 b->b a->a\n"
+STR_ORDER_NON_ASCII_SYSTEM = ("points = b a 10 9 é\n"
+                              "phi: b->a a->10 10->b 9->é é->9\n")
 ZERO_SIZE_SPEC = "level 0 = [0]\n"
 ZERO_SUMMAND_SPEC = ("level 0 = [2]\nlevel 1 = [2,0]\nembed 0 -> 1 {\n"
                      "  target 0 : (0,1) (0,2)\n  target 1 :\n}\n")
@@ -110,6 +115,31 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "donsig-stdin": (("donsig", "-", "--level", "0"), "preset standard-2\n"),
     "donsig-two-summand": (("donsig", "@two-summand.tower", "--level", "1",
                             "--json"), None),
+    # every verdict branch of a whole-level report: linked at a unit's own
+    # level and above it, frozen (paper-example-taf, the tower files),
+    # separation (refinement-2), finite-tower (two-summand) and
+    # not-linked-up-to (a horizon at the level, and a `repeat` tail)
+    **{f"donsig-{name.strip('@').replace('.tower', '')}-level-{level}"
+       f"{'-compact' if compact else ''}": (
+           ("donsig", name, "--level", str(level))
+           + (("--json",) if compact else ()), None)
+       for name, level in (("standard-2", 3), ("refinement-2", 3),
+                           ("paper-example-taf", 3), ("@prefix.tower", 2),
+                           ("@two-summand.tower", 2), ("@swap.tower", 2))
+       for compact in (False, True)},
+    "donsig-standard-2-horizon-at-level": (("donsig", "standard-2", "--level",
+                                            "3", "--horizon", "3"), None),
+    "donsig-standard-2-horizon-above-level": (("donsig", "standard-2",
+                                               "--level", "3", "--horizon",
+                                               "4", "--json"), None),
+    "donsig-paper-example-taf-horizon-at-level": (
+        ("donsig", "paper-example-taf", "--level", "3", "--horizon", "3",
+         "--json"), None),
+    "donsig-prefix-horizon-at-level": (("donsig", "@prefix.tower", "--level",
+                                        "2", "--horizon", "2"), None),
+    "donsig-prefix-horizon-above-level": (("donsig", "@prefix.tower",
+                                           "--level", "2", "--horizon", "3",
+                                           "--json"), None),
     # radical: every route
     "radical-linkless-decomposition": (("radical", "refinement-2", "--unit",
                                         "0:0:1:2"), None),
@@ -320,6 +350,13 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
                               NON_ASCII_SYSTEM),
     "peters-enum-non-ascii-compact": (("peters", "-", "enum", "--horizon", "1",
                                        "--json"), NON_ASCII_SYSTEM),
+    # name lists in `str` order, not file order, at horizon 3
+    **{f"peters-enum-str-order{tag}{'-compact' if compact else ''}": (
+        ("peters", "-", "enum", "--horizon", "3")
+        + (("--json",) if compact else ()), text)
+       for tag, text in (("", STR_ORDER_SYSTEM),
+                         ("-non-ascii", STR_ORDER_NON_ASCII_SYSTEM))
+       for compact in (False, True)},
     # system-file keywords: spacing that is accepted, prefixes and repeats
     # that are not
     **{f"peters-system-{name}": (("peters", "-", "enum"), text)
