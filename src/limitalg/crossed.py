@@ -320,13 +320,15 @@ def radical_tightness_check(shape, group: FiniteAbelianGroup,
     rad = a.radical()
     span = a.radical_span()  # Rad(A x G), eliminated once for both checks
     rad_base = a.base.radical_basis()
+    # a basis copied into the disjoint g-slices stays a basis, so both
+    # lifts below have rank their length
     lifted = [a.lift_base_vector(v, g) for v in rad_base
               for g in group.elements()]
-    tight = span.equals(a.alg.vectors_to_rows(lifted))
+    tight = span.equals(a.alg.vectors_to_rows(lifted), independent=True)
     core = _identity_slice(a, a.alg.vectors_to_rows(rad))
     core_lift = [{(k, g): c for k, c in v.items()} for v in core
                  for g in group.elements()]
-    graded = span.equals(a.alg.vectors_to_rows(core_lift))
+    graded = span.equals(a.alg.vectors_to_rows(core_lift), independent=True)
     base_as_cyc = [a.lift_base_vector(v, group.identity) for v in rad_base]
     core_as_cyc = [{(k, group.identity): c for k, c in v.items()} for v in core]
     return {"tight": tight,

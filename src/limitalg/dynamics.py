@@ -231,39 +231,39 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
                 "reason": "unit has a link; hypothesis e A e = 0 fails",
                 "tuples": []}
 
-    # the loops below ask for the same few position lists many times; a
-    # diagonal unit's own positions are its twisted ones at the identity
+    # twisted position lists repeat across (k, l, m); a diagonal unit's
+    # own positions are its twisted ones at the identity
     twisted_positions = functools.cache(
         functools.partial(_twisted_positions, tower, action))
-
-    def diag_positions(level, idx, target):
-        return twisted_positions(level, idx, action.group.identity, target)
-
-    def separated(level, lo, hi, bound):
-        # e_hi T e_lo = 0 up to `bound`: first subordinate of hi past last of lo
-        pos_hi = diag_positions(level, hi, bound)
-        pos_lo = diag_positions(level, lo, bound)
-        return pos_hi[0] > pos_lo[-1]
+    identity = action.group.identity
+    elements = action.group.elements()
 
     tuples: list[AuditTuple] = []
     for n1 in range(e.level, h1 + 1):
         size1 = tower.shape(n1)[0]
+        if size1 < 3:
+            continue  # no k < l < m
+        # e_hi T e_lo = 0 up to h2: first subordinate of hi past last of lo
+        bound = [None] + [twisted_positions(n1, idx, identity, h2)
+                          for idx in range(1, size1 + 1)]
         for n2 in range(n1 + 1, h2 + 1):
-            size2 = tower.shape(n2)[0]
-            ratio = size2 // size1
+            ratio = tower.shape(n2)[0] // size1
+            diag = [None] + [twisted_positions(n1, idx, identity, n2)
+                             for idx in range(1, size1 + 1)]
             for k in range(1, size1 + 1):
                 for l in range(k + 1, size1 + 1):
+                    if bound[l][0] <= bound[k][-1]:
+                        continue
+                    l_pos = diag[l]
                     for m in range(l + 1, size1 + 1):
-                        if not (separated(n1, l, m, h2)
-                                and separated(n1, k, l, h2)):
+                        if bound[m][0] <= bound[l][-1]:
                             continue
-                        for g in action.group.elements():
+                        m_pos = diag[m]
+                        for g in elements:
                             kp = twisted_positions(n1, k, g, n2)
                             lp = twisted_positions(n1, l, g, n2)
                             if kp is None or lp is None:
                                 continue
-                            m_pos = diag_positions(n1, m, n2)
-                            l_pos = diag_positions(n1, l, n2)
                             if m_pos[0] > kp[-1]:
                                 continue  # e_m T_{n2} alpha_g(e_k) = 0
                             ineqs = {

@@ -15,9 +15,9 @@ of (s, p) in every word increase with p, so one level up
 
 exactly: the image's largest row in t is the last occurrence of the
 largest row label, and its least col the first occurrence of the least
-col label.  Each read is one entry of the step's index.  The image
-itself is built only for the witness, and only up to the level below
-the least linked one: the witness is read off the last step's index.
+col label.  Each read is one entry of the step's index.  Every
+question, from one unit's status to a whole-level report, is one walk
+of the pairs (`_decide`), and the image is built only for a witness.
 """
 from __future__ import annotations
 
@@ -38,9 +38,11 @@ class Linked:
     kind = "linked"
 
     def to_json(self):
-        return {"status": "linked", "level": self.level,
-                "witness": list((self.witness.summand, self.witness.row,
-                                 self.witness.col))}
+        return _linked_json(self.level, self.witness[1:])
+
+
+def _linked_json(level: int, witness: tuple[int, int, int]) -> dict:
+    return {"status": "linked", "level": level, "witness": list(witness)}
 
 
 @dataclass(frozen=True)
@@ -106,52 +108,77 @@ def has_link_at(tower: TowerSpec, e: MatrixUnit, level: int) -> MatrixUnit | Non
     return MatrixUnit(level, a.summand, a.col, b.row)
 
 
-def _climb(index, pairs: dict[int, tuple[int, int]]
-           ) -> tuple[dict[int, tuple[int, int]], bool]:
-    """The extremal pairs one level up, through a step's `index`, and
-    whether they show a link.
+def _climb(index, groups: dict) -> tuple[dict, set[int]]:
+    """The groups one level up through a step's `index`, less the units
+    linked there, and the positions of those.
 
-    `pairs` maps each summand that an image meets to its (I, J), largest
-    row and least col.  With `spans[s] = (a, m, size)`, the last
-    occurrence of (s, I) in a word is `order[a + I*m - 1]` and the first
-    of (s, J) is `order[a + (J-1)*m]`: two reads per source and target.
+    `groups[s]` lists (position, I, J) for each unit whose image meets
+    summand s.  With `spans[s] = (a, m, size)`, the last occurrence of
+    (s, I) is `order[a + I*m - 1]` and the first of (s, J) is
+    `order[a + (J-1)*m]`; a target fed by several met summands keeps,
+    per unit, the largest row and the least col.
     """
+    linked: set[int] = set()
+    if len(index) == 1 and len(groups) == 1:
+        # one word and one summand met (a TUHF step's common case): the
+        # pairs map one to one
+        [(order, spans)], [(s, group)] = index, groups.items()
+        a, m, _ = spans[s]
+        kept = []
+        for q, i, j in group:
+            i, j = order[a + i * m - 1], order[a + (j - 1) * m]
+            if j <= i:
+                linked.add(q)
+            else:
+                kept.append((q, i, j))
+        return {0: kept} if kept else {}, linked
     up = {}
-    linked = False
     for t, (order, spans) in enumerate(index):
-        hi = lo = 0  # positions are at least 1
-        for s, (i, j) in pairs.items():
+        pairs: dict[int, tuple[int, int]] = {}
+        for s, group in groups.items():
             a, m, _ = spans[s]
             if m:
-                row, col = order[a + i * m - 1], order[a + (j - 1) * m]
-                if row > hi:
-                    hi = row
-                if not lo or col < lo:
-                    lo = col
-        if hi:
-            up[t] = (hi, lo)
-            linked = linked or lo <= hi
+                for q, i, j in group:
+                    i, j = order[a + i * m - 1], order[a + (j - 1) * m]
+                    if q in pairs:
+                        i, j = max(i, pairs[q][0]), min(j, pairs[q][1])
+                    pairs[q] = i, j
+        kept = []
+        for q, (i, j) in pairs.items():
+            if j <= i:
+                linked.add(q)
+            else:
+                kept.append((q, i, j))
+        if kept:
+            up[t] = kept
+    if linked and up and len(index) > 1:
+        up = _drop(up, linked)
     return up, linked
 
 
-def _link_at(tower: TowerSpec, e: MatrixUnit,
-             n: int) -> tuple[MatrixUnit, MatrixUnit]:
-    """(S, T') at level n, where e has a link: `least_link` on e's image
-    at n, read off the index of step n-1 without building that image.
+def _drop(groups: dict, gone) -> dict:
+    """`groups` without the units whose positions are in `gone`, and
+    without the groups left empty."""
+    out = {}
+    for s, group in groups.items():
+        group = [u for u in group if u[0] not in gone]
+        if group:
+            out[s] = group
+    return out
 
-    At e's own level only a diagonal unit links, and (S, T') = (e, e).
-    Above it, e's image u at level n-1 sends its r-th row occurrence
-    `order[a + (i_u-1)*m + r]` and its r-th col occurrence to one unit of
-    target t.  The slices are increasing, and images have distinct rows
-    and distinct cols, so t's least col is the least first col occurrence
-    over u, and the least row at or above it is one bisect in each u's
-    row slice, its col at the same offset.  The least t with such a row
-    gives the witness.
+
+def _witness(index, img) -> tuple[int, int, int, int, int] | None:
+    """`least_link` on the image of `img`, units of one level, one step
+    up through `index`, as (t, S.row, S.col, T'.row, T'.col), or None.
+
+    Unit u sends its r-th row occurrence `order[a + (i_u-1)*m + r]` and
+    its r-th col occurrence to one unit of target t.  The slices are
+    increasing and images have distinct rows and cols, so t's least col
+    is the least first col occurrence over u, and the least row at or
+    above it one bisect in each u's row slice, its col at the same
+    offset.  The least t with such a row gives the witness.
     """
-    if n == e.level:
-        return e, e
-    *_, (_, img) = images(tower, [e], n - 1)
-    for t, (order, spans) in enumerate(tower.occurrences(n - 1)):
+    for t, (order, spans) in enumerate(index):
         slices = []  # (offset of u's row slice, of u's col slice, m)
         col = 0
         for _, s, i, j in img:
@@ -167,9 +194,24 @@ def _link_at(tower: TowerSpec, e: MatrixUnit,
             if k < r + m and (best is None or order[k] < best[0]):
                 best = order[k], order[c + k - r]
         if best is not None:
-            return (MatrixUnit(n, t, col, best[0]),
-                    MatrixUnit(n, t, row, best[1]))
-    raise ValueError(f"{e} has no link at level {n}")
+            return t, col, best[0], row, best[1]
+    return None
+
+
+def _link_at(tower: TowerSpec, e: MatrixUnit, n: int,
+             found: tuple | None = None) -> tuple[MatrixUnit, MatrixUnit]:
+    """(S, T') at level n, where e has a link: the `_witness` of e's
+    image at n-1, unless `found` is it.  At e's own level only a
+    diagonal unit links, and (S, T') = (e, e)."""
+    if n == e.level:
+        return e, e
+    if found is None:
+        *_, (_, img) = images(tower, [e], n - 1)
+        found = _witness(tower.occurrences(n - 1), img)
+        if found is None:
+            raise ValueError(f"{e} has no link at level {n}")
+    t, row, col, row2, col2 = found
+    return MatrixUnit(n, t, row, col), MatrixUnit(n, t, row2, col2)
 
 
 def first_link(tower: TowerSpec, e: MatrixUnit,
@@ -178,22 +220,17 @@ def first_link(tower: TowerSpec, e: MatrixUnit,
 
     S is the least witness at n and T' = embed(e) S embed(e) != 0 the
     unit it leaves; a Donsig chain steps from e to T'.  The levels are
-    scanned on the extremal pairs (I, J) of e's image (see the module
-    docstring), which the monotone first and last occurrences carry
-    exactly, so the image is built only at level n.
+    scanned by `_decide` with no certificate tried, so e's image is built
+    only below n, and only when n is two or more levels above e.
     """
     tower.check_unit(e)
-    pairs = {e.summand: (e.row, e.col)}
-    linked = e.col <= e.row
-    for n in range(e.level, top + 1):
-        if n > e.level:
-            pairs, linked = _climb(tower.occurrences(n - 1), pairs)
-        if linked:
-            return _link_at(tower, e, n)
-    return None
+    if e.level > top:
+        return None
+    [n], found = _decide(tower, [e], top, certify=False)
+    return None if n is None else _link_at(tower, e, n, found.get(0))
 
 
-def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
+def _reachable_frozen(tower: TowerSpec, e) -> bool:
     """Certificate (F): e's summand is identity-carried forever.
 
     Walks frozen-carry links; succeeds once a rule-backed tower confirms
@@ -202,7 +239,7 @@ def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
     """
     if tower.finite:
         return False
-    level, summand = e.level, e.summand
+    level, summand, _, _ = e
     # explicit prefix must carry identically too
     while level < len(tower.flat_steps):
         target = tower.frozen_carry(level, summand)
@@ -213,83 +250,135 @@ def _reachable_frozen(tower: TowerSpec, e: MatrixUnit) -> bool:
     return tower.rule.frozen_forever(level - tower.rule_start, summand)
 
 
-def _decide(tower: TowerSpec, e: MatrixUnit, top: int,
-            frozen: bool | None = None,
-            max_steps: int = 64) -> CertifiedLinkless | int | None:
-    """e's verdict from one walk of its extremal pairs: a linkless
-    certificate, or the least level at which e has a link, or None when
-    neither turns up by level `top`.  e must be a checked unit.
+FROZEN = CertifiedLinkless("frozen")
+FINITE = CertifiedLinkless("finite-tower")
+SEPARATION = CertifiedLinkless("separation")
 
-    Any certificate needs no link at e's own level.  A finite tower IS
-    the finite algebra, so a walk to its top decides.  Otherwise e is
-    certified when its summand is identity-carried forever (`frozen`,
-    computed here when not given), or by the separation induction
-    below; failing both, the walk goes on to `top` for a link.
+
+def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
+            traced: bool = True, max_steps: int = 64) -> tuple[list, dict]:
+    """The verdict of each of `units`, checked units (level, summand, row,
+    col) by nondecreasing level: the least level at which it links, a
+    linkless certificate, or None when neither turns up by level `top`;
+    and, by position, the `_witness` of each unit that links one level
+    above its own, read off the index in hand.
+
+    The units walk up together, each joining at its own level, and each
+    level's index is read once for all of them (`_climb`).  A diagonal
+    unit links at its own level.  With `certify` off the others are only
+    scanned up to `top`.  Otherwise (a certificate needs no link at the
+    unit's level) a finite tower IS the finite algebra, so a walk to its
+    top decides; on an infinite one a unit is certified when its summand
+    is identity-carried forever (read once per level and summand) or by
+    the separation induction below, or else walks to `top` for a link.
 
     Separation runs on a self-similar tower while the levels stay TUHF,
     for at most `max_steps` levels, and may pass `top`.  Preserved
     separation plus recurrence of the normalized pair (I/K, (J-1)/K)
     certifies linklessness at every level.  Over K > 0 two such pairs are
     equal exactly when their triples (I, J-1, K) are proportional, so the
-    triple divided by its gcd is the exact recurrence key.  A link met
-    on the way is the least one, so no level is walked twice.
+    triple divided by its gcd is the exact recurrence key; with `traced`
+    the certificate carries the (level, I, J) of every level walked.  A
+    link met on the way is the least one, so no level is walked twice.
     """
-    n = e.level
-    if e.col <= e.row:
-        return n
-    shape = tower.shape(n)
-    if tower.finite:
+    count = len(units)
+    verdicts: list = [None] * count
+    witnesses: dict[int, tuple] = {}
+    reach = top  # links above it need no witness
+    finite = tower.finite
+    if certify and finite:
         top = tower.max_level
-        separating = False
-    else:
-        if frozen is None:
-            frozen = _reachable_frozen(tower, e)
-        if frozen:
-            return CertifiedLinkless("frozen")
-        separating = tower.rule.self_similar and len(shape) == 1
-    pairs = {e.summand: (e.row, e.col)}
-    k = shape[e.summand]
-    seen: set[tuple[int, int, int]] = set()
-    trace = []
+    freeze = certify and not finite
+    separate = freeze and tower.rule.self_similar
+    walks: dict[int, list] = {}  # position -> its separation trace so far
+    seen: set[tuple[int, int, int, int]] = set()
+    groups: dict = {}
+    active = p = 0  # units in `groups`; units that have joined
+    tuhf = None  # whether level n is TUHF, with K its size; None: not read
     while True:
-        if separating:
-            ((i, j),) = pairs.values()
-            g = gcd(i, j - 1, k)
-            state = (i // g, (j - 1) // g, k // g)
-            trace.append((n, i, j))
-            if state in seen:
-                return CertifiedLinkless("separation", tuple(trace))
-            seen.add(state)
-        elif n >= top:
-            return CertifiedLinkless("finite-tower") if tower.finite else None
+        born = p
+        if not active:
+            if p == count:
+                return verdicts, witnesses
+            n = units[p][0]
+            tuhf = None
+        if p < count and units[p][0] == n:
+            frozen: dict[int, bool] = {}
+            while p < count and units[p][0] == n:
+                e = units[p]
+                _, s, i, j = e
+                if j <= i:
+                    verdicts[p] = n
+                elif freeze and (frozen[s] if s in frozen else frozen.setdefault(
+                        s, _reachable_frozen(tower, e))):
+                    verdicts[p] = FROZEN
+                else:
+                    if s in groups:
+                        groups[s].append((p, i, j))
+                    else:
+                        groups[s] = [(p, i, j)]
+                    active += 1
+                    if separate:
+                        if tuhf is None:
+                            shape = tower.shape(n)
+                            tuhf, k = len(shape) == 1, shape[0]
+                        if tuhf:
+                            walks[p] = []
+                p += 1
+            if not active:
+                continue
+        done = set()
+        if walks:
+            [group] = groups.values()  # only a TUHF level has walks
+            for q, i, j in group:
+                trace = walks.get(q)
+                if trace is None:
+                    continue
+                if len(trace) == max_steps:
+                    del walks[q]
+                    continue
+                trace.append((n, i, j))
+                g = gcd(i, j - 1, k)
+                key = q, i // g, (j - 1) // g, k // g
+                if key in seen:
+                    verdicts[q] = CertifiedLinkless(
+                        "separation", tuple(trace)) if traced else SEPARATION
+                    del walks[q]
+                    done.add(q)
+                seen.add(key)
+        if n >= top and len(walks) + len(done) < active:
+            last = FINITE if certify and finite else None
+            for group in groups.values():
+                for q, _, _ in group:
+                    if q not in walks and q not in done:
+                        verdicts[q] = last
+                        done.add(q)
+        if done:
+            active -= len(done)
+            groups = _drop(groups, done) if active else {}
+            if not active:
+                continue
         index = tower.occurrences(n)
-        pairs, linked = _climb(index, pairs)
+        groups, linked = _climb(index, groups)
         n += 1
-        if linked:
-            return n
-        if separating:
-            # level n is TUHF iff the step into it has one word, of length K
-            separating = len(index) == 1 and len(trace) < max_steps
-            k = len(index[0][0])
+        active -= len(linked)
+        for q in linked:
+            verdicts[q] = n
+            walks.pop(q, None)
+            if q >= born and n <= reach:
+                # its image one level down is the unit itself
+                witnesses[q] = _witness(index, [units[q]])
+        # level n is TUHF iff the step into it has one word
+        tuhf, k = len(index) == 1, len(index[0][0])
+        if walks and not tuhf:
+            walks.clear()
 
 
 def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
     """Sound linkless certificate, or None when no certificate applies."""
     tower.check_unit(e)
-    verdict = _decide(tower, e, e.level)
+    [verdict], _ = _decide(tower, [e], e.level)
     return verdict if isinstance(verdict, CertifiedLinkless) else None
-
-
-def _status(tower: TowerSpec, e: MatrixUnit, horizon: int,
-            frozen: bool | None = None) -> LinkStatus:
-    """`link_status` of a checked unit; the witness of a link is built
-    only when the link lies within the horizon."""
-    verdict = _decide(tower, e, tower.top(horizon), frozen)
-    if isinstance(verdict, CertifiedLinkless):
-        return verdict
-    if verdict is not None and verdict <= horizon:
-        return Linked(verdict, _link_at(tower, e, verdict)[0])
-    return NotLinkedUpTo(horizon)
 
 
 def link_status(tower: TowerSpec, e: MatrixUnit,
@@ -298,33 +387,44 @@ def link_status(tower: TowerSpec, e: MatrixUnit,
         raise LevelRangeError("horizon below the unit's level")
     tower.check_unit(e)
     # certificates are sound, so they short-circuit the horizon scan
-    return _status(tower, e, horizon)
+    [n], found = _decide(tower, [e], tower.top(horizon))
+    if isinstance(n, CertifiedLinkless):
+        return n
+    if n is None or n > horizon:
+        return NotLinkedUpTo(horizon)
+    return Linked(n, _link_at(tower, e, n, found.get(0))[0])
 
 
 def donsig_report(tower: TowerSpec, level: int,
                   horizon: int = DEFAULT_HORIZON) -> dict:
-    """Classify all units at levels <= `level`; Donsig's criterion verdict."""
+    """Classify all units at levels <= `level`; Donsig's criterion verdict.
+    Each entry is the unit's `link_status(...).to_json()`, from one walk."""
     if level < 0:
         raise LevelRangeError(f"level must be at least 0, got {level}")
     if level > horizon:
         raise LevelRangeError("level exceeds horizon")
-    entries = []
-    any_linkless = False
-    any_unknown = False
     top = tower.top(level)
-    for n in range(top + 1):
-        frozen: dict[int, bool] = {}
-        for u in tower.units_at(n):
-            if u.summand not in frozen:
-                frozen[u.summand] = _reachable_frozen(tower, u)
-            st = _status(tower, u, horizon, frozen[u.summand])
-            entries.append({"unit": [u.level, u.summand, u.row, u.col],
-                            **st.to_json()})
-            any_linkless |= isinstance(st, CertifiedLinkless)
-            any_unknown |= isinstance(st, NotLinkedUpTo)
-    if any_linkless:
+    units = [(n, s, i, j) for n in range(top + 1)
+             for s, k in enumerate(tower.shape(n))
+             for i in range(1, k + 1) for j in range(i, k + 1)]
+    verdicts, found = _decide(tower, units, tower.top(horizon), traced=False)
+    unknown = NotLinkedUpTo(horizon)
+    entries = []
+    kinds = set()
+    for q, (unit, n) in enumerate(zip(units, verdicts)):
+        if isinstance(n, int) and n <= horizon:
+            entry = _linked_json(n, unit[1:] if n == unit[0] else
+                                 found[q][:3] if q in found else
+                                 _link_at(tower, MatrixUnit(*unit), n)[0][1:])
+        else:
+            status = unknown if n is None or isinstance(n, int) else n
+            entry = status.to_json()
+            kinds.add(status.kind)
+        entry["unit"] = list(unit)
+        entries.append(entry)
+    if "linkless" in kinds:
         verdict = "not semisimple"
-    elif any_unknown:
+    elif "unknown" in kinds:
         verdict = "inconclusive"
     else:
         verdict = "semisimple (evidence)"

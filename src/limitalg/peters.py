@@ -136,19 +136,24 @@ def ideals_to_sets(iseq: IdealSequence) -> SubsetSequence:
     return SubsetSequence(iseq.zero_sets)
 
 
-def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]:
-    """All (star) sequences stabilizing by `horizon`, canonical order.
+def sequence_masks(sys: FiniteDynSys, horizon: int
+                   ) -> tuple[list[list], list[tuple[int, ...]]]:
+    """The (star) sequences stabilizing by `horizon` as chains of int
+    masks, canonical order, and the table that names the masks.
 
-    X_{n+1} ranges over subsets of X_n intersect phi^(-1)(X_n); the tail
+    Bit i of a mask is the i-th point in `str` order, and `names[mask]`
+    lists the mask's points in that order; a chain stores each set of
+    its sequence once, trimmed as `SubsetSequence` trims.  X_{n+1}
+    ranges over subsets of X_n intersect phi^(-1)(X_n); the tail
     X_horizon must be phi-invariant so the constant continuation still
     satisfies (star).  The canonical order sorts by the number of stored
     sets, then by the list of each set's points sorted by `str`.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
-    # a set is an int mask, bit i the i-th point in str order.  The tables
-    # double once per point: `names[mask]` lists the mask's points in str
-    # order, `img[mask]` and `pre[mask]` are its image and preimage.
+    # the tables double once per point: `names[mask]` lists the mask's
+    # points in str order, `img[mask]` and `pre[mask]` are its image and
+    # preimage
     names: list[list] = [[]]
     img, pre = [0], [0]
     points = sorted(sys.points, key=str)
@@ -189,9 +194,16 @@ def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]
                 chain = prefix + (t,)
                 cut = chain.index(t)
                 by_length[cut].append(chain[:cut + 1])
+    return names, [chain for found in by_length for chain in found]
+
+
+def enumerate_sequences(sys: FiniteDynSys, horizon: int) -> list[SubsetSequence]:
+    """All (star) sequences stabilizing by `horizon`, canonical order
+    (`sequence_masks`)."""
+    names, chains = sequence_masks(sys, horizon)
     sets = [frozenset(ns) for ns in names]
     return [SubsetSequence._of_trimmed(tuple(map(sets.__getitem__, chain)))
-            for found in by_length for chain in found]
+            for chain in chains]
 
 
 def _pointwise(sys: FiniteDynSys, a: SubsetSequence, b: SubsetSequence,

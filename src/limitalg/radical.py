@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .algebra import multi_matrix_units
 from .links import certify_linkless, first_link
-from .tower import (Element, LevelRangeError, MatrixUnit, TowerSpec, embed_unit,
-                    images)
+from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit, images
 
 DEFAULT_EXPAND_HORIZON = 6
 DEFAULT_LINK_HORIZON = 12
@@ -55,11 +54,22 @@ class DonsigChain:
         return len(self.s_units)
 
     def verify(self, tower: TowerSpec) -> bool:
-        """Re-check T_{l+1} = embed(T_l) * S_{l+1} * embed(T_l) exactly."""
+        """Re-check T_{l+1} = embed(T_l) * S_{l+1} * embed(T_l) exactly.
+
+        embed(T) is a sum of units r with coefficient 1 whose rows, and
+        whose cols, are distinct within a summand (`MatrixUnitSum`), so
+        the product is e_{r.row, r'.col} in S's summand for the one r
+        with col(r) = row(S) and the one r' with row(r') = col(S) there,
+        and 0 when either is missing.
+        """
         for l, s in enumerate(self.s_units):
-            t_prev = embed_unit(tower, self.t_units[l], s.level).to_element()
-            prod = t_prev * Element.from_unit(s) * t_prev
-            if prod != Element.from_unit(self.t_units[l + 1]):
+            img = embed_unit(tower, self.t_units[l], s.level).units
+            row = next((r.row for r in img
+                        if r.summand == s.summand and r.col == s.row), None)
+            col = next((r.col for r in img
+                        if r.summand == s.summand and r.row == s.col), None)
+            if row is None or col is None or self.t_units[l + 1] != \
+                    MatrixUnit(s.level, s.summand, row, col):
                 return False
         return True
 

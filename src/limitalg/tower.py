@@ -602,10 +602,10 @@ class TowerSpec:
         return horizon if self.max_level is None else min(horizon, self.max_level)
 
     def shape(self, n: int) -> tuple[int, ...]:
+        if 0 <= n < len(self.levels):
+            return self.levels[n]
         if not self.has_level(n):
             raise LevelRangeError(f"level {n} out of range")
-        if n < len(self.levels):
-            return self.levels[n]
         return self.rule.shape(n - self.rule_start)
 
     @property

@@ -16,6 +16,7 @@ from limitalg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, run
 from limitalg.links import DEFAULT_HORIZON
 from limitalg.parser import parse_system_file
 from limitalg.peters import (SubsetSequence, TruncatedSemicrossed,
+                             enumerate_sequences, recurrent_dense,
                              validate_ideal)
 from limitalg.tower import MatrixUnit
 
@@ -201,6 +202,32 @@ class TestPetersCommands:
         assert run(["peters", str(f), "enum", "--horizon", "0"]) == EXIT_OK
         rep = out_json(capsys)
         assert rep["count"] == 2 and rep["recurrent_dense"]
+
+    def test_enum_report_is_the_enumeration_named_in_str_order(
+            self, capsys, monkeypatch):
+        # the report is built from the mask walk; it must be the one
+        # that `enumerate_sequences` gives, each set named by its points
+        # sorted by `str`, on seeded systems with names out of str order
+        rng = random.Random("enum-report")
+        for npts in (1, 2, 3, 4, 5, 6):
+            points = rng.sample(["10", "9", "b", "a", "x1", "x10", "é",
+                                 "\u70b9", "Z", "0"], npts)
+            images = points[:]
+            rng.shuffle(images)
+            text = (f"points = {' '.join(points)}\nphi: "
+                    + " ".join(f"{a}->{b}" for a, b in zip(points, images))
+                    + "\n")
+            system = parse_system_file(text)
+            for horizon in (0, 1, 2, 3):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                assert run(["peters", "-", "enum", "--horizon",
+                            str(horizon)]) == EXIT_OK
+                seqs = enumerate_sequences(system, horizon)
+                assert out_json(capsys) == {
+                    "command": "peters-enum", "count": len(seqs),
+                    "sequences": [[sorted(map(str, s)) for s in q.sets]
+                                  for q in seqs],
+                    "recurrent_dense": recurrent_dense(system)}, text
 
     def test_check_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(SWAP_SYSTEM))
@@ -420,6 +447,28 @@ class TestPrettyEncoder:
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             cli._pretty(value)
+
+    def test_lists_of_dicts_sharing_key_orders(self):
+        # a list of dicts is written in one frame, each key order's heads
+        # built once: entries like `donsig`'s, in a few key orders, with
+        # int lists, bool lists and other values, and an empty dict
+        rng = random.Random(24)
+        orders = [("unit", "status", "level", "witness"),
+                  ("witness", "level", "unit", "status"),
+                  ("unit", "status", "certificate"), (2, 0.5, True, -1)]
+        for _ in range(300):
+            entries = []
+            for _ in range(rng.randrange(8)):
+                keys = rng.choice(orders)[:rng.randint(0, 4)]
+                entries.append({k: rng.choice((
+                    [rng.randint(-5, 9) for _ in range(rng.randrange(4))],
+                    [True, 1], rng.randint(0, 9), "linked", None, 1.5,
+                    random_value(rng, 2))) for k in keys})
+            value = rng.choice((entries, {"units": entries}))
+            assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                    indent=2), value
+        with pytest.raises(TypeError):
+            cli._pretty([{"a": 1}, {1: 2, "b": 3}])
 
     def test_a_list_held_at_two_indentations(self):
         # a shared list is written once per indentation it is met at

@@ -459,3 +459,21 @@ def test_tightness_eliminates_the_crossed_radical_once(monkeypatch):
     rep = radical_tightness_check((2,), z3, diag_action(z3, (2,), [((0, 1),)]))
     assert rep["tight"] and rep["radical_is_core_crossed"]
     assert len(calls) < 12
+
+
+def test_tightness_takes_the_rank_of_lifted_bases_from_their_length(
+        monkeypatch):
+    # `lifted` and `core_lift` copy a basis into disjoint g-slices, so
+    # their rank is their length: 11 `rref` calls went down to 9
+    calls = []
+    rref = linalg.rref
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    z3 = FiniteAbelianGroup((3,))
+    rep = radical_tightness_check((2,), z3, diag_action(z3, (2,), [((0, 1),)]))
+    assert rep["tight"] and rep["radical_is_core_crossed"]
+    assert len(calls) <= 9

@@ -1,4 +1,5 @@
 """Group actions on towers: validation, twisted links, and the index audit."""
+import functools
 import random
 
 import pytest
@@ -208,3 +209,79 @@ def test_index_audit_matches_per_unit_positions(gen_map, monkeypatch):
     monkeypatch.setattr(dynamics, "_twisted_positions", reference)
     reports.append(technical_index_audit(t, act, e, (3, 4)))
     assert reports[0] == reports[1]
+
+
+def reference_audit_tuples(tower, action, e, horizons):
+    """The audit's tuple loop as it was before its invariants were
+    hoisted: both separation tests per m, and every position list read
+    through the cache inside the innermost loop."""
+    h1, h2 = (tower.top(h) for h in horizons)
+    twisted_positions = functools.cache(
+        functools.partial(dynamics._twisted_positions, tower, action))
+
+    def diag_positions(level, idx, target):
+        return twisted_positions(level, idx, action.group.identity, target)
+
+    def separated(level, lo, hi, bound):
+        pos_hi = diag_positions(level, hi, bound)
+        pos_lo = diag_positions(level, lo, bound)
+        return pos_hi[0] > pos_lo[-1]
+
+    tuples = []
+    for n1 in range(e.level, h1 + 1):
+        size1 = tower.shape(n1)[0]
+        for n2 in range(n1 + 1, h2 + 1):
+            ratio = tower.shape(n2)[0] // size1
+            for k in range(1, size1 + 1):
+                for l in range(k + 1, size1 + 1):
+                    for m in range(l + 1, size1 + 1):
+                        if not (separated(n1, l, m, h2)
+                                and separated(n1, k, l, h2)):
+                            continue
+                        for g in action.group.elements():
+                            kp = twisted_positions(n1, k, g, n2)
+                            lp = twisted_positions(n1, l, g, n2)
+                            if kp is None or lp is None:
+                                continue
+                            m_pos = diag_positions(n1, m, n2)
+                            l_pos = diag_positions(n1, l, n2)
+                            if m_pos[0] > kp[-1]:
+                                continue
+                            tuples.append(dynamics.AuditTuple(
+                                n1, n2, k, l, m, g, {
+                                    "fourth": l * ratio <= l_pos[-1],
+                                    "first": l_pos[-1] < m_pos[0],
+                                    "third": m_pos[0] <= kp[-1],
+                                    "second": kp[-1] < lp[0],
+                                    "fifth": lp[0] <= (l - 1) * ratio + 1,
+                                }).to_json())
+    return tuples
+
+
+def test_index_audit_tuples_match_the_unhoisted_loop():
+    # the refinement-2 actions of the benchmark, and seeded TUHF towers
+    # with a random order-2 word into level 1 and one into level 2; the
+    # seeds are ones whose audit yields tuples: the same tuples, in the
+    # same order
+    cases = [(preset("refinement-2"), gen_map, MatrixUnit(0, 0, 1, 2))
+             for gen_map in REFINEMENT_ACTIONS]
+    for seed in (7, 222):
+        rng = random.Random(seed)
+        words = [random_lattice_word((2 * 2 ** n,), {0: 2}, rng)
+                 for n in range(4)]
+        t = TowerSpec([(2 * 2 ** n,) for n in range(5)],
+                      [(wn,) for wn in words])
+        for level, source in ((0, (2,)), (1, (4,))):
+            word = tuple(random_lattice_word(source, {0: 2}, rng))
+            cases += [(t, {level: (level + 1, (word,))}, e)
+                      for e in list(t.units_at(0)) + list(t.units_at(1))]
+    with_tuples = 0
+    for t, gen_map, e in cases:
+        act = TowerAction(t, Z2, [gen_map])
+        for horizons in ((2, 3), (3, 4)):
+            rep = technical_index_audit(t, act, e, horizons)
+            if rep["applicable"]:
+                assert rep["tuples"] == reference_audit_tuples(
+                    t, act, e, horizons), (gen_map, e, horizons)
+                with_tuples += bool(rep["tuples"])
+    assert with_tuples >= 5

@@ -161,11 +161,11 @@ def test_images_of_a_unit_list_are_the_images_of_its_units(seed):
 
 def separation_trace(tower, e, max_steps=64):
     """The trace of e's separation certificate, or None: the walk of
-    `links._decide` with the frozen certificate ruled out."""
-    if tower.finite:
+    `links._decide` for e alone."""
+    [verdict], _ = links._decide(tower, [e], e.level, max_steps=max_steps)
+    if getattr(verdict, "certificate", None) != "separation":
         return None
-    verdict = links._decide(tower, e, e.level, False, max_steps)
-    return verdict.detail if isinstance(verdict, CertifiedLinkless) else None
+    return verdict.detail
 
 
 def reference_certify_linkless(tower, e):

@@ -3,13 +3,17 @@ import random
 
 import pytest
 
+from limitalg import links
 from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
                             donsig_report, has_link_at, link_status)
 from limitalg.tower import (Element, LevelRangeError, MatrixUnit, TowerSpec,
                             embed_element, preset)
 
+from limitalg.parser import parse_tower
+
 from conftest import random_lattice_word
-from test_occurrence_index import repeat_tail_tower
+from test_least_link import GOLDEN, SEEDS, random_tower
+from test_occurrence_index import RandomTUHFRule, repeat_tail_tower
 
 
 def brute_force_link(tower, e, level):
@@ -116,18 +120,73 @@ def test_donsig_rejects_a_negative_level():
         donsig_report(preset("standard-2"), -1)
 
 
-def test_donsig_entries_are_the_link_status_of_their_units():
-    # the report decides each level in one pass, with the frozen
-    # certificate read once per summand; each entry must still be the
-    # unit's own link_status
-    towers = [(preset(name), 4) for name in
+def donsig_towers():
+    """Presets, the golden corpus towers, seeded finite towers and seeded
+    `repeat`-tail towers."""
+    towers = [preset(name) for name in
               ("standard-2", "refinement-2", "paper-example-taf")]
-    towers += [(repeat_tail_tower(seed), 4) for seed in range(3)]
-    for tower, level in towers:
-        report = donsig_report(tower, level, 6)
-        units = [u for n in range(level + 1) for u in tower.units_at(n)]
-        assert [entry["unit"] for entry in report["units"]] == \
-            [list(u) for u in units]
-        for entry, u in zip(report["units"], units):
-            assert entry == {"unit": list(u),
-                             **link_status(tower, u, 6).to_json()}, u
+    towers += [parse_tower((GOLDEN / name).read_text()) for name in
+               ("finite.tower", "prefix.tower", "two-summand.tower",
+                "swap.tower", "action.tower")]
+    towers += [random_tower(seed)[0] for seed in SEEDS]
+    return towers + [repeat_tail_tower(seed) for seed in range(3)] + [
+        parse_tower(TUHF_THEN_SPLIT)]
+
+
+# a self-similar tower whose TUHF level 0 is followed by two summands:
+# a separation walk that starts there must stop at level 1
+TUHF_THEN_SPLIT = """
+level 0 = [2]
+level 1 = [2,2]
+level 2 = [2,2]
+embed 0 -> 1 {
+  target 0 : (0,1) (0,2)
+  target 1 : (0,1) (0,2)
+}
+embed 1 -> 2 {
+  target 0 : (1,1) (1,2)
+  target 1 : (0,1) (0,2)
+}
+repeat
+"""
+
+
+def test_donsig_entries_are_the_link_status_of_their_units():
+    # one walk decides every unit of every level; each entry must still
+    # be the unit's own link_status, at a horizon at the level, just
+    # above it and well above it
+    for tower in donsig_towers():
+        for level in range(6):
+            top = tower.top(level)
+            units = [u for n in range(top + 1) for u in tower.units_at(n)]
+            for horizon in sorted({level, level + 1, 6}):
+                report = donsig_report(tower, level, horizon)
+                assert [entry["unit"] for entry in report["units"]] == \
+                    [list(u) for u in units]
+                for entry, u in zip(report["units"], units):
+                    assert entry == {"unit": list(u), **link_status(
+                        tower, u, horizon).to_json()}, (u, horizon)
+
+
+def test_one_walk_decides_each_unit_as_a_walk_of_its_own():
+    # the units of every level walk together; each verdict, separation
+    # trace and in-walk witness must be the unit's own, also when the
+    # separation walk is cut after few steps and with no certificate
+    # tried.  Seeded ballot words make units of one walk link after
+    # different numbers of steps; their separation walks are cut short,
+    # as their words double in length at every level
+    cases = [(tower, 4, (1, 2, 64)) for tower in donsig_towers()]
+    cases += [(TowerSpec(rule=RandomTUHFRule(seed)), 3, (1, 2, 3))
+              for seed in range(6)]
+    for tower, level, cuts in cases:
+        top = tower.top(level)
+        units = [u for n in range(top + 1) for u in tower.units_at(n)]
+        for certify in (True, False):
+            for max_steps in cuts:
+                verdicts, witnesses = links._decide(
+                    tower, units, top, certify, max_steps=max_steps)
+                for q, u in enumerate(units):
+                    [alone], found = links._decide(
+                        tower, [u], top, certify, max_steps=max_steps)
+                    assert verdicts[q] == alone, (u, certify, max_steps)
+                    assert witnesses.get(q) == found.get(0), u

@@ -6,7 +6,8 @@ import pytest
 from limitalg import radical
 from limitalg.algebra import multi_matrix_algebra
 from limitalg.links import certify_linkless, link_status
-from limitalg.radical import (ChainCycle, InRadical, LinklessDecomposition,
+from limitalg.radical import (ChainCycle, DonsigChain, InRadical,
+                              LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
                               chain_cycle_certificate, donsig_chain,
                               radical_membership,
@@ -83,6 +84,54 @@ class TestDonsigChains:
                 cc = chain_cycle_certificate(t, e)
                 assert isinstance(cc, ChainCycle)
                 assert cc.chain.verify(t)
+
+    def test_verify_reads_the_product_off_positions(self):
+        # the dense product it replaced: embed(T) S embed(T) multiplied
+        # out as elements.  Every chain of the chain-cycle tests, links
+        # at horizon 5 on seeded towers, and broken chains: S moved by a
+        # row or a col, T_(l+1) moved by a row, two steps swapped
+        def dense(chain, tower):
+            for l, s in enumerate(chain.s_units):
+                t = embed_element(tower, Element.from_unit(chain.t_units[l]),
+                                  s.level)
+                if t * Element.from_unit(s) * t != \
+                        Element.from_unit(chain.t_units[l + 1]):
+                    return False
+            return True
+
+        chains = []
+        t = preset("standard-2")
+        for level in (0, 1):
+            chains += [(chain_cycle_certificate(t, e).chain, t)
+                       for e in t.units_at(level)]
+        for tower in [preset("paper-example-taf")] + deep_towers():
+            for e in tower.units_at(1):
+                chain = donsig_chain(tower, e, 2, horizon=5)
+                if chain is not None:
+                    chains.append((chain, tower))
+        broken = 0
+        for chain, tower in chains:
+            assert chain.verify(tower)
+            ts, ss = chain.t_units, chain.s_units
+            shape = tower.shape
+            moved = [ss[0]._replace(row=ss[0].row + 1),
+                     ss[0]._replace(col=ss[0].col + 1),
+                     ss[0]._replace(row=ss[0].row - 1)]
+            moved += [ss[0]._replace(summand=t)
+                      for t in range(len(shape(ss[0].level)))
+                      if t != ss[0].summand]
+            for s2 in moved:
+                if 1 <= s2.row <= s2.col <= shape(s2.level)[s2.summand]:
+                    variants = [(ts, (s2,) + ss[1:])]
+                    variants += [((ts[0], ts[1]._replace(row=ts[1].row + 1))
+                                  + ts[2:], ss)]
+                    if len(ss) > 1:
+                        variants.append((ts, (ss[1], ss[0]) + ss[2:]))
+                    for t_units, s_units in variants:
+                        bad = DonsigChain(t_units, s_units)
+                        assert bad.verify(tower) == dense(bad, tower)
+                        broken += not dense(bad, tower)
+        assert len(chains) > 20 and broken > 20
 
     def test_chain_cycle_requires_stationary_tower(self):
         finite = TowerSpec([(2,), (4,)],

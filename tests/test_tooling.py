@@ -1,7 +1,10 @@
 """Source-level rules for the library package."""
 import argparse
 import ast
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -15,6 +18,7 @@ import limitalg
 from limitalg import cli, links, tower
 
 PACKAGE = Path(limitalg.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 import replay  # noqa: E402
@@ -135,6 +139,32 @@ def test_radical_on_a_diagonal_unit_pairs_no_level(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_donsig_reads_each_level_once_and_builds_no_image(monkeypatch,
+                                                          capsys):
+    # one walk decides every unit: each step's index is read once for all
+    # of them, and a witness one level above its unit comes off the index
+    # in hand, so no image is built
+    walks, reads = [], []
+    original_images = tower.images
+    original_occurrences = tower.TowerSpec.occurrences
+
+    def counting_images(*args):
+        walks.append(args[1])
+        return original_images(*args)
+
+    def counting_occurrences(self, n):
+        reads.append(n)
+        return original_occurrences(self, n)
+
+    for module in (tower, links):
+        monkeypatch.setattr(module, "images", counting_images)
+    monkeypatch.setattr(tower.TowerSpec, "occurrences", counting_occurrences)
+    assert cli.run(["donsig", "standard-2", "--level", "4"]) == 0
+    capsys.readouterr()
+    assert walks == []
+    assert sorted(reads) == [0, 1, 2, 3, 4]
+
+
 def test_cyclotomic_builds_fractions_only_at_its_public_boundary():
     # Cyc arithmetic runs on integer numerators over one denominator; a
     # `Fraction(...)` inside it would bring back a gcd per coefficient
@@ -188,7 +218,7 @@ def test_golden_corpus_covers_every_command():
 def test_every_benchmark_tracer_hook_resolves():
     # the benchmark's tracer wraps library functions by name: a function
     # deleted or renamed here would make every traced run fail
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -215,6 +245,40 @@ def test_every_benchmark_tracer_hook_resolves():
         tracer.uninstall()
     assert [t for t in targets if patched[t] is originals[t]] == []
     assert current() == originals
+
+
+def _perfbench_module(name: str, monkeypatch):
+    """The benchmark's module `name`, imported read-only from its file."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_pins_of_donsig_and_peters_enum_replay(tmp_path,
+                                                         monkeypatch):
+    # every `donsig` and `peters enum` query the tower-sweep workload can
+    # draw must still print the bytes the benchmark pins for it
+    workloads = _perfbench_module("workloads", monkeypatch)
+    pins = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    pool = workloads.pool("tower-sweep", None)
+    paths = {}
+    for name, text in pool.files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    queries = {workloads.query_id(q): q for q in pool.warmup + pool.queries
+               if q[0] == "donsig" or q[0] == "peters" and q[2] == "enum"}
+    assert len(queries) == 67
+    monkeypatch.delenv("LIMITALG_HORIZON", raising=False)
+    for qid, argv in queries.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([paths[a[1:]] if a.startswith("@") else a
+                            for a in argv])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert [code, digest] == pins["tower-sweep"][qid], qid
 
 
 def _python_3_10() -> str | None:
