@@ -79,7 +79,6 @@ _quote = json.encoder.encode_basestring_ascii
 # join, with no Python frame per item; bool is not int here
 _LEAF = {int: int.__repr__, str: _quote}
 _KEYWORDS = {True: "true", False: "false", None: "null"}
-_INT = {int}
 
 
 def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
@@ -89,16 +88,13 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
     one follows the same rules: bool before int, tuples as arrays, dict
     items sorted on the original keys, non-str keys written as `json`
     writes them, and a `TypeError` on any other type.  `nl` is the
-    newline and indentation that closes `obj`.  Dict values of exactly
-    `str` or `int` type are written in place, and a list of dicts by
-    `_dicts`.
+    newline and indentation that closes `obj`.
 
-    The items of a list of `list`s are written once per indentation:
-    `memo[nl][id]` is an item's text, so a list shared by many items (the
-    name lists of `peters enum`) is rendered once, and an item whose own
-    items all have texts one level down is joined from them.  The memo
-    belongs to one top-level call, while every object it keys is alive,
-    so an id is never reused under it.
+    A list item that is itself a `list` is written once per indentation:
+    `memo` maps (id, nl) to its text, so a list shared by many items (the
+    name lists of `peters enum`) is rendered at its first occurrence and
+    copied after.  The memo belongs to one top-level call, while every
+    object it keys is alive, so an id is never reused under it.
     """
     if memo is None:
         memo = {}
@@ -107,49 +103,29 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
             return "[]"
         inner = nl + "  "
         kinds = set(map(type, obj))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        leaf = _LEAF.get(kind)
+        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
         if leaf:
             items = map(leaf, obj)
-        elif kind is list:
-            texts = memo.get(inner)
-            if texts is None:
-                texts = memo[inner] = {}
-            deeper = inner + "  "
-            below = memo.setdefault(deeper, {})
+        else:
             items = []
             for x in obj:
-                text = texts.get(id(x))
-                if text is None:
-                    parts = below and list(map(below.get, map(id, x)))
-                    if parts and None not in parts:
-                        text = ("[" + deeper + ("," + deeper).join(parts)
-                                + inner + "]")
-                    else:
-                        text = _pretty(x, inner, memo)
-                    texts[id(x)] = text
+                if type(x) is list:
+                    key = id(x), inner
+                    text = memo.get(key)
+                    if text is None:
+                        text = memo[key] = _pretty(x, inner, memo)
+                else:
+                    text = _pretty(x, inner, memo)
                 items.append(text)
-        elif kind is dict:
-            items = _dicts(obj, inner, memo)
-        else:
-            items = [_pretty(x, inner, memo) for x in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = nl + "  "
-        items = []
-        for k, v in sorted(obj.items()):
-            kind = type(v)
-            if kind is str:
-                text = _quote(v)
-            elif kind is int:
-                text = int.__repr__(v)
-            else:
-                text = _pretty(v, inner, memo)
-            items.append(_quote(k if isinstance(k, str) else _key(k))
-                         + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return "{" + inner + ("," + inner).join(
+            _quote(k if isinstance(k, str) else _key(k)) + ": "
+            + _pretty(v, inner, memo) for k, v in sorted(obj.items())) \
+            + nl + "}"
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or obj is True or obj is False:
@@ -160,46 +136,6 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
         return json.dumps(obj)
     raise TypeError(
         f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _dicts(dicts, nl: str, memo: dict) -> list[str]:
-    """The `_pretty` texts of `dicts`, each closed by `nl`, in one frame:
-    dicts with one key order share their sorted keys and the text before
-    each value, and `str`, `int` and int-list values are written in place.
-    """
-    inner = nl + "  "
-    deeper = inner + "  "
-    layouts: dict[tuple, tuple] = {}
-    texts = []
-    for obj in dicts:
-        if not obj:
-            texts.append("{}")
-            continue
-        order = tuple(obj)
-        layout = layouts.get(order)
-        if layout is None:
-            layout = layouts[order] = []
-            head = inner
-            for k in sorted(obj):
-                layout.append((k, head + _quote(
-                    k if isinstance(k, str) else _key(k)) + ": "))
-                head = "," + inner
-        parts = []
-        for k, head in layout:
-            v = obj[k]
-            kind = type(v)
-            if kind is str:
-                text = _quote(v)
-            elif kind is int:
-                text = int.__repr__(v)
-            elif kind is list and v and set(map(type, v)) == _INT:
-                text = ("[" + deeper + ("," + deeper).join(map(int.__repr__, v))
-                        + inner + "]")
-            else:
-                text = _pretty(v, inner, memo)
-            parts.append(head + text)
-        texts.append("{" + "".join(parts) + nl + "}")
-    return texts
 
 
 def _key(key) -> str:

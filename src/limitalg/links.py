@@ -119,19 +119,6 @@ def _climb(index, groups: dict) -> tuple[dict, set[int]]:
     per unit, the largest row and the least col.
     """
     linked: set[int] = set()
-    if len(index) == 1 and len(groups) == 1:
-        # one word and one summand met (a TUHF step's common case): the
-        # pairs map one to one
-        [(order, spans)], [(s, group)] = index, groups.items()
-        a, m, _ = spans[s]
-        kept = []
-        for q, i, j in group:
-            i, j = order[a + i * m - 1], order[a + (j - 1) * m]
-            if j <= i:
-                linked.add(q)
-            else:
-                kept.append((q, i, j))
-        return {0: kept} if kept else {}, linked
     up = {}
     for t, (order, spans) in enumerate(index):
         pairs: dict[int, tuple[int, int]] = {}
@@ -167,18 +154,27 @@ def _drop(groups: dict, gone) -> dict:
     return out
 
 
-def _witness(index, img) -> tuple[int, int, int, int, int] | None:
-    """`least_link` on the image of `img`, units of one level, one step
-    up through `index`, as (t, S.row, S.col, T'.row, T'.col), or None.
+def _link_at(tower: TowerSpec, e: MatrixUnit,
+             n: int) -> tuple[MatrixUnit, MatrixUnit]:
+    """(S, T') at level n, where e has a link: `least_link` on e's image
+    at n, read off the index of step n-1 without building that image.
 
-    Unit u sends its r-th row occurrence `order[a + (i_u-1)*m + r]` and
-    its r-th col occurrence to one unit of target t.  The slices are
-    increasing and images have distinct rows and cols, so t's least col
-    is the least first col occurrence over u, and the least row at or
-    above it one bisect in each u's row slice, its col at the same
-    offset.  The least t with such a row gives the witness.
+    At e's own level only a diagonal unit links, and (S, T') = (e, e).
+    Above it, e's image u at level n-1 (e itself when n-1 is e's level)
+    sends its r-th row occurrence `order[a + (i_u-1)*m + r]` and its r-th
+    col occurrence to one unit of target t.  The slices are increasing,
+    and images have distinct rows and distinct cols, so t's least col is
+    the least first col occurrence over u, and the least row at or above
+    it is one bisect in each u's row slice, its col at the same offset.
+    The least t with such a row gives the witness.
     """
-    for t, (order, spans) in enumerate(index):
+    if n == e.level:
+        return e, e
+    if n == e.level + 1:
+        img = [e]
+    else:
+        *_, (_, img) = images(tower, [e], n - 1)
+    for t, (order, spans) in enumerate(tower.occurrences(n - 1)):
         slices = []  # (offset of u's row slice, of u's col slice, m)
         col = 0
         for _, s, i, j in img:
@@ -194,24 +190,9 @@ def _witness(index, img) -> tuple[int, int, int, int, int] | None:
             if k < r + m and (best is None or order[k] < best[0]):
                 best = order[k], order[c + k - r]
         if best is not None:
-            return t, col, best[0], row, best[1]
-    return None
-
-
-def _link_at(tower: TowerSpec, e: MatrixUnit, n: int,
-             found: tuple | None = None) -> tuple[MatrixUnit, MatrixUnit]:
-    """(S, T') at level n, where e has a link: the `_witness` of e's
-    image at n-1, unless `found` is it.  At e's own level only a
-    diagonal unit links, and (S, T') = (e, e)."""
-    if n == e.level:
-        return e, e
-    if found is None:
-        *_, (_, img) = images(tower, [e], n - 1)
-        found = _witness(tower.occurrences(n - 1), img)
-        if found is None:
-            raise ValueError(f"{e} has no link at level {n}")
-    t, row, col, row2, col2 = found
-    return MatrixUnit(n, t, row, col), MatrixUnit(n, t, row2, col2)
+            return (MatrixUnit(n, t, col, best[0]),
+                    MatrixUnit(n, t, row, best[1]))
+    raise ValueError(f"{e} has no link at level {n}")
 
 
 def first_link(tower: TowerSpec, e: MatrixUnit,
@@ -226,8 +207,8 @@ def first_link(tower: TowerSpec, e: MatrixUnit,
     tower.check_unit(e)
     if e.level > top:
         return None
-    [n], found = _decide(tower, [e], top, certify=False)
-    return None if n is None else _link_at(tower, e, n, found.get(0))
+    [n] = _decide(tower, [e], top, certify=False)
+    return None if n is None else _link_at(tower, e, n)
 
 
 def _reachable_frozen(tower: TowerSpec, e) -> bool:
@@ -256,12 +237,10 @@ SEPARATION = CertifiedLinkless("separation")
 
 
 def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
-            traced: bool = True, max_steps: int = 64) -> tuple[list, dict]:
+            traced: bool = True, max_steps: int = 64) -> list:
     """The verdict of each of `units`, checked units (level, summand, row,
     col) by nondecreasing level: the least level at which it links, a
-    linkless certificate, or None when neither turns up by level `top`;
-    and, by position, the `_witness` of each unit that links one level
-    above its own, read off the index in hand.
+    linkless certificate, or None when neither turns up by level `top`.
 
     The units walk up together, each joining at its own level, and each
     level's index is read once for all of them (`_climb`).  A diagonal
@@ -283,8 +262,6 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
     """
     count = len(units)
     verdicts: list = [None] * count
-    witnesses: dict[int, tuple] = {}
-    reach = top  # links above it need no witness
     finite = tower.finite
     if certify and finite:
         top = tower.max_level
@@ -296,10 +273,9 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
     active = p = 0  # units in `groups`; units that have joined
     tuhf = None  # whether level n is TUHF, with K its size; None: not read
     while True:
-        born = p
         if not active:
             if p == count:
-                return verdicts, witnesses
+                return verdicts
             n = units[p][0]
             tuhf = None
         if p < count and units[p][0] == n:
@@ -365,9 +341,6 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
         for q in linked:
             verdicts[q] = n
             walks.pop(q, None)
-            if q >= born and n <= reach:
-                # its image one level down is the unit itself
-                witnesses[q] = _witness(index, [units[q]])
         # level n is TUHF iff the step into it has one word
         tuhf, k = len(index) == 1, len(index[0][0])
         if walks and not tuhf:
@@ -377,7 +350,7 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
 def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
     """Sound linkless certificate, or None when no certificate applies."""
     tower.check_unit(e)
-    [verdict], _ = _decide(tower, [e], e.level)
+    [verdict] = _decide(tower, [e], e.level)
     return verdict if isinstance(verdict, CertifiedLinkless) else None
 
 
@@ -387,12 +360,12 @@ def link_status(tower: TowerSpec, e: MatrixUnit,
         raise LevelRangeError("horizon below the unit's level")
     tower.check_unit(e)
     # certificates are sound, so they short-circuit the horizon scan
-    [n], found = _decide(tower, [e], tower.top(horizon))
+    [n] = _decide(tower, [e], tower.top(horizon))
     if isinstance(n, CertifiedLinkless):
         return n
     if n is None or n > horizon:
         return NotLinkedUpTo(horizon)
-    return Linked(n, _link_at(tower, e, n, found.get(0))[0])
+    return Linked(n, _link_at(tower, e, n)[0])
 
 
 def donsig_report(tower: TowerSpec, level: int,
@@ -407,14 +380,13 @@ def donsig_report(tower: TowerSpec, level: int,
     units = [(n, s, i, j) for n in range(top + 1)
              for s, k in enumerate(tower.shape(n))
              for i in range(1, k + 1) for j in range(i, k + 1)]
-    verdicts, found = _decide(tower, units, tower.top(horizon), traced=False)
+    verdicts = _decide(tower, units, tower.top(horizon), traced=False)
     unknown = NotLinkedUpTo(horizon)
     entries = []
     kinds = set()
-    for q, (unit, n) in enumerate(zip(units, verdicts)):
+    for unit, n in zip(units, verdicts):
         if isinstance(n, int) and n <= horizon:
             entry = _linked_json(n, unit[1:] if n == unit[0] else
-                                 found[q][:3] if q in found else
                                  _link_at(tower, MatrixUnit(*unit), n)[0][1:])
         else:
             status = unknown if n is None or isinstance(n, int) else n

@@ -449,9 +449,9 @@ class TestPrettyEncoder:
             cli._pretty(value)
 
     def test_lists_of_dicts_sharing_key_orders(self):
-        # a list of dicts is written in one frame, each key order's heads
-        # built once: entries like `donsig`'s, in a few key orders, with
-        # int lists, bool lists and other values, and an empty dict
+        # lists of dicts like `donsig`'s entries, in a few key orders,
+        # with int lists, bool lists and other values, and an empty dict;
+        # the keys 1, True and 1.0 are equal in Python but written apart
         rng = random.Random(24)
         orders = [("unit", "status", "level", "witness"),
                   ("witness", "level", "unit", "status"),
@@ -467,6 +467,9 @@ class TestPrettyEncoder:
             value = rng.choice((entries, {"units": entries}))
             assert cli._pretty(value) == json.dumps(value, sort_keys=True,
                                                     indent=2), value
+        value = [{1: 0}, {True: 0}, {1.0: 0}, {1: [1]}, {True: [True]}]
+        assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                indent=2)
         with pytest.raises(TypeError):
             cli._pretty([{"a": 1}, {1: 2, "b": 3}])
 

@@ -162,7 +162,7 @@ def test_images_of_a_unit_list_are_the_images_of_its_units(seed):
 def separation_trace(tower, e, max_steps=64):
     """The trace of e's separation certificate, or None: the walk of
     `links._decide` for e alone."""
-    [verdict], _ = links._decide(tower, [e], e.level, max_steps=max_steps)
+    [verdict] = links._decide(tower, [e], e.level, max_steps=max_steps)
     if getattr(verdict, "certificate", None) != "separation":
         return None
     return verdict.detail

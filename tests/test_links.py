@@ -169,8 +169,8 @@ def test_donsig_entries_are_the_link_status_of_their_units():
 
 
 def test_one_walk_decides_each_unit_as_a_walk_of_its_own():
-    # the units of every level walk together; each verdict, separation
-    # trace and in-walk witness must be the unit's own, also when the
+    # the units of every level walk together; each verdict and
+    # separation trace must be the unit's own, also when the
     # separation walk is cut after few steps and with no certificate
     # tried.  Seeded ballot words make units of one walk link after
     # different numbers of steps; their separation walks are cut short,
@@ -183,10 +183,9 @@ def test_one_walk_decides_each_unit_as_a_walk_of_its_own():
         units = [u for n in range(top + 1) for u in tower.units_at(n)]
         for certify in (True, False):
             for max_steps in cuts:
-                verdicts, witnesses = links._decide(
+                verdicts = links._decide(
                     tower, units, top, certify, max_steps=max_steps)
                 for q, u in enumerate(units):
-                    [alone], found = links._decide(
+                    [alone] = links._decide(
                         tower, [u], top, certify, max_steps=max_steps)
                     assert verdicts[q] == alone, (u, certify, max_steps)
-                    assert witnesses.get(q) == found.get(0), u
