@@ -80,10 +80,6 @@ class MonomialAlgebra:
         """Sparse `linalg` rows over the basis index; zeros are dropped."""
         return [{self.index[k]: c for k, c in v.items() if c} for v in vectors]
 
-    def span_equal(self, vecs_a: list[dict], vecs_b: list[dict]) -> bool:
-        return linalg.same_span(self.vectors_to_rows(vecs_a),
-                                self.vectors_to_rows(vecs_b))
-
     def power_of_span(self, vectors: list[dict], k: int) -> list[dict]:
         """Spanning set of (span)^k under multiplication."""
         cur = list(vectors)

@@ -81,7 +81,8 @@ _LEAF = {int: int.__repr__, str: _quote}
 _KEYWORDS = {True: "true", False: "false", None: "null"}
 
 
-def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
+def _pretty(obj, nl: str = "\n", memo: dict | None = None,
+            key: tuple | None = None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
 
     Any `indent` makes `json` fall back to its pure-Python encoder; this
@@ -93,8 +94,10 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
     A list item that is itself a `list` is written once per indentation:
     `memo` maps (id, nl) to its text, so a list shared by many items (the
     name lists of `peters enum`) is rendered at its first occurrence and
-    copied after.  The memo belongs to one top-level call, while every
-    object it keys is alive, so an id is never reused under it.
+    copied after.  The holding list passes that (id, nl) as `key`, and
+    only a text written by one join is kept.  The memo belongs to one
+    top-level call, while every object it keys is alive, so an id is
+    never reused under it.
     """
     if memo is None:
         memo = {}
@@ -110,14 +113,15 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None) -> str:
             items = []
             for x in obj:
                 if type(x) is list:
-                    key = id(x), inner
-                    text = memo.get(key)
-                    if text is None:
-                        text = memo[key] = _pretty(x, inner, memo)
+                    k = id(x), inner
+                    text = memo.get(k) or _pretty(x, inner, memo, k)
                 else:
                     text = _pretty(x, inner, memo)
                 items.append(text)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        text = "[" + inner + ("," + inner).join(items) + nl + "]"
+        if leaf and key:
+            memo[key] = text
+        return text
     if isinstance(obj, dict):
         if not obj:
             return "{}"

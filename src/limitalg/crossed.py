@@ -258,11 +258,6 @@ class CrossedAlgebra:
         return self.radical_span().contains(
             self.alg.vectors_to_rows([vector])[0])
 
-    def lift_base_vector(self, v: dict, g) -> dict:
-        """Base vector (unit -> rational) to the crossed slice (.) U_g."""
-        return {(k, g): Cyc.from_rational(self.m, c) if not isinstance(c, Cyc)
-                else c for k, c in v.items()}
-
 
 def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
                   triangular: bool = True) -> CrossedAlgebra:
@@ -281,61 +276,35 @@ def build_crossed(shape, group: FiniteAbelianGroup, action: LevelAction,
 # radical, tightness, corollary formula
 
 
-def _identity_slice(a: CrossedAlgebra, rows: list[dict]) -> list[dict]:
-    """Basis of (row span) intersected with the g = identity coordinate slice."""
-    if not rows:
-        return []
-    ident = a.group.identity
-    # the transpose restricted to the non-identity columns: one sparse row
-    # per column, over the row indices
-    restricted = {c: {} for c, (_, g) in enumerate(a.alg.basis) if g != ident}
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            if c in restricted:
-                restricted[c][r] = x
-    # left combinations c with c . rows vanishing on the non-identity columns
-    combos = linalg.nullspace(list(restricted.values()), len(rows), a.alg.one)
-    vecs = []
-    for combo in combos:
-        v: dict = {}
-        for r, cr in combo.items():
-            for j, x in rows[r].items():
-                v[j] = v.get(j, a.alg.zero) + cr * x
-        vecs.append({j: x for j, x in v.items() if x})
-    red, _ = linalg.rref(vecs)
-    return [{a.alg.basis[j][0]: x for j, x in sorted(row.items())}
-            for row in red]
-
-
 def radical_tightness_check(shape, group: FiniteAbelianGroup,
                             action: LevelAction,
                             triangular: bool = True) -> dict:
     """Compare Rad(A x G) with (Rad A) x G exactly; emit the core ideal.
 
-    The core ideal J_G = {x in base : x U_e in Rad(A x G)}; the radical
-    always equals J_G x G here (it is homogeneous), and tightness says
-    J_G = Rad(A).
+    The dual action of G^ on A x G is by automorphisms, so it leaves the
+    radical invariant, and the radical is the direct sum of its g-slices.
+    Its projection onto the identity slice is therefore the core ideal
+    J_G = {x in base : x U_e in Rad(A x G)}.  With J_G that projection,
+    Rad(A x G) = (Rad A) x G iff Rad(A x G) = J_G x G and J_G = Rad A.
     """
     a = build_crossed(shape, group, action, triangular)
     rad = a.radical()
-    span = a.radical_span()  # Rad(A x G), eliminated once for both checks
     rad_base = a.base.radical_basis()
-    # a basis copied into the disjoint g-slices stays a basis, so both
-    # lifts below have rank their length
-    lifted = [a.lift_base_vector(v, g) for v in rad_base
-              for g in group.elements()]
-    tight = span.equals(a.alg.vectors_to_rows(lifted), independent=True)
-    core = _identity_slice(a, a.alg.vectors_to_rows(rad))
-    core_lift = [{(k, g): c for k, c in v.items()} for v in core
-                 for g in group.elements()]
-    graded = span.equals(a.alg.vectors_to_rows(core_lift), independent=True)
-    base_as_cyc = [a.lift_base_vector(v, group.identity) for v in rad_base]
-    core_as_cyc = [{(k, group.identity): c for k, c in v.items()} for v in core]
-    return {"tight": tight,
+    core, _ = linalg.rref([{a.base.index[u]: c for (u, g), c in v.items()
+                            if g == group.identity} for v in rad])
+    # J_G x G copies a basis into the disjoint g-slices, so its rank is
+    # its length
+    span = a.radical_span()
+    index, units = a.alg.index, a.base.basis
+    graded = len(core) * group.size == len(rad) and all(
+        span.contains({index[units[j], g]: c for j, c in row.items()})
+        for row in core for g in group.elements())
+    core_is_base = linalg.same_span(a.base.vectors_to_rows(rad_base), core)
+    return {"tight": graded and core_is_base,
             "crossed_radical_dim": len(rad),
             "base_radical_dim": len(rad_base),
             "core_ideal_dim": len(core),
-            "core_is_base_radical": a.alg.span_equal(base_as_cyc, core_as_cyc),
+            "core_is_base_radical": core_is_base,
             "radical_is_core_crossed": graded}
 
 

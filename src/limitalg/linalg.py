@@ -106,9 +106,7 @@ class Span:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def equals(self, rows: list[dict], independent: bool = False) -> bool:
+    def equals(self, rows: list[dict]) -> bool:
         """Whether `rows` span exactly this space: each lies in it, and
-        their rank is its dimension.  Rows known to be `independent` (a
-        basis) have rank their number, and are not eliminated."""
-        return all(map(self.contains, rows)) and (
-            len(rows) if independent else rank(rows)) == self.dim
+        their rank is its dimension."""
+        return all(map(self.contains, rows)) and rank(rows) == self.dim

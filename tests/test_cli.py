@@ -481,6 +481,17 @@ class TestPrettyEncoder:
             assert cli._pretty(value) == json.dumps(value, sort_keys=True,
                                                     indent=2)
 
+    def test_the_memo_keeps_only_lists_written_by_one_join(self):
+        # the lists that hold shared lists (a `peters enum` chain) are
+        # met once each; their texts are not kept for the whole call
+        shared, ints = ["a", "b"], [1, 2]
+        chains = [[shared, ints], [shared, [shared]], [[], [True]]]
+        value = {"chains": chains, "top": [chains[0], shared]}
+        memo = {}
+        assert cli._pretty(value, memo=memo) == json.dumps(
+            value, sort_keys=True, indent=2)
+        assert {i for i, _ in memo} == {id(shared), id(ints)}
+
     def test_calls_whose_objects_reuse_ids(self):
         # one list object, changed between two calls, keeps its id; a
         # memo that outlived a call would write its old text

@@ -130,14 +130,14 @@ class TestCrossedAlgebra:
         rad = a.radical()
         assert len(rad) == 2
         expected = [a.alg.vec(((0, 1, 2), g)) for g in Z2.elements()]
-        assert a.alg.span_equal(rad, expected)
+        assert a.radical_span().equals(a.alg.vectors_to_rows(expected))
         assert a.contains_in_radical(a.alg.vec(((0, 1, 2), (1,))))
         assert not a.contains_in_radical(a.alg.vec(((0, 1, 1), (0,))))
         # a zero coefficient is no entry
         zero = {((0, 1, 1), (0,)): Cyc.zero(2)}
         assert a.contains_in_radical(zero)
         assert a.contains_in_radical({**a.alg.vec(((0, 1, 2), (1,))), **zero})
-        assert a.alg.span_equal(rad, rad + [zero])
+        assert a.radical_span().equals(a.alg.vectors_to_rows(rad + [zero]))
 
     def test_base_radical_oracle(self):
         assert len(multi_matrix_algebra((2,), True).radical_basis()) == 1
@@ -407,6 +407,66 @@ def test_diag_dims_match_the_six_rank_reference(family):
     assert alone == {"in_b", "in_bstar", "dim_diag"}
 
 
+# -- tightness against the intersection reference -----------------------------
+
+
+def reference_tightness(shape, group, action, triangular) -> dict:
+    """The tightness report with the core ideal computed as the
+    intersection Rad cap A U_e (a null space of left combinations of the
+    radical rows), and `tight` as a third span comparison."""
+    a = build_crossed(shape, group, action, triangular)
+    alg, gs = a.alg, group.elements()
+    rad = a.radical()
+    rows = alg.vectors_to_rows(rad)
+    rad_base = a.base.radical_basis()
+    # the combinations c with c . rows zero on every non-identity column
+    off = [c for c, (_, g) in enumerate(alg.basis) if g != group.identity]
+    transposed = [{r: row[c] for r, row in enumerate(rows) if c in row}
+                  for c in off]
+    vecs = []
+    for combo in linalg.nullspace(transposed, len(rows), alg.one):
+        v = {}
+        for r, cr in combo.items():
+            for j, x in rows[r].items():
+                v[j] = v.get(j, alg.zero) + cr * x
+        vecs.append({j: x for j, x in v.items() if x})
+    core = [{alg.basis[j][0]: x for j, x in row.items()}
+            for row in linalg.rref(vecs)[0]]
+
+    def lift(vectors, g):
+        return [{(k, g): Cyc.from_rational(a.m, c)
+                 if not isinstance(c, Cyc) else c for k, c in v.items()}
+                for v in vectors]
+
+    span = linalg.Span(rows)
+    tight = span.equals(alg.vectors_to_rows(
+        [w for g in gs for w in lift(rad_base, g)]))
+    graded = span.equals(alg.vectors_to_rows(
+        [w for g in gs for w in lift(core, g)]))
+    return {"tight": tight,
+            "crossed_radical_dim": len(rad),
+            "base_radical_dim": len(rad_base),
+            "core_ideal_dim": len(core),
+            "core_is_base_radical": linalg.same_span(
+                alg.vectors_to_rows(lift(rad_base, group.identity)),
+                alg.vectors_to_rows(lift(core, group.identity))),
+            "radical_is_core_crossed": graded}
+
+
+def test_tightness_matches_the_intersection_reference():
+    # the radical is graded, so its identity-slice projection is the
+    # intersection, and `tight` is the conjunction of the other two
+    dims = set()
+    for shape, group, gens in family_gens(BASES + LARGER_BASES):
+        action = LevelAction(group, shape, gens)
+        for triangular in (True, False):
+            rep = radical_tightness_check(shape, group, action, triangular)
+            assert rep == reference_tightness(shape, group, action,
+                                              triangular), (shape, group, gens)
+            dims.add(rep["core_ideal_dim"])
+    assert len(dims) > 3
+
+
 # -- work counts: Cyc products of the checks, recorded bounds ----------------
 
 PAIR_GENS = [((1, 0), ((0, 0), (0, 0))), ((0, 1), ((0, 1), (0, 1)))]
@@ -463,8 +523,8 @@ def test_tightness_eliminates_the_crossed_radical_once(monkeypatch):
 
 def test_tightness_takes_the_rank_of_lifted_bases_from_their_length(
         monkeypatch):
-    # `lifted` and `core_lift` copy a basis into disjoint g-slices, so
-    # their rank is their length: 11 `rref` calls went down to 9
+    # J_G x G copies a basis into disjoint g-slices, so its rank is its
+    # length and is not eliminated
     calls = []
     rref = linalg.rref
 
@@ -477,3 +537,20 @@ def test_tightness_takes_the_rank_of_lifted_bases_from_their_length(
     rep = radical_tightness_check((2,), z3, diag_action(z3, (2,), [((0, 1),)]))
     assert rep["tight"] and rep["radical_is_core_crossed"]
     assert len(calls) <= 9
+
+
+def test_tightness_projects_the_radical_onto_the_identity_slice(monkeypatch):
+    # the null spaces are those of the crossed and the base Gram
+    # matrices; an intersection with the identity slice was a third
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counting(rows, ncols, one):
+        calls.append(len(rows))
+        return nullspace(rows, ncols, one)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    z3 = FiniteAbelianGroup((3,))
+    rep = radical_tightness_check((2,), z3, diag_action(z3, (2,), [((0, 1),)]))
+    assert rep["tight"] and rep["radical_is_core_crossed"]
+    assert len(calls) == 2

@@ -13,8 +13,8 @@ from limitalg.radical import (ChainCycle, DonsigChain, InRadical,
                               radical_membership,
                               strictly_upper_units, uniform_nilpotency)
 from limitalg.tower import (BlockRule, Element, MatrixUnit, TowerRule,
-                            TowerSpec, UnitShapeError, embed_element, images,
-                            preset)
+                            TowerSpec, UnitShapeError, embed_element,
+                            embed_unit, images, preset)
 from test_occurrence_index import deep_towers, permutation_rule, random_prefix
 
 
@@ -132,6 +132,20 @@ class TestDonsigChains:
                         assert bad.verify(tower) == dense(bad, tower)
                         broken += not dense(bad, tower)
         assert len(chains) > 20 and broken > 20
+
+    def test_verify_reads_the_col_in_the_summand_of_s(self):
+        # e_12 embeds as e_23 in summand 0 and e_12 in summand 1.  In
+        # summand 1, e_12 S e_12 = 0 for S = e_22 there; the summand-0
+        # unit has row 2 = col(S) and would give e_13 in summand 1
+        tower = TowerSpec([(2, 1), (3, 3)],
+                          [(((1, 1), (0, 1), (0, 2)),
+                            ((0, 1), (0, 2), (1, 1)))])
+        e, s = MatrixUnit(0, 0, 1, 2), MatrixUnit(1, 1, 2, 2)
+        assert embed_unit(tower, e, 1).units == (MatrixUnit(1, 0, 2, 3),
+                                                 MatrixUnit(1, 1, 1, 2))
+        t = embed_element(tower, Element.from_unit(e), 1)
+        assert not t * Element.from_unit(s) * t
+        assert not DonsigChain((e, MatrixUnit(1, 1, 1, 3)), (s,)).verify(tower)
 
     def test_chain_cycle_requires_stationary_tower(self):
         finite = TowerSpec([(2,), (4,)],

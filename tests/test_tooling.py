@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -179,6 +180,27 @@ def test_no_library_call_to_json_dumps_takes_an_indent():
                   in ("dump", "dumps")
                   and any(kw.arg == "indent" for kw in node.keywords)]
     assert found == []
+
+
+def test_every_library_name_in_the_readme_resolves():
+    # a backticked `module.attr[.attr]` whose module is a library module
+    # must name something that exists, so a deletion leaves no stale
+    # mention behind; `algebra.py` and the like are file names
+    modules = {path.stem for path in PACKAGE.glob("*.py")} | {"limitalg"}
+    text = (ROOT / "README.md").read_text()
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)[`(]", text))
+    checked = [name for name in sorted(names)
+               if name.split(".")[0] in modules and not name.endswith(".py")]
+    missing = []
+    for name in checked:
+        first, *attrs = name.split(".")
+        obj = importlib.import_module(
+            "limitalg" if first == "limitalg" else f"limitalg.{first}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == [] and len(checked) > 5
 
 
 def test_golden_corpus_covers_every_command():
