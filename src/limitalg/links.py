@@ -18,12 +18,15 @@ largest row label, and its least col the first occurrence of the least
 col label.  Each read is one entry of the step's index.  Every
 question, from one unit's status to a whole-level report, is one walk
 of the pairs (`_decide`), and the image is built only for a witness.
+
+A linkless certificate holds at every level: `frozen` (identity-carried
+forever), `finite-tower` (no link up to the top) and `separation` (no link
+one step past a separating rule's start, after which none can appear).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd
 
 from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit, images
 
@@ -48,7 +51,6 @@ def _linked_json(level: int, witness: tuple[int, int, int]) -> dict:
 @dataclass(frozen=True)
 class CertifiedLinkless:
     certificate: str  # "frozen" | "separation" | "finite-tower"
-    detail: tuple = ()
 
     kind = "linkless"
 
@@ -236,8 +238,7 @@ FINITE = CertifiedLinkless("finite-tower")
 SEPARATION = CertifiedLinkless("separation")
 
 
-def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
-            traced: bool = True, max_steps: int = 64) -> list:
+def _decide(tower: TowerSpec, units: list, top: int, certify: bool) -> list:
     """The verdict of each of `units`, checked units (level, summand, row,
     col) by nondecreasing level: the least level at which it links, a
     linkless certificate, or None when neither turns up by level `top`.
@@ -246,38 +247,30 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
     level's index is read once for all of them (`_climb`).  A diagonal
     unit links at its own level.  With `certify` off the others are only
     scanned up to `top`.  Otherwise (a certificate needs no link at the
-    unit's level) a finite tower IS the finite algebra, so a walk to its
-    top decides; on an infinite one a unit is certified when its summand
-    is identity-carried forever (read once per level and summand) or by
-    the separation induction below, or else walks to `top` for a link.
-
-    Separation runs on a self-similar tower while the levels stay TUHF,
-    for at most `max_steps` levels, and may pass `top`.  Preserved
-    separation plus recurrence of the normalized pair (I/K, (J-1)/K)
-    certifies linklessness at every level.  Over K > 0 two such pairs are
-    equal exactly when their triples (I, J-1, K) are proportional, so the
-    triple divided by its gcd is the exact recurrence key; with `traced`
-    the certificate carries the (level, I, J) of every level walked.  A
-    link met on the way is the least one, so no level is walked twice.
+    unit's level) a unit whose summand is identity-carried forever is
+    certified at once (read once per level and summand), and two kinds
+    of tower are decided by a walk to a fixed last level, where every
+    unit still unlinked is certified.  A finite tower IS the finite
+    algebra, so that level is its top.  On a separating rule (one
+    summand, one token (s, r)) it is one step past `rule_start`: from
+    there on each step sends (I, J) to (r*I, r*(J-1)+1), and
+    r*(J-1)+1 > r*I iff J > I, so a unit unlinked there never links.
     """
     count = len(units)
     verdicts: list = [None] * count
-    finite = tower.finite
-    if certify and finite:
-        top = tower.max_level
-    freeze = certify and not finite
-    separate = freeze and tower.rule.self_similar
-    walks: dict[int, list] = {}  # position -> its separation trace so far
-    seen: set[tuple[int, int, int, int]] = set()
+    last = None  # the verdict of a unit still unlinked at `top`
+    if certify and tower.finite:
+        top, last = tower.max_level, FINITE
+    elif certify and tower.rule.separating:
+        top, last = tower.rule_start + 1, SEPARATION
+    freeze = certify and not tower.finite
     groups: dict = {}
     active = p = 0  # units in `groups`; units that have joined
-    tuhf = None  # whether level n is TUHF, with K its size; None: not read
     while True:
         if not active:
             if p == count:
                 return verdicts
             n = units[p][0]
-            tuhf = None
         if p < count and units[p][0] == n:
             frozen: dict[int, bool] = {}
             while p < count and units[p][0] == n:
@@ -294,63 +287,26 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool = True,
                     else:
                         groups[s] = [(p, i, j)]
                     active += 1
-                    if separate:
-                        if tuhf is None:
-                            shape = tower.shape(n)
-                            tuhf, k = len(shape) == 1, shape[0]
-                        if tuhf:
-                            walks[p] = []
                 p += 1
             if not active:
                 continue
-        done = set()
-        if walks:
-            [group] = groups.values()  # only a TUHF level has walks
-            for q, i, j in group:
-                trace = walks.get(q)
-                if trace is None:
-                    continue
-                if len(trace) == max_steps:
-                    del walks[q]
-                    continue
-                trace.append((n, i, j))
-                g = gcd(i, j - 1, k)
-                key = q, i // g, (j - 1) // g, k // g
-                if key in seen:
-                    verdicts[q] = CertifiedLinkless(
-                        "separation", tuple(trace)) if traced else SEPARATION
-                    del walks[q]
-                    done.add(q)
-                seen.add(key)
-        if n >= top and len(walks) + len(done) < active:
-            last = FINITE if certify and finite else None
+        if n >= top:
             for group in groups.values():
                 for q, _, _ in group:
-                    if q not in walks and q not in done:
-                        verdicts[q] = last
-                        done.add(q)
-        if done:
-            active -= len(done)
-            groups = _drop(groups, done) if active else {}
-            if not active:
-                continue
-        index = tower.occurrences(n)
-        groups, linked = _climb(index, groups)
+                    verdicts[q] = last
+            groups, active = {}, 0
+            continue
+        groups, linked = _climb(tower.occurrences(n), groups)
         n += 1
         active -= len(linked)
         for q in linked:
             verdicts[q] = n
-            walks.pop(q, None)
-        # level n is TUHF iff the step into it has one word
-        tuhf, k = len(index) == 1, len(index[0][0])
-        if walks and not tuhf:
-            walks.clear()
 
 
 def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:
     """Sound linkless certificate, or None when no certificate applies."""
     tower.check_unit(e)
-    [verdict] = _decide(tower, [e], e.level)
+    [verdict] = _decide(tower, [e], e.level, certify=True)
     return verdict if isinstance(verdict, CertifiedLinkless) else None
 
 
@@ -360,7 +316,7 @@ def link_status(tower: TowerSpec, e: MatrixUnit,
         raise LevelRangeError("horizon below the unit's level")
     tower.check_unit(e)
     # certificates are sound, so they short-circuit the horizon scan
-    [n] = _decide(tower, [e], tower.top(horizon))
+    [n] = _decide(tower, [e], tower.top(horizon), certify=True)
     if isinstance(n, CertifiedLinkless):
         return n
     if n is None or n > horizon:
@@ -380,7 +336,7 @@ def donsig_report(tower: TowerSpec, level: int,
     units = [(n, s, i, j) for n in range(top + 1)
              for s, k in enumerate(tower.shape(n))
              for i in range(1, k + 1) for j in range(i, k + 1)]
-    verdicts = _decide(tower, units, tower.top(horizon), traced=False)
+    verdicts = _decide(tower, units, tower.top(horizon), certify=True)
     unknown = NotLinkedUpTo(horizon)
     entries = []
     kinds = set()

@@ -270,7 +270,6 @@ def parse_tower_file(text: str):
         tower.rule = BlockRule(shapes[-1], tuple(
             tuple((s, 1) for s, p in zip(word[0::2], word[1::2]) if p == 1)
             for word in steps[-1]))
-        tower.rule_start = count - 1
     return tower, actions
 
 

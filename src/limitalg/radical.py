@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import multi_matrix_units
-from .links import certify_linkless, first_link
+from .links import DEFAULT_HORIZON, certify_linkless, first_link
 from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit, images
 
 DEFAULT_EXPAND_HORIZON = 6
-DEFAULT_LINK_HORIZON = 12
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ RadicalStatus = InRadical | NotInRadical | Unknown
 
 
 def donsig_chain(tower: TowerSpec, t0: MatrixUnit, depth: int,
-                 horizon: int = DEFAULT_LINK_HORIZON) -> DonsigChain | None:
+                 horizon: int = DEFAULT_HORIZON) -> DonsigChain | None:
     """Chain T_{l+1} = T_l S_{l+1} T_l with canonical connecting units."""
     tower.check_unit(t0)  # a chain of depth 0 walks no level
     ts = [t0]
@@ -160,9 +159,12 @@ def _anchored_state(tower: TowerSpec, t: MatrixUnit, k0: int):
 
 def chain_cycle_certificate(tower: TowerSpec, e: MatrixUnit,
                             max_depth: int = 10,
-                            horizon: int = DEFAULT_LINK_HORIZON
+                            horizon: int = DEFAULT_HORIZON
                             ) -> ChainCycle | None:
-    """Recurrent Donsig chain witnessing an infinite chain (e not radical)."""
+    """Recurrent Donsig chain witnessing an infinite chain (e not radical).
+
+    Only chain units at levels >= `rule_start` have anchored states, on
+    the size k0 of the first of them; each earlier unit holds a None."""
     if tower.finite or not tower.rule.self_similar:
         raise ValueError("chain-cycle certificates require a stationary tower")
     tower.check_unit(e)  # the diagonal shortcut walks no level
@@ -170,26 +172,27 @@ def chain_cycle_certificate(tower: TowerSpec, e: MatrixUnit,
         # T0 S=T0 T0 = T0: the chain is constant from the start
         chain = DonsigChain((e, e), (e,))
         return ChainCycle(chain, 0, 0)
-    k0 = tower.shape(e.level)[e.summand]
-    ts = [e]
-    ss: list[MatrixUnit] = []
-    states = [_anchored_state(tower, e, k0)]
-    for depth in range(1, max_depth + 1):
-        step = first_link(tower, ts[-1], tower.top(horizon))
-        if step is None:
-            return None
-        s, t_next = step
-        ss.append(s)
-        ts.append(t_next)
-        st = _anchored_state(tower, t_next, k0)
-        if st is None:
-            return None
-        if st in states:
-            start = states.index(st)
-            chain = DonsigChain(tuple(ts), tuple(ss))
-            if not chain.verify(tower):
-                raise AssertionError("chain failed exact re-verification")
-            return ChainCycle(chain, start, depth)
+    ts, ss, states = [e], [], []
+    k0 = None
+    for depth in range(max_depth + 1):
+        if depth:
+            step = first_link(tower, ts[-1], tower.top(horizon))
+            if step is None:
+                return None
+            ss.append(step[0])
+            ts.append(step[1])
+        t = ts[-1]
+        st = None
+        if t.level >= tower.rule_start:
+            k0 = k0 or tower.shape(t.level)[t.summand]
+            st = _anchored_state(tower, t, k0)
+            if st is None:
+                return None
+            if st in states:
+                chain = DonsigChain(tuple(ts), tuple(ss))
+                if not chain.verify(tower):
+                    raise AssertionError("chain failed exact re-verification")
+                return ChainCycle(chain, states.index(st), depth)
         states.append(st)
     return None
 
@@ -305,7 +308,7 @@ def strictly_upper_units(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 def radical_membership(tower: TowerSpec, e: MatrixUnit,
                        expand_horizon: int = DEFAULT_EXPAND_HORIZON,
-                       link_horizon: int = DEFAULT_LINK_HORIZON,
+                       link_horizon: int = DEFAULT_HORIZON,
                        exponent: int | None = None) -> RadicalStatus:
     tower.check_unit(e)  # a bad unit is named before a bad horizon
     if link_horizon < e.level:

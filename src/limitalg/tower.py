@@ -340,6 +340,7 @@ class TowerRule:
     name = "rule"
     self_similar = False      # transfer maps commute with K-normalization
     pattern_closed = False    # Example-4.3 shape: identity carries + fixed new word
+    separating = False        # one summand, one token (s, r): no new links
 
     def shape(self, level: int) -> tuple[int, ...]:
         raise NotImplementedError
@@ -408,6 +409,7 @@ class BlockRule(TowerRule):
             raise TowerValidationError(
                 f"block rule names no token for source summand {unnamed[0]}")
         self.blocks = blocks
+        self.separating = len(blocks) == 1 and len(blocks[0]) == 1
         self._shapes = [base]
         # s -> t where t's whole block is ((s, 1),) and no other token names s
         self._carry = {block[0][0]: t for t, block in enumerate(blocks)
@@ -531,29 +533,31 @@ class TowerSpec:
 
     The explicit steps are kept as flat words (`flat_steps`); `steps` and
     `words(n)` decode them to tuple words (`label_word`) when asked.
+    The rule, if any, takes over after the explicit steps: `rule_start`
+    is `len(flat_steps)`, the last explicit level is the rule's level 0,
+    and absolute level n is rule level n - rule_start.
     """
 
     def __init__(self, levels: list[tuple[int, ...]] | None = None,
                  steps: list[tuple[Word, ...]] | None = None,
                  rule: TowerRule | None = None,
-                 rule_start: int = 0,
                  name: str = ""):
         self._build(levels, [[flat_word(w) for w in s] for s in steps or ()],
-                    rule, rule_start, name)
+                    rule, name)
 
     @classmethod
     def from_flat_steps(cls, levels: list[tuple[int, ...]],
                         flat_steps: list[list[FlatWord]]) -> "TowerSpec":
         """A finite tower whose explicit steps are given as flat words."""
         tower = cls.__new__(cls)
-        tower._build(levels, flat_steps, None, 0, "")
+        tower._build(levels, flat_steps, None, "")
         return tower
 
-    def _build(self, levels, flat_steps, rule, rule_start, name) -> None:
+    def _build(self, levels, flat_steps, rule, name) -> None:
         self.levels = [tuple(l) for l in (levels or [])]
         self.flat_steps = list(flat_steps)
         self.rule = rule
-        self.rule_start = rule_start
+        self.rule_start = len(self.flat_steps)
         self.name = name
         self._occurrences: dict[int, tuple[WordIndex, ...]] = {}
         if rule is None and not self.levels:

@@ -92,6 +92,8 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "links-not-linked-up-to": (("links", "@prefix.tower", "--unit", "0:0:1:2",
                                 "--horizon", "5"), None),
     "links-lower-unit": (("links", "standard-2", "--unit", "0:0:2:1"), None),
+    # a link made by an explicit step below a separating `repeat` tail
+    "links-sep-prefix": (("links", "@sep.tower", "--unit", "0:0:1:2"), None),
     "links-compact": (("links", "refinement-2", "--unit", "1:0:2:3",
                        "--json"), None),
     # a finite tower whose only link lies above the horizon, then at it
@@ -175,6 +177,9 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "radical-unknown-prefix": (("radical", "@prefix.tower", "--unit", "0:0:1:2",
                                 "--expand-horizon", "0", "--horizon", "4"),
                                None),
+    # chain units on explicit levels anchor no recurrence
+    "radical-standard-prefix": (("radical", "@standard-prefix.tower",
+                                 "--unit", "0:0:1:2"), None),
     "radical-above-expand-horizon": (("radical", "paper-example-taf",
                                       "--unit", "7:0:1:2"), None),
     "radical-above-expand-horizon-finite": (("radical", "@finite.tower",

@@ -22,8 +22,8 @@ from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
 from limitalg.parser import parse_tower
 from limitalg.radical import (chain_cycle_certificate, donsig_chain,
                               radical_membership)
-from limitalg.tower import (MatrixUnit, TowerSpec, UnitShapeError, embed_unit,
-                            images, preset)
+from limitalg.tower import (BlockRule, MatrixUnit, TowerSpec, UnitShapeError,
+                            embed_unit, images, preset)
 
 from conftest import random_lattice_word
 
@@ -159,27 +159,34 @@ def test_images_of_a_unit_list_are_the_images_of_its_units(seed):
                 sorted(v for walk in walks for v in walk[n]), n
 
 
-def separation_trace(tower, e, max_steps=64):
-    """The trace of e's separation certificate, or None: the walk of
-    `links._decide` for e alone."""
-    [verdict] = links._decide(tower, [e], e.level, max_steps=max_steps)
-    if getattr(verdict, "certificate", None) != "separation":
-        return None
-    return verdict.detail
+def separating(rule):
+    """Whether `rule` is a one-summand `BlockRule` whose block is one
+    token (0, r): e_IJ goes to a sum whose extremal pair is
+    (r*I, r*(J-1)+1), so a unit with J > I never links under it."""
+    return isinstance(rule, BlockRule) and len(rule.blocks) == 1 \
+        and len(rule.blocks[0]) == 1
 
 
 def reference_certify_linkless(tower, e):
-    """`certify_linkless` as one `has_link_at` call per level."""
+    """`certify_linkless` as one `has_link_at` call per level.
+
+    A finite tower is scanned to its top.  On a separating rule the scan
+    goes two levels past the later of e's level and the rule's start, one
+    level past the last one `links._decide` reads, so that the closed
+    form is checked there as well.
+    """
     if has_link_at(tower, e, e.level) is not None:
         return None
     if links._reachable_frozen(tower, e):
         return CertifiedLinkless("frozen")
-    trace = separation_trace(tower, e)
-    if trace is not None:
-        return CertifiedLinkless("separation", trace)
-    if tower.finite and all(has_link_at(tower, e, n) is None
-                            for n in range(e.level, tower.max_level + 1)):
-        return CertifiedLinkless("finite-tower")
+    if tower.finite:
+        kind, last = "finite-tower", tower.max_level
+    elif separating(tower.rule):
+        kind, last = "separation", max(e.level, tower.rule_start) + 2
+    else:
+        return None
+    if all(has_link_at(tower, e, n) is None for n in range(e.level, last + 1)):
+        return CertifiedLinkless(kind)
     return None
 
 

@@ -5,11 +5,12 @@ import pytest
 
 from limitalg import links
 from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
-                            donsig_report, has_link_at, link_status)
-from limitalg.tower import (Element, LevelRangeError, MatrixUnit, TowerSpec,
-                            embed_element, preset)
+                            certify_linkless, donsig_report, has_link_at,
+                            link_status)
+from limitalg.tower import (BlockRule, Element, LevelRangeError, MatrixUnit,
+                            TowerSpec, embed_element, embed_unit, preset)
 
-from limitalg.parser import parse_tower
+from limitalg.parser import parse_tower, render_tower
 
 from conftest import random_lattice_word
 from test_least_link import GOLDEN, SEEDS, random_tower
@@ -63,9 +64,9 @@ def test_refinement_strict_upper_units_certified_linkless():
             if e.diagonal:
                 assert isinstance(st, Linked) and st.level == e.level
             else:
-                assert st == CertifiedLinkless("separation", st.detail)
-                # separation state recurs at the (1/2, 1/2) fixed point
-                assert brute_force_link(t, e, e.level) is False
+                assert st == CertifiedLinkless("separation")
+                assert not any(brute_force_link(t, e, n)
+                               for n in range(level, level + 3))
 
 
 def test_frozen_certificate_on_carried_summands():
@@ -133,8 +134,8 @@ def donsig_towers():
         parse_tower(TUHF_THEN_SPLIT)]
 
 
-# a self-similar tower whose TUHF level 0 is followed by two summands:
-# a separation walk that starts there must stop at level 1
+# a TUHF level 0 under a `repeat` tail on two summands: a unit of the
+# one-summand level walks on under a rule that is not separating
 TUHF_THEN_SPLIT = """
 level 0 = [2]
 level 1 = [2,2]
@@ -169,23 +170,91 @@ def test_donsig_entries_are_the_link_status_of_their_units():
 
 
 def test_one_walk_decides_each_unit_as_a_walk_of_its_own():
-    # the units of every level walk together; each verdict and
-    # separation trace must be the unit's own, also when the
-    # separation walk is cut after few steps and with no certificate
-    # tried.  Seeded ballot words make units of one walk link after
-    # different numbers of steps; their separation walks are cut short,
-    # as their words double in length at every level
-    cases = [(tower, 4, (1, 2, 64)) for tower in donsig_towers()]
-    cases += [(TowerSpec(rule=RandomTUHFRule(seed)), 3, (1, 2, 3))
-              for seed in range(6)]
-    for tower, level, cuts in cases:
+    # the units of every level walk together; each verdict must be the
+    # unit's own, with and without certificates.  Seeded ballot words
+    # make units of one walk link after different numbers of steps
+    cases = [(tower, 4) for tower in donsig_towers() + tuhf_prefix_towers()]
+    cases += [(TowerSpec(rule=RandomTUHFRule(seed)), 3) for seed in range(6)]
+    for tower, level in cases:
         top = tower.top(level)
         units = [u for n in range(top + 1) for u in tower.units_at(n)]
         for certify in (True, False):
-            for max_steps in cuts:
-                verdicts = links._decide(
-                    tower, units, top, certify, max_steps=max_steps)
-                for q, u in enumerate(units):
-                    [alone] = links._decide(
-                        tower, [u], top, certify, max_steps=max_steps)
-                    assert verdicts[q] == alone, (u, certify, max_steps)
+            verdicts = links._decide(tower, units, top, certify)
+            for q, u in enumerate(units):
+                [alone] = links._decide(tower, [u], top, certify)
+                assert verdicts[q] == alone, (u, certify)
+
+
+def tuhf_prefix_towers():
+    """Seeded TUHF towers: T_2, then two or three doubling steps drawn
+    from refinement, standard and seeded ballot words.  Each prefix ends
+    in an identity step and a `repeat` tail (a tower file), and also,
+    without that step, in a rule that refines by 2 at every level; both
+    tails are separating.  Then `sep.tower`."""
+    towers = []
+    for seed in range(8):
+        rng = random.Random(f"tuhf-prefix:{seed}")
+        levels, steps = [(2,)], []
+        for _ in range(rng.randint(2, 3)):
+            [k] = levels[-1]
+            kind = rng.choice(("refinement", "standard", "ballot"))
+            if kind == "refinement":
+                word = tuple((0, p) for p in range(1, k + 1) for _ in range(2))
+            elif kind == "standard":
+                word = tuple((0, p) for _ in range(2) for p in range(1, k + 1))
+            else:
+                word = random_lattice_word((k,), {0: 2}, rng)
+            levels.append((2 * k,))
+            steps.append((word,))
+        [k] = levels[-1]
+        towers.append(TowerSpec(levels, steps,
+                                rule=BlockRule((k,), (((0, 2),),))))
+        identity = ((0, p) for p in range(1, k + 1))
+        text = render_tower(TowerSpec(levels + [(k,)],
+                                      steps + [(tuple(identity),)]))
+        towers.append(parse_tower(text + "repeat\n"))
+    return towers + [parse_tower((GOLDEN / "sep.tower").read_text())]
+
+
+def check_verdict(tower, u, status):
+    """A linkless verdict has no link at any level up to two past the
+    later of u's level and the rule's start; a linked one names the
+    least level with a link, and its witness there."""
+    if isinstance(status, CertifiedLinkless):
+        last = max(u.level, tower.rule_start) + 2
+        assert all(has_link_at(tower, u, n) is None
+                   for n in range(u.level, last + 1)), (u, status)
+    elif isinstance(status, Linked):
+        assert all(has_link_at(tower, u, n) is None
+                   for n in range(u.level, status.level)), (u, status)
+        assert has_link_at(tower, u, status.level) == status.witness, u
+
+
+def test_prefix_verdicts_hold_at_every_level_before_the_tail():
+    # a separating tail certifies a unit one step past the rule's start;
+    # the explicit steps before it may still link, as in `sep.tower`
+    separation = 0
+    for tower in tuhf_prefix_towers():
+        level = tower.rule_start + 1
+        units = [u for n in range(level + 1) for u in tower.units_at(n)]
+        report = donsig_report(tower, level)
+        for u, entry in zip(units, report["units"]):
+            status = link_status(tower, u)
+            check_verdict(tower, u, status)
+            assert entry == {"unit": list(u), **status.to_json()}
+            cert = certify_linkless(tower, u)
+            check_verdict(tower, u, cert)
+            assert cert == (status if isinstance(status, CertifiedLinkless)
+                            else None)
+            separation += status == CertifiedLinkless("separation")
+    assert separation
+
+
+def test_a_standard_step_after_a_refinement_links():
+    # a level-2 image e13 + e24 + e57 + e68: e13 e35 e57 = e17 != 0
+    tower = parse_tower((GOLDEN / "sep.tower").read_text())
+    e = MatrixUnit(0, 0, 1, 2)
+    assert embed_unit(tower, e, 2).units == tuple(
+        MatrixUnit(2, 0, i, j) for i, j in ((1, 3), (2, 4), (5, 7), (6, 8)))
+    assert link_status(tower, e) == Linked(2, MatrixUnit(2, 0, 3, 5))
+    assert certify_linkless(tower, e) is None

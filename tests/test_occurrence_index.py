@@ -14,7 +14,8 @@ import pytest
 from limitalg import links
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import TowerAction
-from limitalg.links import (CertifiedLinkless, certify_linkless, first_link,
+from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
+                            certify_linkless, first_link, has_link_at,
                             least_link, link_status)
 from limitalg.tower import (PRESETS, BlockRule, MatrixUnit,
                             PaperExampleRule, TowerRule, TowerSpec,
@@ -23,7 +24,7 @@ from limitalg.tower import (PRESETS, BlockRule, MatrixUnit,
                             verify_embedding_order)
 from conftest import random_lattice_word
 from test_least_link import (SEEDS, random_tower, reference_chain_step,
-                             separation_trace)
+                             separating)
 
 TOP = 8
 
@@ -172,7 +173,7 @@ class TestEmbedUnitMatchesBruteForce:
                 levels.append(target)
                 steps.append(words)
             rule = DoublingRule(4, seed)
-            tower = TowerSpec(levels, steps, rule=rule, rule_start=2)
+            tower = TowerSpec(levels, steps, rule=rule)
             check_embeddings(tower, oracle_words(steps, rule, 2),
                              (0, 2, 3))
 
@@ -181,7 +182,7 @@ class TestEmbedUnitMatchesBruteForce:
             rng = random.Random(200 + seed)
             levels, steps = random_prefix((2, 2, 2), 2, rng)
             rule = permutation_rule(levels[-1], rng)
-            tower = TowerSpec(levels, steps, rule=rule, rule_start=len(steps))
+            tower = TowerSpec(levels, steps, rule=rule)
             check_embeddings(tower, oracle_words(steps, rule, len(steps)), (0, 1))
 
 
@@ -194,7 +195,7 @@ class TestIndexCache:
             levels.append(target)
             steps.append(words)
         rule = DoublingRule(4, 7)
-        tower = TowerSpec(levels, steps, rule=rule, rule_start=2)
+        tower = TowerSpec(levels, steps, rule=rule)
         # absolute level 2 is rule level 0: it must not reuse step 0's entry
         for n in range(TOP):
             expected = steps[n] if n < 2 else rule.words(n - 2)
@@ -245,7 +246,7 @@ def repeat_tail_tower(seed):
     rng = random.Random(500 + seed)
     levels, steps = random_prefix((2, 1, 2), 2, rng)
     rule = permutation_rule(levels[-1], rng)
-    return TowerSpec(levels, steps, rule=rule, rule_start=len(steps))
+    return TowerSpec(levels, steps, rule=rule)
 
 
 def deep_towers():
@@ -402,6 +403,16 @@ class TestSortedIndexMatchesLabelPositions:
         with pytest.raises(TowerValidationError, match="0->1 invalid"):
             tower.occurrences(0)
 
+    def test_a_separating_tail_reads_the_step_into_it(self):
+        # a unit is certified one step past the rule's start, so a walk
+        # from at or below it reads the step into the rule, and a base
+        # unlike the last explicit level is refused, not certified
+        tower = TowerSpec([(2,), (4,)], [(((0, 1), (0, 1), (0, 2), (0, 2)),)],
+                          rule=BlockRule((2,), (((0, 2),),)))
+        for e in (MatrixUnit(0, 0, 1, 2), MatrixUnit(1, 0, 1, 2)):
+            with pytest.raises(TowerValidationError, match="1->2 invalid"):
+                link_status(tower, e)
+
     def test_invalid_rule_step_raises_on_first_use(self):
         # the step into a rule is indexed, and so validated, on first use
         tower = TowerSpec(rule=FixedRule((2,), (((0, 2), (0, 1)),)))
@@ -409,55 +420,33 @@ class TestSortedIndexMatchesLabelPositions:
             tower.occurrences(0)
 
 
-def reference_separation(tower, e, max_steps=64):
-    """`separation_trace` scanning a whole dict index per
-    level, as it did before the sorted index."""
-    if tower.finite or not tower.rule.self_similar:
-        return None
-    if not tower.is_tuhf_at(e.level):
-        return None
-    max_row, min_col = e.row, e.col
-    if min_col <= max_row:
-        return None
-    level = e.level
-    seen = {}
-    trace = []
-    for step in range(max_steps):
-        k = tower.shape(level)[0]
-        norm = (Fraction(max_row, k), Fraction(min_col - 1, k))
-        trace.append((level, max_row, min_col))
-        if norm in seen:
-            return tuple(trace)
-        seen[norm] = step
-        if not tower.is_tuhf_at(level + 1):
-            return None
-        occ = index_word(tower.words(level)[0])
-        rows = [qs[-1] for (_, p), qs in occ.items() if p <= max_row]
-        cols = [qs[0] for (_, p), qs in occ.items() if p >= min_col]
-        if not rows or not cols:
-            return None
-        max_row, min_col = max(rows), min(cols)
-        if min_col <= max_row:
-            return None
-        level += 1
-    return None
-
-
 def reference_certificate(tower, e):
-    """`links.certify_linkless` on the reference separation walk."""
-    if first_link(tower, e, e.level) is not None:
+    """`links.certify_linkless` from words scanned label by label.
+
+    e's image is paired by `brute_pair`, and a separation certificate
+    needs no link at any level from e's own to two past the later of
+    e's level and the rule's start: one past the last level that
+    `links._decide` reads.
+    """
+    if e.diagonal:
         return None
     if links._reachable_frozen(tower, e):
         return CertifiedLinkless("frozen")
-    trace = reference_separation(tower, e)
-    return None if trace is None else CertifiedLinkless("separation", trace)
+    if not separating(tower.rule):
+        return None
+    units = [e]
+    for n in range(e.level, max(e.level, tower.rule_start) + 2):
+        units = brute_pair(tower.words(n), units, n + 1)
+        cols = {}
+        for u in units:
+            cols[u.summand] = min(u.col, cols.get(u.summand, u.col))
+        if any(cols[u.summand] <= u.row for u in units):
+            return None
+    return CertifiedLinkless("separation")
 
 
 class RandomTUHFRule(TowerRule):
-    """T_(2^(n+1)) -> T_(2^(n+2)) with a fresh seeded ballot word per
-    level, marked self-similar so that the separation walk runs."""
-
-    self_similar = True
+    """T_(2^(n+1)) -> T_(2^(n+2)) with a fresh seeded ballot word per level."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -470,18 +459,41 @@ class RandomTUHFRule(TowerRule):
         return (random_lattice_word(self.shape(level), {0: 2}, rng),)
 
 
-def test_separation_reads_match_the_scan_on_seeded_ballot_words():
+def scanned_link_level(words, e, top):
+    """The least level <= top at which the TUHF unit e links, or None,
+    where `words[n]` is the word of step n -> n+1.
+
+    Each level's extremal pair (I, J), the largest row and the least col
+    of e's image, is read by scanning a dict index of the word over every
+    p <= I and every p >= J: the reads that `links._climb` makes in O(1).
+    """
+    max_row, min_col, level = e.row, e.col, e.level
+    while min_col > max_row:
+        if level == top:
+            return None
+        occ = index_word(words[level])
+        max_row = max(qs[-1] for (_, p), qs in occ.items() if p <= max_row)
+        min_col = min(qs[0] for (_, p), qs in occ.items() if p >= min_col)
+        level += 1
+    return level
+
+
+def test_climb_reads_match_the_scan_on_seeded_ballot_words():
     # the O(1) reads of the last occurrence of (0, I) and the first of
     # (0, J) against the scan over every p <= I and p >= J
-    certified = 0
+    top = 4
+    above = 0
     for seed in range(20):
         tower = TowerSpec(rule=RandomTUHFRule(seed))
+        words = [tower.words(n)[0] for n in range(top)]
         for level in range(3):
             for e in tower.units_at(level):
-                trace = separation_trace(tower, e, max_steps=5)
-                assert trace == reference_separation(tower, e, max_steps=5)
-                certified += trace is not None
-    assert certified
+                n = scanned_link_level(words, e, top)
+                assert link_status(tower, e, top) == (
+                    NotLinkedUpTo(top) if n is None
+                    else Linked(n, has_link_at(tower, e, n))), e
+                above += n is not None and n > level + 1
+    assert above
 
 
 def reference_order_audit(tower, level):
@@ -511,8 +523,6 @@ def test_walk_reads_match_the_dict_index_scans(name):
     tower = PRESETS[name]()
     for level in range(4):
         for e in tower.units_at(level):
-            assert separation_trace(tower, e) == \
-                reference_separation(tower, e), e
             assert certify_linkless(tower, e) == \
                 reference_certificate(tower, e), e
         if tower.is_tuhf_at(level) and tower.is_tuhf_at(level + 1):

@@ -3,18 +3,21 @@ import random
 
 import pytest
 
-from limitalg import radical
+from limitalg import links, radical
 from limitalg.algebra import multi_matrix_algebra
-from limitalg.links import certify_linkless, link_status
+from limitalg.links import CertifiedLinkless, certify_linkless, link_status
 from limitalg.radical import (ChainCycle, DonsigChain, InRadical,
                               LinklessDecomposition,
                               NotInRadical, Unknown, UniformNilpotency,
                               chain_cycle_certificate, donsig_chain,
                               radical_membership,
                               strictly_upper_units, uniform_nilpotency)
+from limitalg.parser import parse_tower
 from limitalg.tower import (BlockRule, Element, MatrixUnit, TowerRule,
                             TowerSpec, UnitShapeError, embed_element,
                             embed_unit, images, preset)
+from test_least_link import GOLDEN
+from test_links import tuhf_prefix_towers
 from test_occurrence_index import deep_towers, permutation_rule, random_prefix
 
 
@@ -43,11 +46,15 @@ def nilpotency_towers():
         rng = random.Random(400 + seed)
         levels, steps = random_prefix((2, 1), 1, rng, cap=8)
         rule = permutation_rule(levels[-1], rng)
-        towers.append(TowerSpec(levels, steps, rule=rule,
-                                rule_start=len(steps)))
+        towers.append(TowerSpec(levels, steps, rule=rule))
     towers += [preset(name) for name in
                ("standard-2", "refinement-2", "paper-example-taf")]
     return towers
+
+
+def standard_prefix_tower():
+    """Seven standard steps T_2 -> ... -> T_256, then identity forever."""
+    return parse_tower((GOLDEN / "standard-prefix.tower").read_text())
 
 
 class TestFiniteOracle:
@@ -146,6 +153,30 @@ class TestDonsigChains:
         t = embed_element(tower, Element.from_unit(e), 1)
         assert not t * Element.from_unit(s) * t
         assert not DonsigChain((e, MatrixUnit(1, 1, 1, 3)), (s,)).verify(tower)
+
+    def test_no_strictly_upper_unit_of_a_separating_tail_cycles(self):
+        # a separating tail links no strictly upper unit past its start,
+        # so every Donsig chain from one ends and each lies in the
+        # radical; states anchored on prefix levels must not recur
+        for tower in tuhf_prefix_towers() + [standard_prefix_tower()]:
+            for level in range(min(tower.rule_start, 3)):
+                for e in tower.units_at(level):
+                    if not e.diagonal:
+                        assert chain_cycle_certificate(tower, e) is None, e
+
+    def test_standard_prefix_under_an_identity_tail(self):
+        # seven standard steps to T_256: each chain unit below the tail
+        # matches the state of the one before it, yet the level-7 image
+        # is linkless; at the default horizons no route decides
+        tower = standard_prefix_tower()
+        e = MatrixUnit(0, 0, 1, 2)
+        assert radical_membership(tower, e) == \
+            Unknown(radical.DEFAULT_EXPAND_HORIZON, links.DEFAULT_HORIZON)
+        st = radical_membership(tower, e, expand_horizon=8)
+        assert st.certificate == LinklessDecomposition(
+            7, tuple(embed_unit(tower, e, 7).units))
+        assert all(certify_linkless(tower, u) == CertifiedLinkless("frozen")
+                   for u in st.certificate.units)
 
     def test_chain_cycle_requires_stationary_tower(self):
         finite = TowerSpec([(2,), (4,)],
@@ -319,7 +350,7 @@ class TestMembership:
                               MatrixUnit(7, 0, 1, 2), 6),
                              (finite, MatrixUnit(2, 0, 1, 2), 1)):
             st = radical_membership(t, e, expand_horizon=expand)
-            assert st == Unknown(expand, radical.DEFAULT_LINK_HORIZON)
+            assert st == Unknown(expand, links.DEFAULT_HORIZON)
 
     def test_no_exponent_loop_without_pattern_closure(self, monkeypatch):
         # an infinite tower whose rule is not pattern-closed can earn no
@@ -330,8 +361,7 @@ class TestMembership:
         t = TowerSpec([(2, 1), (4, 1), (4, 1)],
                       [(((0, 1), (0, 1), (0, 2), (0, 2)), ((1, 1),)),
                        (((0, 1), (0, 2), (0, 3), (0, 4)), ((1, 1),))],
-                      rule=BlockRule((4, 1), (((0, 1),), ((1, 1),))),
-                      rule_start=2)
+                      rule=BlockRule((4, 1), (((0, 1),), ((1, 1),))))
         st = radical_membership(t, MatrixUnit(0, 0, 1, 2),
                                 expand_horizon=0, link_horizon=4)
         assert isinstance(st, Unknown) and calls == []

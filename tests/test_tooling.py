@@ -229,6 +229,19 @@ def test_golden_corpus_covers_every_command():
     assert sorted(wanted - seen, key=str) == []
 
 
+def test_golden_corpus_pins_every_certificate_kind():
+    # each link status, linkless certificate and radical route appears in
+    # at least one recorded stdout, so a simplification that deletes one
+    # of their code paths changes a golden byte
+    wanted = {"linked", "not-linked-up-to", "frozen", "separation",
+              "finite-tower", "chain-cycle", "linkless-decomposition",
+              "uniform-nilpotency", "unknown"}
+    field = re.compile(r'"(?:status|certificate|kind)":\s*"([^"]*)"')
+    seen = {kind for case in EXPECTED.values()
+            for kind in field.findall(case["stdout"])}
+    assert sorted(wanted - seen) == []
+
+
 def test_every_benchmark_tracer_hook_resolves():
     # the benchmark's tracer wraps library functions by name: a function
     # deleted or renamed here would make every traced run fail
