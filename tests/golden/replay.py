@@ -73,6 +73,30 @@ STR_ORDER_SYSTEM = "points = 10 9 b a\nphi: 10->9 9->10 b->b a->a\n"
 STR_ORDER_NON_ASCII_SYSTEM = ("points = b a 10 9 é\n"
                               "phi: b->a a->10 10->b 9->é é->9\n")
 ZERO_SIZE_SPEC = "level 0 = [0]\n"
+TWO_LEVELS = "level 0 = [2]\nlevel 1 = [2]\n"
+IDENTITY_BLOCK = "  target 0 : (0,1) (0,2)\n}\n"
+# one spec per input rejection of the tower parser, each on its own line
+REJECTED_SPECS = {
+    "malformed-shape": "level 0 = [2,]\n",
+    "empty-block": TWO_LEVELS + "embed 0 -> 1 {\n}\n",
+    "target-indices": TWO_LEVELS + "embed 0 -> 1 {\n  target 1 : (0,1) (0,2)\n}\n",
+    "expected-target": TWO_LEVELS + "embed 0 -> 1 {\n  word (0,1) (0,2)\n}\n",
+    "duplicate-target": (TWO_LEVELS + "embed 0 -> 1 {\n"
+                         "  target 0 : (0,1) (0,2)\n" + IDENTITY_BLOCK),
+    "non-consecutive-embedding": TWO_LEVELS + "embed 0 -> 2 {\n" + IDENTITY_BLOCK,
+    "duplicate-embedding": (TWO_LEVELS + "embed 0 -> 1 {\n" + IDENTITY_BLOCK
+                            + "embed 0 -> 1 {\n" + IDENTITY_BLOCK),
+    "action-block-header": ("level 0 = [2]\naction g order 2 {\n"
+                            "  map 0 -> 0 {\n" + IDENTITY_BLOCK + "}\n"),
+    "unterminated-action": ("level 0 = [2]\naction g order 2 {\n"
+                            "  level 0 -> 0 {\n" + IDENTITY_BLOCK),
+    "no-levels": "# nothing but a comment\n",
+    "non-contiguous-levels": "level 0 = [2]\nlevel 2 = [2]\n",
+    "missing-embedding": TWO_LEVELS,
+    "undefined-level-embedding": (TWO_LEVELS + "embed 0 -> 1 {\n" + IDENTITY_BLOCK
+                                  + "embed 1 -> 2 {\n" + IDENTITY_BLOCK),
+    "repeat-one-level": "level 0 = [2]\nrepeat\n",
+}
 ZERO_SUMMAND_SPEC = ("level 0 = [2]\nlevel 1 = [2,0]\nembed 0 -> 1 {\n"
                      "  target 0 : (0,1) (0,2)\n  target 1 :\n}\n")
 
@@ -396,6 +420,19 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "crossed-diag-empty-block": (("crossed", "diag", "--base", "0", "--group",
                                   "1"), None),
     "validate-zero-size": (("validate", "-"), ZERO_SIZE_SPEC),
+    **{f"validate-rejects-{name}": (("validate", "-"), spec)
+       for name, spec in REJECTED_SPECS.items()},
+    "peters-system-no-points": (("peters", "-", "enum"),
+                                "# no points line\nphi: a->a\n"),
+    "crossed-unknown-action-component": (("crossed", "tight", "--base", "2",
+                                          "--group", "2", "--action",
+                                          "spin=1"), None),
+    "crossed-action-shape-mismatch": (("crossed", "tight", "--base", "2",
+                                       "--group", "2", "--action", "diag=0"),
+                                      None),
+    "peters-check-unknown-point": (("peters", "@swap.sys", "check", "--sets",
+                                    "a,z|a"), None),
+    "peters-check-without-sets": (("peters", "@swap.sys", "check"), None),
     "donsig-zero-size": (("donsig", "-", "--level", "0"), ZERO_SIZE_SPEC),
     "radical-zero-size-summand": (("radical", "-", "--unit", "0:0:1:2"),
                                   ZERO_SUMMAND_SPEC),
