@@ -210,7 +210,7 @@ def _cmd_validate(args) -> int:
               args.json)
         return EXIT_ERROR
     report = {"command": "validate", "ok": True,
-              "stationary": tower.stationary,
+              "stationary": not tower.finite,
               "levels_explicit": len(tower.levels),
               "actions": [a.name for a in actions]}
     _emit(report, args.json)

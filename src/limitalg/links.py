@@ -244,7 +244,9 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool) -> list:
     linkless certificate, or None when neither turns up by level `top`.
 
     The units walk up together, each joining at its own level, and each
-    level's index is read once for all of them (`_climb`).  A diagonal
+    level's index is read once for all of them (`_climb`).  The groups
+    are the walk's only state: `_climb` drops every unit that links, so
+    once none is left the walk jumps to the next unit's level.  A diagonal
     unit links at its own level.  With `certify` off the others are only
     scanned up to `top`.  Otherwise (a certificate needs no link at the
     unit's level) a unit whose summand is identity-carried forever is
@@ -265,13 +267,10 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool) -> list:
         top, last = tower.rule_start + 1, SEPARATION
     freeze = certify and not tower.finite
     groups: dict = {}
-    active = p = 0  # units in `groups`; units that have joined
-    while True:
-        if not active:
-            if p == count:
-                return verdicts
-            n = units[p][0]
-        if p < count and units[p][0] == n:
+    p = 0  # units that have joined
+    while p < count:
+        n = units[p][0]
+        while True:
             frozen: dict[int, bool] = {}
             while p < count and units[p][0] == n:
                 e = units[p]
@@ -281,26 +280,22 @@ def _decide(tower: TowerSpec, units: list, top: int, certify: bool) -> list:
                 elif freeze and (frozen[s] if s in frozen else frozen.setdefault(
                         s, _reachable_frozen(tower, e))):
                     verdicts[p] = FROZEN
+                elif s in groups:
+                    groups[s].append((p, i, j))
                 else:
-                    if s in groups:
-                        groups[s].append((p, i, j))
-                    else:
-                        groups[s] = [(p, i, j)]
-                    active += 1
+                    groups[s] = [(p, i, j)]
                 p += 1
-            if not active:
-                continue
-        if n >= top:
-            for group in groups.values():
-                for q, _, _ in group:
-                    verdicts[q] = last
-            groups, active = {}, 0
-            continue
-        groups, linked = _climb(tower.occurrences(n), groups)
-        n += 1
-        active -= len(linked)
-        for q in linked:
-            verdicts[q] = n
+            if not groups or n >= top:
+                break
+            groups, linked = _climb(tower.occurrences(n), groups)
+            n += 1
+            for q in linked:
+                verdicts[q] = n
+        for group in groups.values():
+            for q, _, _ in group:
+                verdicts[q] = last
+        groups = {}
+    return verdicts
 
 
 def certify_linkless(tower: TowerSpec, e: MatrixUnit) -> CertifiedLinkless | None:

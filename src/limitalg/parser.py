@@ -156,13 +156,10 @@ def parse_tower_file(text: str):
     i = 0
     labels = _Labels()
 
-    def syntax(msg: str, lineno: int, column: int = 1):
-        raise TowerSyntaxError(msg, lineno, column)
-
     def strip(line: str) -> str:
         return line.split("#", 1)[0].strip()
 
-    def read_block(start: int, header_words: dict | None = None):
+    def read_block(start: int):
         """Collect `target t : word` lines until the closing brace."""
         j = start
         targets: dict[int, FlatWord] = {}
@@ -174,21 +171,22 @@ def parse_tower_file(text: str):
                 continue
             if s == "}":
                 if not targets:
-                    syntax("empty block", j)
+                    raise TowerSyntaxError("empty block", j)
                 n = max(targets) + 1
                 if sorted(targets) != list(range(n)):
-                    syntax("target indices must be 0..r-1", j)
+                    raise TowerSyntaxError("target indices must be 0..r-1", j)
                 return [targets[t] for t in range(n)], j
             m = re.match(r"target\s+(\d+)\s*:\s*(.*)$", s)
             if not m:
-                syntax(f"expected 'target t : ...' or '}}', got {s!r}", j)
+                raise TowerSyntaxError(
+                    f"expected 'target t : ...' or '}}', got {s!r}", j)
             t = int(m.group(1))
             if t in targets:
-                syntax(f"duplicate target {t}", j)
+                raise TowerSyntaxError(f"duplicate target {t}", j)
             indent = len(line) - len(line.lstrip())
             targets[t] = _parse_word(m.group(2), j, indent + m.start(2) + 1,
                                      labels)
-        syntax("unterminated block", len(lines))
+        raise TowerSyntaxError("unterminated block", len(lines))
 
     while i < len(lines):
         s = strip(lines[i])
@@ -198,14 +196,15 @@ def parse_tower_file(text: str):
         if m := re.match(r"level\s+(\d+)\s*=\s*(.*)$", s):
             n = int(m.group(1))
             if n in levels:
-                syntax(f"duplicate level {n}", i)
+                raise TowerSyntaxError(f"duplicate level {n}", i)
             levels[n] = _parse_shape(m.group(2), i)
         elif m := re.match(r"embed\s+(\d+)\s*->\s*(\d+)\s*\{\s*$", s):
             a, b = int(m.group(1)), int(m.group(2))
             if b != a + 1:
-                syntax("embeddings must map consecutive levels", i)
+                raise TowerSyntaxError(
+                    "embeddings must map consecutive levels", i)
             if a in embeds:
-                syntax(f"duplicate embedding {a} -> {b}", i)
+                raise TowerSyntaxError(f"duplicate embedding {a} -> {b}", i)
             words, i = read_block(i)
             embeds[a] = words
         elif s == "repeat":
@@ -223,15 +222,17 @@ def parse_tower_file(text: str):
                     break
                 mm = re.match(r"level\s+(\d+)\s*->\s*(\d+)\s*\{\s*$", t)
                 if not mm:
-                    syntax(f"expected 'level n -> N {{' in action block, got {t!r}", i)
+                    raise TowerSyntaxError(
+                        f"expected 'level n -> N {{' in action block, "
+                        f"got {t!r}", i)
                 src, dst = int(mm.group(1)), int(mm.group(2))
                 words, i = read_block(i)
                 act.maps[src] = (dst, tuple(map(label_word, words)))
             else:
-                syntax("unterminated action block", len(lines))
+                raise TowerSyntaxError("unterminated action block", len(lines))
             actions.append(act)
         else:
-            syntax(f"unrecognized directive {s!r}", i)
+            raise TowerSyntaxError(f"unrecognized directive {s!r}", i)
 
     if preset_name is not None:
         if levels or embeds or repeat:
@@ -308,20 +309,15 @@ def parse_system_file(text: str) -> FiniteDynSys:
         raise ValueError(f"invalid system: {exc}") from None
 
 
-def render_tower(tower: TowerSpec, levels: int | None = None) -> str:
-    """Render a tower back to spec text (rule-backed towers need `levels`)."""
-    if tower.finite:
-        n_levels = len(tower.levels)
-    else:
-        if levels is None:
-            raise ValueError("rule-backed tower needs an explicit level count")
-        n_levels = levels
-    out = []
-    for n in range(n_levels):
-        out.append(f"level {n} = [{','.join(map(str, tower.shape(n)))}]")
-    for n in range(n_levels - 1):
+def render_tower(tower: TowerSpec) -> str:
+    """Render a finite tower back to spec text."""
+    if not tower.finite:
+        raise ValueError("only a finite tower renders to spec text")
+    out = [f"level {n} = [{','.join(map(str, shape))}]"
+           for n, shape in enumerate(tower.levels)]
+    for n, words in enumerate(tower.steps):
         out.append(f"embed {n} -> {n + 1} {{")
-        for t, word in enumerate(tower.words(n)):
+        for t, word in enumerate(words):
             labels = " ".join(f"({s},{p})" for s, p in word)
             out.append(f"  target {t} : {labels}")
         out.append("}")

@@ -16,6 +16,7 @@ from .links import DEFAULT_HORIZON, certify_linkless, first_link
 from .tower import LevelRangeError, MatrixUnit, TowerSpec, embed_unit, images
 
 DEFAULT_EXPAND_HORIZON = 6
+_MAX_CHAIN_DEPTH = 10  # the deepest chain a chain-cycle certificate tries
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +48,6 @@ class UniformNilpotency:
 class DonsigChain:
     t_units: tuple[MatrixUnit, ...]  # T_0, ..., T_d
     s_units: tuple[MatrixUnit, ...]  # S_1, ..., S_d
-
-    @property
-    def depth(self) -> int:
-        return len(self.s_units)
 
     def verify(self, tower: TowerSpec) -> bool:
         """Re-check T_{l+1} = embed(T_l) * S_{l+1} * embed(T_l) exactly.
@@ -158,7 +155,6 @@ def _anchored_state(tower: TowerSpec, t: MatrixUnit, k0: int):
 
 
 def chain_cycle_certificate(tower: TowerSpec, e: MatrixUnit,
-                            max_depth: int = 10,
                             horizon: int = DEFAULT_HORIZON
                             ) -> ChainCycle | None:
     """Recurrent Donsig chain witnessing an infinite chain (e not radical).
@@ -174,7 +170,7 @@ def chain_cycle_certificate(tower: TowerSpec, e: MatrixUnit,
         return ChainCycle(chain, 0, 0)
     ts, ss, states = [e], [], []
     k0 = None
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_CHAIN_DEPTH + 1):
         if depth:
             step = first_link(tower, ts[-1], tower.top(horizon))
             if step is None:
@@ -209,14 +205,6 @@ class NilpotencyReport:
     pattern_closed: bool = False
     counterexample: MatrixUnit | None = None
     certificate: UniformNilpotency | None = None
-
-    def to_json(self):
-        out = {"ok": self.ok, "exponent": self.exponent, "horizon": self.horizon,
-               "pattern_closed": self.pattern_closed}
-        if self.counterexample is not None:
-            u = self.counterexample
-            out["counterexample"] = [u.level, u.summand, u.row, u.col]
-        return out
 
 
 def _support_nilpotent(tower: TowerSpec, img: list[MatrixUnit], level: int,

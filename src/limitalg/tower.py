@@ -82,8 +82,8 @@ class MatrixUnitSum:
             if len(set(map(axis, units))) != len(units):
                 raise ValueError("overlapping supports in MatrixUnitSum")
 
-    def to_element(self, one=Fraction(1)) -> "Element":
-        return Element(self.level, {u.key(): one for u in self.units})
+    def to_element(self) -> "Element":
+        return Element(self.level, {u.key(): Fraction(1) for u in self.units})
 
 
 class Element:
@@ -102,8 +102,8 @@ class Element:
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     @staticmethod
-    def from_unit(u: MatrixUnit, one=Fraction(1)) -> "Element":
-        return Element(u.level, {u.key(): one})
+    def from_unit(u: MatrixUnit) -> "Element":
+        return Element(u.level, {u.key(): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -114,17 +114,6 @@ class Element:
     def __eq__(self, other):
         return (isinstance(other, Element) and self.level == other.level
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.level, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "Element") -> "Element":
-        if self.level != other.level:
-            raise ValueError("level mismatch in Element addition")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return Element(self.level, out)
 
     def __mul__(self, other: "Element") -> "Element":
         if self.level != other.level:
@@ -186,9 +175,6 @@ class ValidationReport:
     ok: bool
     violations: list[dict] = field(default_factory=list)
     occurrences: tuple[WordIndex, ...] = field(default=(), repr=False)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": self.violations}
 
 
 def index_step(source: tuple[int, ...], target: tuple[int, ...],
@@ -337,7 +323,6 @@ class TowerRule:
     A rule whose steps have a closed-form index also defines `index`.
     """
 
-    name = "rule"
     self_similar = False      # transfer maps commute with K-normalization
     pattern_closed = False    # Example-4.3 shape: identity carries + fixed new word
     separating = False        # one summand, one token (s, r): no new links
@@ -497,7 +482,6 @@ class PaperExampleRule(TowerRule):
     T_4 to the next slot by an identity word.
     """
 
-    name = "paper-example-taf"
     pattern_closed = True
 
     def shape(self, level: int) -> tuple[int, ...]:
@@ -534,31 +518,30 @@ class TowerSpec:
     The explicit steps are kept as flat words (`flat_steps`); `steps` and
     `words(n)` decode them to tuple words (`label_word`) when asked.
     The rule, if any, takes over after the explicit steps: `rule_start`
-    is `len(flat_steps)`, the last explicit level is the rule's level 0,
-    and absolute level n is rule level n - rule_start.
+    is `len(flat_steps)`, the last explicit level is the rule's level 0
+    (a rule whose base has another shape is refused), and absolute level
+    n is rule level n - rule_start.
     """
 
     def __init__(self, levels: list[tuple[int, ...]] | None = None,
                  steps: list[tuple[Word, ...]] | None = None,
-                 rule: TowerRule | None = None,
-                 name: str = ""):
+                 rule: TowerRule | None = None):
         self._build(levels, [[flat_word(w) for w in s] for s in steps or ()],
-                    rule, name)
+                    rule)
 
     @classmethod
     def from_flat_steps(cls, levels: list[tuple[int, ...]],
                         flat_steps: list[list[FlatWord]]) -> "TowerSpec":
         """A finite tower whose explicit steps are given as flat words."""
         tower = cls.__new__(cls)
-        tower._build(levels, flat_steps, None, "")
+        tower._build(levels, flat_steps, None)
         return tower
 
-    def _build(self, levels, flat_steps, rule, name) -> None:
+    def _build(self, levels, flat_steps, rule) -> None:
         self.levels = [tuple(l) for l in (levels or [])]
         self.flat_steps = list(flat_steps)
         self.rule = rule
         self.rule_start = len(self.flat_steps)
-        self.name = name
         self._occurrences: dict[int, tuple[WordIndex, ...]] = {}
         if rule is None and not self.levels:
             raise TowerValidationError("tower needs levels or a rule")
@@ -578,15 +561,10 @@ class TowerSpec:
             if index is None:
                 raise _invalid_step(n, source, target, words)
             self._occurrences[n] = index
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def from_rule(rule: TowerRule, name: str = "") -> "TowerSpec":
-        return TowerSpec(rule=rule, name=name or rule.name)
-
-    @property
-    def stationary(self) -> bool:
-        return self.rule is not None
+        if rule is not None and self.levels and rule.shape(0) != self.levels[-1]:
+            raise TowerValidationError(
+                f"rule base {list(rule.shape(0))} differs from the last "
+                f"level {len(self.levels) - 1} shape {list(self.levels[-1])}")
 
     @property
     def finite(self) -> bool:
@@ -636,24 +614,21 @@ class TowerSpec:
 
         An explicit step keeps the index its validation built.  A rule
         step is indexed on first use: by the rule's closed form
-        (`TowerRule.index`) when it has one and the step's source shape is
-        the rule's own, and otherwise from `flat_words(n)` by
-        `index_step`, which raises TowerValidationError if the step is
-        not a valid embedding.  Either is kept for the tower's life, keyed
-        by the absolute level n.
+        (`TowerRule.index`) when it has one, and otherwise from
+        `flat_words(n)` by `index_step`, which raises TowerValidationError
+        if the step is not a valid embedding.  Either is kept for the
+        tower's life, keyed by the absolute level n.
         """
         index = self._occurrences.get(n)
         if index is None:
             if n < 0 or not self.has_level(n + 1):
                 raise LevelRangeError(f"no embedding at level {n}")
-            # every explicit step has its entry, so this is a rule step
-            level = n - self.rule_start
-            source = self.shape(n)
-            if source == self.rule.shape(level):
-                index = self.rule.index(level)
+            # every explicit step has its entry, so this is a rule step,
+            # and its source shape is the rule's own (`_build`)
+            index = self.rule.index(n - self.rule_start)
             if index is None:
+                source, target = self.shape(n), self.shape(n + 1)
                 words = self.flat_words(n)
-                target = self.shape(n + 1)
                 index = index_step(source, target, words)
                 if index is None:
                     raise _invalid_step(n, source, target, words)
@@ -680,10 +655,10 @@ class TowerSpec:
         return identity_carry(self.shape(level), self.flat_words(level),
                               summand)
 
-    def units_at(self, level: int, triangular: bool = True):
+    def units_at(self, level: int):
         """All matrix units at a level, canonical (summand,row,col) order."""
         return (MatrixUnit(level, *key)
-                for key in multi_matrix_units(self.shape(level), triangular))
+                for key in multi_matrix_units(self.shape(level), True))
 
     def is_tuhf_at(self, level: int) -> bool:
         return len(self.shape(level)) == 1
@@ -815,13 +790,10 @@ def verify_embedding_order(tower: TowerSpec, level: int) -> dict:
 
 PRESETS = {
     # word [1..K, 1..K]: e_ij -> e_ij + e_(i+K)(j+K)
-    "standard-2": lambda: TowerSpec.from_rule(
-        BlockRule((2,), (((0, 1), (0, 1)),)), "standard-2"),
+    "standard-2": lambda: TowerSpec(rule=BlockRule((2,), (((0, 1), (0, 1)),))),
     # word [1,1,2,2,...]: e_ij -> e_(2i-1)(2j-1) + e_(2i)(2j)
-    "refinement-2": lambda: TowerSpec.from_rule(
-        BlockRule((2,), (((0, 2),),)), "refinement-2"),
-    "paper-example-taf": lambda: TowerSpec.from_rule(PaperExampleRule(),
-                                                     "paper-example-taf"),
+    "refinement-2": lambda: TowerSpec(rule=BlockRule((2,), (((0, 2),),))),
+    "paper-example-taf": lambda: TowerSpec(rule=PaperExampleRule()),
 }
 
 

@@ -94,6 +94,37 @@ def test_incompatible_action_is_reported_by_validation():
     assert any(p["kind"] == "square" for p in rep["problems"])
 
 
+def three_point_tower():
+    # three 1x1 summands carried by identity words, so every summand
+    # permutation commutes with the embedding
+    return TowerSpec([(1, 1, 1), (1, 1, 1)], [identity_words((1, 1, 1))])
+
+
+def transposition(a, b):
+    """Words that swap summands a and b of (1, 1, 1)."""
+    perm = {a: b, b: a}
+    return tuple(((perm.get(t, t), 1),) for t in range(3))
+
+
+def test_noncommuting_generators_are_reported_by_validation():
+    t = three_point_tower()
+    act = TowerAction(t, FiniteAbelianGroup((2, 2)),
+                      [{0: (0, transposition(0, 1))},
+                       {0: (0, transposition(1, 2))}])
+    rep = validate_action(t, act)
+    assert not rep["ok"]
+    assert {p["kind"] for p in rep["problems"]} == {"commute"}
+
+
+def test_a_generator_of_the_wrong_order_is_reported_by_validation():
+    t = three_point_tower()
+    act = TowerAction(t, FiniteAbelianGroup((3,)),
+                      [{0: (0, transposition(0, 1))}])
+    rep = validate_action(t, act)
+    assert not rep["ok"]
+    assert {p["kind"] for p in rep["problems"]} == {"order"}
+
+
 def test_malformed_actions_raise():
     t = swap_tower()
     with pytest.raises(ActionCompatibilityError):

@@ -207,7 +207,7 @@ class TestIndexCache:
 
     def test_words_read_once_per_level(self):
         # the index reads each step's words in the form it indexes them
-        tower = TowerSpec.from_rule(DoublingRule(1, 3))
+        tower = TowerSpec(rule=DoublingRule(1, 3))
         calls = []
         original = tower.flat_words
 
@@ -397,21 +397,32 @@ class TestSortedIndexMatchesLabelPositions:
                 rule.shape(n), rule.shape(n + 1), rule.flat_words(n)), n
 
     def test_rule_base_unlike_the_last_level_is_validated(self):
-        # the closed form is the rule's own step; a source shape that
-        # differs from the rule's base goes through `index_step`
-        tower = TowerSpec([(3,)], [], rule=BlockRule((2,), (((0, 2),),)))
-        with pytest.raises(TowerValidationError, match="0->1 invalid"):
-            tower.occurrences(0)
+        # the closed form is the rule's own step, so a tower refuses a
+        # rule whose base differs from its last explicit level when it is
+        # made, before any step is read
+        refine = BlockRule((2,), (((0, 2),),))
+        for levels, steps in (([(3,)], []), ([(2, 2)], []),
+                              ([(1,), (2,), (4,)],
+                               [(((0, 1), (0, 1)),),
+                                (((0, 1), (0, 2), (0, 1), (0, 2)),)])):
+            with pytest.raises(TowerValidationError,
+                               match=r"rule base \[2\] differs from the last"):
+                TowerSpec(levels, steps, rule=refine)
 
     def test_a_separating_tail_reads_the_step_into_it(self):
         # a unit is certified one step past the rule's start, so a walk
-        # from at or below it reads the step into the rule, and a base
-        # unlike the last explicit level is refused, not certified
-        tower = TowerSpec([(2,), (4,)], [(((0, 1), (0, 1), (0, 2), (0, 2)),)],
-                          rule=BlockRule((2,), (((0, 2),),)))
+        # from at or below it reads the step into the rule; a base unlike
+        # the last explicit level is refused before any unit is certified,
+        # and one like it certifies the units that step leaves unlinked
+        step = [(((0, 1), (0, 1), (0, 2), (0, 2)),)]
+        with pytest.raises(TowerValidationError,
+                           match=r"rule base \[2\] differs from the last "
+                                 r"level 1 shape \[4\]"):
+            TowerSpec([(2,), (4,)], step, rule=BlockRule((2,), (((0, 2),),)))
+        tower = TowerSpec([(2,), (4,)], step,
+                          rule=BlockRule((4,), (((0, 2),),)))
         for e in (MatrixUnit(0, 0, 1, 2), MatrixUnit(1, 0, 1, 2)):
-            with pytest.raises(TowerValidationError, match="1->2 invalid"):
-                link_status(tower, e)
+            assert link_status(tower, e) == CertifiedLinkless("separation")
 
     def test_invalid_rule_step_raises_on_first_use(self):
         # the step into a rule is indexed, and so validated, on first use

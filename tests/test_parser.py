@@ -53,7 +53,7 @@ embed 0 -> 1 {
 repeat
 """
     t = parse_tower(text)
-    assert t.stationary
+    assert not t.finite
     assert t.shape(7) == (2, 2)
     img = embed_unit(t, MatrixUnit(0, 0, 1, 2), 2)
     assert img.units == (MatrixUnit(2, 0, 1, 2),)
@@ -102,7 +102,7 @@ def test_repeat_tail_is_the_last_step_with_every_summand_frozen():
 
 def test_preset_directive():
     t = parse_tower("preset standard-2\n")
-    assert t.stationary and t.shape(2) == (8,)
+    assert not t.finite and t.shape(2) == (8,)
     with pytest.raises(TowerSyntaxError):
         parse_tower("preset standard-2\nlevel 0 = [2]\n")
 
@@ -303,7 +303,7 @@ def test_steps_and_words_decode_to_the_reference_parse():
         expected = _reference_steps(text)
         assert tower.steps == expected, text
         assert [tower.words(n) for n in range(len(expected))] == expected
-        if tower.stationary:
+        if not tower.finite:
             # a `repeat` tail gives back the last explicit step
             assert tower.words(len(expected) + 3) == expected[-1]
 

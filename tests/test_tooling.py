@@ -95,6 +95,62 @@ def _callers(paths, name: str) -> list[str]:
     return callers
 
 
+def _defaulted_parameters(path: Path) -> dict[str, tuple[str, int | None]]:
+    """`module.qualname(param)` -> (function name, the parameter's index
+    among the arguments a call passes) for each defaulted parameter of
+    each def in `path`; keyword-only parameters have no index.  A call
+    passes no `self` or `cls`, and a class name calls `__init__`."""
+    found = {}
+    stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem, False)]
+    while stack:
+        node, scope, in_class = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qualname = f"{scope}.{node.name}"
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            shift = int(in_class and not static)
+            name = scope.rsplit(".", 1)[1] if node.name == "__init__" \
+                else node.name
+            first = len(positional) - len(args.defaults)
+            for k in range(first, len(positional)):
+                found[f"{qualname}({positional[k].arg})"] = (name, k - shift)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[f"{qualname}({arg.arg})"] = (name, None)
+        stack += [(child, qualname if isinstance(
+                       node, (ast.FunctionDef, ast.ClassDef)) else scope,
+                   isinstance(node, ast.ClassDef))
+                  for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_every_defaulted_library_parameter_is_set_by_some_caller():
+    # a default that no call overrides is a constant dressed as an option
+    params = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        params.update(_defaulted_parameters(path))
+    unset = set(params)
+    for path in sorted({*PACKAGE.parent.rglob("*.py"),
+                        *(ROOT / "tests").rglob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")}):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            for param in [p for p in unset if params[p][0] == called]:
+                _, index = params[param]
+                if (None in keywords or param.rsplit("(", 1)[1][:-1] in keywords
+                        or index is not None
+                        and (starred or index < len(node.args))):
+                    unset.discard(param)
+    assert sorted(unset) == []
+
+
 def test_pairing_runs_only_in_the_walk_and_the_generator_step():
     # one level walk: every other caller steps through `tower.images`
     callers = _callers(sorted(PACKAGE.glob("*.py")), "pair_occurrences")

@@ -280,7 +280,7 @@ class TestImages:
                 if {s for block in blocks for s, _ in block} == set(range(r)):
                     break
             rule = BlockRule(base, blocks)
-            tower = TowerSpec.from_rule(rule)
+            tower = TowerSpec(rule=rule)
             for n in range(4):
                 assert validate_embedding(rule.shape(n), rule.shape(n + 1),
                                           rule.words(n)).ok
