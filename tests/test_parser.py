@@ -40,6 +40,9 @@ def test_render_roundtrip():
     t = parse_tower(BASIC)
     assert parse_tower(render_tower(t)).levels == t.levels
     assert parse_tower(render_tower(t)).steps == t.steps
+    # a rule's levels do not end, so no spec text lists them
+    with pytest.raises(ValueError, match="only a finite tower"):
+        render_tower(tower_mod.preset("standard-2"))
 
 
 def test_repeat_makes_a_stationary_tower():

@@ -95,34 +95,35 @@ def _callers(paths, name: str) -> list[str]:
     return callers
 
 
-def _defaulted_parameters(path: Path) -> dict[str, tuple[str, int | None]]:
-    """`module.qualname(param)` -> (function name, the parameter's index
-    among the arguments a call passes) for each defaulted parameter of
-    each def in `path`; keyword-only parameters have no index.  A call
+def _defaulted_parameters(path: Path) -> dict[str, tuple]:
+    """`module.qualname(param)` -> (the name a call uses, the parameter,
+    its index among the arguments a call passes) for each defaulted
+    parameter of each def in `path`; keyword-only parameters have no
+    index.  A call
     passes no `self` or `cls`, and a class name calls `__init__`."""
     found = {}
     stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem, False)]
     while stack:
         node, scope, in_class = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            qualname = f"{scope}.{node.name}"
         if isinstance(node, ast.FunctionDef):
             args = node.args
             positional = args.posonlyargs + args.args
-            static = any(getattr(d, "id", None) == "staticmethod"
-                         for d in node.decorator_list)
-            shift = int(in_class and not static)
-            name = scope.rsplit(".", 1)[1] if node.name == "__init__" \
+            shift = int(in_class and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list))
+            called = scope.rsplit(".", 1)[1] if node.name == "__init__" \
                 else node.name
-            first = len(positional) - len(args.defaults)
-            for k in range(first, len(positional)):
-                found[f"{qualname}({positional[k].arg})"] = (name, k - shift)
+            qualname = f"{scope}.{node.name}"
+            for k in range(len(positional) - len(args.defaults),
+                           len(positional)):
+                name = positional[k].arg
+                found[f"{qualname}({name})"] = (called, name, k - shift)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    found[f"{qualname}({arg.arg})"] = (name, None)
-        stack += [(child, qualname if isinstance(
-                       node, (ast.FunctionDef, ast.ClassDef)) else scope,
-                   isinstance(node, ast.ClassDef))
+                    found[f"{qualname}({arg.arg})"] = (called, arg.arg, None)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        stack += [(child, scope, isinstance(node, ast.ClassDef))
                   for child in ast.iter_child_nodes(node)]
     return found
 
@@ -143,12 +144,11 @@ def test_every_defaulted_library_parameter_is_set_by_some_caller():
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             keywords = {kw.arg for kw in node.keywords}
             for param in [p for p in unset if params[p][0] == called]:
-                _, index = params[param]
-                if (None in keywords or param.rsplit("(", 1)[1][:-1] in keywords
-                        or index is not None
+                _, name, index = params[param]
+                if (None in keywords or name in keywords or index is not None
                         and (starred or index < len(node.args))):
                     unset.discard(param)
-    assert sorted(unset) == []
+    assert not unset, "\n".join(sorted(unset))
 
 
 def test_pairing_runs_only_in_the_walk_and_the_generator_step():
