@@ -430,6 +430,17 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "crossed-action-shape-mismatch": (("crossed", "tight", "--base", "2",
                                        "--group", "2", "--action", "diag=0"),
                                       None),
+    # malformed numbers in crossed-product and audit arguments
+    "crossed-group-empty-factor": (("crossed", "tight", "--base", "2",
+                                    "--group", "2x"), None),
+    "crossed-base-empty-block": (("crossed", "tight", "--base", ",",
+                                  "--group", "1"), None),
+    "crossed-action-empty-diag": (("crossed", "tight", "--base", "2",
+                                   "--group", "2", "--action",
+                                   "perm=0;diag=0,1;diag="), None),
+    "audit-technical-one-horizon": (("audit-technical", "standard-2",
+                                     "--unit", "0:0:1:2", "--horizons", "3"),
+                                    None),
     "peters-check-unknown-point": (("peters", "@swap.sys", "check", "--sets",
                                     "a,z|a"), None),
     "peters-check-without-sets": (("peters", "@swap.sys", "check"), None),
