@@ -75,10 +75,14 @@ def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
 
 
 _quote = json.encoder.encode_basestring_ascii
+_KEYWORDS = {True: "true", False: "false", None: "null"}
+# a dict value or list item of one of these exact types is written by one
+# lookup, with no recursive call; subclasses keep the recursive path
+_SCALAR = {int: int.__repr__, str: _quote, bool: _KEYWORDS.__getitem__,
+           type(None): _KEYWORDS.__getitem__}
 # a list whose items all have one of these exact types is written by one
 # join, with no Python frame per item; bool is not int here
 _LEAF = {int: int.__repr__, str: _quote}
-_KEYWORDS = {True: "true", False: "false", None: "null"}
 
 
 def _pretty(obj, nl: str = "\n", memo: dict | None = None,
@@ -90,6 +94,10 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None,
     items sorted on the original keys, non-str keys written as `json`
     writes them, and a `TypeError` on any other type.  `nl` is the
     newline and indentation that closes `obj`.
+
+    Dict values and list items of an exact type in `_SCALAR` are written
+    in place, and so is a dict value that is a non-empty list of one
+    exact `_LEAF` type; every other value is written by a recursive call.
 
     A list item that is itself a `list` is written once per indentation:
     `memo` maps (id, nl) to its text, so a list shared by many items (the
@@ -112,11 +120,13 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None,
         else:
             items = []
             for x in obj:
-                if type(x) is list:
+                kind = type(x)
+                if kind is list:
                     k = id(x), inner
                     text = memo.get(k) or _pretty(x, inner, memo, k)
                 else:
-                    text = _pretty(x, inner, memo)
+                    write = _SCALAR.get(kind)
+                    text = write(x) if write else _pretty(x, inner, memo)
                 items.append(text)
         text = "[" + inner + ("," + inner).join(items) + nl + "]"
         if leaf and key:
@@ -126,10 +136,25 @@ def _pretty(obj, nl: str = "\n", memo: dict | None = None,
         if not obj:
             return "{}"
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            _quote(k if isinstance(k, str) else _key(k)) + ": "
-            + _pretty(v, inner, memo) for k, v in sorted(obj.items())) \
-            + nl + "}"
+        deeper = inner + "  "
+        items = []
+        for k, v in sorted(obj.items()):
+            text = _quote(k if isinstance(k, str) else _key(k)) + ": "
+            kind = type(v)
+            write = _SCALAR.get(kind)
+            if write:
+                items.append(text + write(v))
+                continue
+            leaf = None
+            if kind is list and v:
+                kinds = set(map(type, v))
+                leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+            if leaf:
+                items.append(text + "[" + deeper + ("," + deeper).join(
+                    map(leaf, v)) + inner + "]")
+            else:
+                items.append(text + _pretty(v, inner, memo))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or obj is True or obj is False:
@@ -161,10 +186,20 @@ def _emit(report: dict, compact: bool) -> None:
 # crossed-product argument plumbing
 
 
+def _ints(part: str, sep: str, flag: str, text: str) -> tuple[int, ...]:
+    """The integers that `sep` joins in `part`, a piece of the value
+    `text` given to `flag`."""
+    try:
+        return tuple(int(x) for x in part.split(sep))
+    except ValueError:
+        raise CliError(f"{flag} {text!r}: expected integers joined by "
+                       f"{sep!r}") from None
+
+
 def _parse_group(text: str) -> crossed.FiniteAbelianGroup:
     if text in ("1", ""):
         return crossed.FiniteAbelianGroup(())
-    return crossed.FiniteAbelianGroup(tuple(int(x) for x in text.split("x")))
+    return crossed.FiniteAbelianGroup(_ints(text, "x", "--group", text))
 
 
 def _parse_action_gen(text: str, shape: tuple[int, ...]):
@@ -176,9 +211,9 @@ def _parse_action_gen(text: str, shape: tuple[int, ...]):
             continue
         key, _, val = part.partition("=")
         if key == "perm":
-            perm = tuple(int(x) for x in val.split(","))
+            perm = _ints(val, ",", "--action", text)
         elif key == "diag":
-            diag = tuple(tuple(int(x) for x in blk.split(","))
+            diag = tuple(_ints(blk, ",", "--action", text)
                          for blk in val.split("|"))
         else:
             raise CliError(f"unknown action component {key!r}")
@@ -189,7 +224,7 @@ def _parse_action_gen(text: str, shape: tuple[int, ...]):
 
 
 def _build_system(args):
-    shape = tuple(int(x) for x in args.base.split(","))
+    shape = _ints(args.base, ",", "--base", args.base)
     group = _parse_group(args.group)
     gens = [_parse_action_gen(a, shape) for a in (args.action or [])]
     if len(gens) != len(group.orders):
@@ -278,8 +313,11 @@ def _cmd_audit_technical(args) -> int:
     tower, specs = _read_spec(args.spec)
     action = _tower_action(tower, specs)
     e = _parse_unit(args.unit, tower)
-    h1, h2 = (int(x) for x in args.horizons.split(","))
-    rep = dynamics.technical_index_audit(tower, action, e, (h1, h2))
+    horizons = _ints(args.horizons, ",", "--horizons", args.horizons)
+    if len(horizons) != 2:
+        raise CliError(f"--horizons {args.horizons!r}: expected two "
+                       f"integers joined by ','")
+    rep = dynamics.technical_index_audit(tower, action, e, horizons)
     _emit({"command": "audit-technical", **rep}, args.json)
     return EXIT_OK
 

@@ -302,16 +302,6 @@ def _invalid_step(n: int, source: tuple[int, ...], target: tuple[int, ...],
     return TowerValidationError(f"embedding {n}->{n + 1} invalid: {violations}")
 
 
-def identity_carry(shape: tuple[int, ...], words: list[FlatWord],
-                   summand: int) -> int | None:
-    """Target summand that identity-carries `summand` exclusively, if any."""
-    targets = [t for t, w in enumerate(words) if summand in w[0::2]]
-    if len(targets) == 1 and words[targets[0]] == list(chain.from_iterable(
-            zip(repeat(summand), range(1, shape[summand] + 1)))):
-        return targets[0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # tower rules (level generators for stationary / preset towers)
 
@@ -652,8 +642,15 @@ class TowerSpec:
             raise UnitShapeError("row > col is not upper triangular")
 
     def frozen_carry(self, level: int, summand: int) -> int | None:
-        return identity_carry(self.shape(level), self.flat_words(level),
-                              summand)
+        """Target summand that identity-carries `summand` exclusively,
+        if any."""
+        words = self.flat_words(level)
+        targets = [t for t, w in enumerate(words) if summand in w[0::2]]
+        if len(targets) != 1:
+            return None
+        size = self.shape(level)[summand]
+        carry = chain.from_iterable(zip(repeat(summand), range(1, size + 1)))
+        return targets[0] if words[targets[0]] == list(carry) else None
 
     def units_at(self, level: int):
         """All matrix units at a level, canonical (summand,row,col) order."""

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,6 +373,14 @@ class PrettyList(list):
     pass
 
 
+class PrettyStr(str):
+    pass
+
+
+class PrettyInt(IntEnum):
+    ONE = 1
+
+
 def random_scalar(rng: random.Random):
     kind = rng.randrange(6)
     if kind == 0:
@@ -434,7 +443,15 @@ class TestPrettyEncoder:
         [True, False], [1, True], [0, False, 2], {"b": [True], "a": (1, 2)},
         {True: 1, 2: [], 0.5: {}, -1: ""}, {None: ()}, [[], {}, ()],
         [MatrixUnit(0, 0, 1, 2), MatrixUnit(1, 0, 2, 3)], "é\x00\U0001f600",
-        [float("nan"), 1e16, -0.0], PrettyDict(b=1, a=PrettyList([1, 2]))])
+        [float("nan"), 1e16, -0.0], PrettyDict(b=1, a=PrettyList([1, 2])),
+        # subclasses and bools as dict values and list items, which keep
+        # the recursive path or take the keyword text
+        {"s": PrettyStr("x\n"), "i": PrettyInt.ONE, "t": True, "f": False},
+        [PrettyStr("x"), PrettyInt.ONE, True, False, None, 1, "y"],
+        [PrettyStr("x"), PrettyStr("y")], [PrettyInt.ONE, PrettyInt.ONE],
+        {"s": [PrettyStr("x")], "i": [PrettyInt.ONE, 2], "n": [None, 0]},
+        # lists of one keyword type as dict values
+        {"b": [True, False, True], "n": [None, None], "e": [], "t": [True]}])
     def test_pretty_matches_json_at_the_edges(self, value):
         assert cli._pretty(value) == json.dumps(value, sort_keys=True,
                                                 indent=2)
@@ -474,10 +491,13 @@ class TestPrettyEncoder:
             cli._pretty([{"a": 1}, {1: 2, "b": 3}])
 
     def test_a_list_held_at_two_indentations(self):
-        # a shared list is written once per indentation it is met at
+        # a shared list is written once per indentation it is met at,
+        # as a list item or as a dict value
         shared = ["a", "b"]
         for value in ([shared, [shared], {"k": [shared, shared]}],
-                      {"x": [[shared], shared], "y": [shared, [[shared]]]}):
+                      {"x": [[shared], shared], "y": [shared, [[shared]]]},
+                      {"x": shared, "y": {"z": shared}, "w": [shared]},
+                      [{"k": shared}, [{"k": shared}, shared]]):
             assert cli._pretty(value) == json.dumps(value, sort_keys=True,
                                                     indent=2)
 
@@ -491,6 +511,29 @@ class TestPrettyEncoder:
         assert cli._pretty(value, memo=memo) == json.dumps(
             value, sort_keys=True, indent=2)
         assert {i for i, _ in memo} == {id(shared), id(ints)}
+
+    def test_dict_scalars_and_leaf_lists_are_written_in_place(
+            self, monkeypatch):
+        # N donsig-shaped entries take one call each, plus the report and
+        # its list: no call per scalar or per list of ints
+        calls = []
+        pretty = cli._pretty
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return pretty(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_pretty", counted)
+        n = 200
+        units = [{"level": i % 3, "status": "linked",
+                  "unit": [i, 0, 1, i + 2], "witness": [0, i, i + 1]}
+                 if i % 2 else
+                 {"certificate": "separation", "status": "linkless",
+                  "unit": [i, 0, 1, 2]} for i in range(n)]
+        value = {"command": "donsig", "level": 3, "units": units}
+        assert cli._pretty(value) == json.dumps(value, sort_keys=True,
+                                                indent=2)
+        assert len(calls) <= n + 3
 
     def test_calls_whose_objects_reuse_ids(self):
         # one list object, changed between two calls, keeps its id; a
