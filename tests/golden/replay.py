@@ -441,6 +441,19 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "audit-technical-one-horizon": (("audit-technical", "standard-2",
                                      "--unit", "0:0:1:2", "--horizons", "3"),
                                     None),
+    "links-unit-non-integer": (("links", "standard-2", "--unit", "0:0:1:x"),
+                               None),
+    # horizons that leave the audit's scan empty: h1 below the unit's
+    # level, h1 above h2, and h1 equal to h2
+    "audit-technical-unit-above-horizons": (("audit-technical", "refinement-2",
+                                             "--unit", "5:0:1:2",
+                                             "--horizons", "3,4"), None),
+    "audit-technical-reversed-horizons": (("audit-technical", "refinement-2",
+                                           "--unit", "0:0:1:2",
+                                           "--horizons", "5,4"), None),
+    "audit-technical-equal-horizons": (("audit-technical", "refinement-2",
+                                        "--unit", "0:0:1:2",
+                                        "--horizons", "4,4"), None),
     "peters-check-unknown-point": (("peters", "@swap.sys", "check", "--sets",
                                     "a,z|a"), None),
     "peters-check-without-sets": (("peters", "@swap.sys", "check"), None),
