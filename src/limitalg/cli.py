@@ -18,7 +18,8 @@ from . import crossed, dynamics, links, peters, radical
 from .parser import (ActionSpecData, TowerSyntaxError, parse_system_file,
                      parse_tower_file)
 from .tower import (MatrixUnit, PRESETS, TowerSpec, TowerValidationError,
-                    UnitShapeError, embed_unit, verify_embedding_order)
+                    UnitShapeError, embed_unit, preset,
+                    verify_embedding_order)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,7 +56,7 @@ def _read_input(arg: str) -> str:
 
 def _read_spec(arg: str) -> tuple[TowerSpec, list[ActionSpecData]]:
     if arg in PRESETS:
-        return PRESETS[arg](), []
+        return preset(arg), []
     if arg != "-" and not os.path.exists(arg):
         raise CliError(f"no such preset or file: {arg}")
     return parse_tower_file(_read_input(arg))
@@ -66,7 +67,7 @@ def _parse_unit(text: str, tower: TowerSpec) -> MatrixUnit:
     parts = text.split(":")
     if len(parts) != 4:
         raise CliError("unit must be LEVEL:SUMMAND:ROW:COL")
-    unit = MatrixUnit(*(int(p) for p in parts))
+    unit = MatrixUnit(*_ints(text, ":", "--unit", text))
     try:
         tower.check_unit(unit)
     except UnitShapeError as exc:

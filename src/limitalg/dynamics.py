@@ -221,7 +221,13 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
     tuple the five subordinate-index inequalities are evaluated; they
     must never hold simultaneously (l*r <= ... <= (l-1)*r + 1 forces
     r < 1).  Any fully satisfied tuple is a refutation and aborts.
+
+    Horizons that leave nothing to scan, unless e.level <= h1 < h2 as
+    given, raise ValueError; a finite tower then clamps them to its top.
     """
+    if not e.level <= horizons[0] < horizons[1]:
+        raise ValueError(f"horizons {horizons[0]},{horizons[1]} must "
+                         f"satisfy unit level {e.level} <= h1 < h2")
     if any(len(tower.shape(n)) != 1 for n in range(horizons[1] + 1)):
         raise TowerValidationError("index audit requires a TUHF tower")
     h1, h2 = (tower.top(h) for h in horizons)

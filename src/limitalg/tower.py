@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, repeat
 from math import gcd
 from operator import itemgetter, lt
@@ -794,8 +795,12 @@ PRESETS = {
 }
 
 
+@cache
 def preset(name: str) -> TowerSpec:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise TowerValidationError(f"unknown preset {name!r}") from None
+    """The preset tower `name`, one shared TowerSpec per name for the
+    life of the process: its shapes and step indexes are built once, by
+    whichever query first reaches them, and kept.  An unknown name raises,
+    and a raise is not cached.  `PRESETS[name]()` builds a fresh tower."""
+    if name not in PRESETS:
+        raise TowerValidationError(f"unknown preset {name!r}")
+    return PRESETS[name]()

@@ -19,7 +19,8 @@ from limitalg.parser import parse_system_file
 from limitalg.peters import (SubsetSequence, TruncatedSemicrossed,
                              enumerate_sequences, recurrent_dense,
                              validate_ideal)
-from limitalg.tower import MatrixUnit
+from limitalg.tower import (PRESETS, BlockRule, MatrixUnit,
+                             PaperExampleRule, preset)
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -194,6 +195,59 @@ class TestParserReuse:
         assert capsys.readouterr().out.count("\n") == 1
         assert run(argv) == EXIT_OK
         assert capsys.readouterr().out.count("\n") > 1
+
+
+class TestSharedPresets:
+    """A preset tower is shared by every call of one process: what one
+    query leaves in it changes no other query's bytes or exit code."""
+
+    def test_preset_reports_do_not_depend_on_earlier_queries(self,
+                                                              monkeypatch):
+        monkeypatch.delenv("LIMITALG_HORIZON", raising=False)
+        replay = _replay()
+        recorded = json.loads((GOLDEN / "corpus.json").read_text())
+        names = [name for name, (argv, _) in replay.CASES.items()
+                 if len(argv) > 1 and argv[1] in PRESETS]
+        assert len(names) > 40
+
+        def check(name):
+            got = replay.run_case(*replay.CASES[name])
+            assert got == {field: recorded[name][field]
+                           for field in ("exit", "stdout", "stderr")}, name
+
+        # each case first, on towers no query has touched
+        for name in names:
+            preset.cache_clear()
+            check(name)
+        # after an embedding has indexed every preset up to level 11
+        preset.cache_clear()
+        for spec in PRESETS:
+            assert replay.run_case(("embed", spec, "--unit", "0:0:1:2",
+                                    "--level", "11"), None)["exit"] == EXIT_OK
+        for name in names:
+            check(name)
+        # every case after the ones that follow it in the corpus
+        preset.cache_clear()
+        for name in reversed(names):
+            check(name)
+
+    def test_a_repeated_preset_query_builds_no_index(self, capsys,
+                                                     monkeypatch):
+        built = []
+        for rule in (BlockRule, PaperExampleRule):
+            def counting(self, level, index=rule.index):
+                built.append(level)
+                return index(self, level)
+            monkeypatch.setattr(rule, "index", counting)
+        argv = ["radical", "standard-2", "--unit", "2:0:1:2"]
+        preset.cache_clear()
+        assert run(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        assert built
+        built.clear()
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert built == []
 
 
 class TestPetersCommands:
@@ -557,14 +611,20 @@ def _parsed(parse, argv):
     return args
 
 
-def test_both_dispatch_paths_parse_golden_argvs_alike():
-    # `run` hands an argv that starts with a subcommand name to that
-    # subcommand's parser; the top-level parser must read it the same way
+def _replay():
+    """The golden corpus's `replay` module."""
     sys.path.insert(0, str(GOLDEN))
     try:
         import replay
     finally:
         sys.path.remove(str(GOLDEN))
+    return replay
+
+
+def test_both_dispatch_paths_parse_golden_argvs_alike():
+    # `run` hands an argv that starts with a subcommand name to that
+    # subcommand's parser; the top-level parser must read it the same way
+    replay = _replay()
     parser = cli._build_parser(DEFAULT_HORIZON)
     direct = 0
     for argv, _ in replay.CASES.values():

@@ -171,6 +171,17 @@ def test_index_audit_on_refinement_never_satisfies_the_chain():
     assert all(not tup["all_satisfied"] for tup in rep["tuples"])
 
 
+@pytest.mark.parametrize("level, horizons",
+                         [(5, (3, 4)), (0, (5, 4)), (0, (4, 4))])
+def test_index_audit_refuses_horizons_with_nothing_to_scan(level, horizons):
+    # unless e.level <= h1 < h2 no tuple is scanned, and an empty scan
+    # must not read as ok
+    t = preset("refinement-2")
+    act = trivial_tower_action(t, Z2)
+    with pytest.raises(ValueError, match="<= h1 < h2$"):
+        technical_index_audit(t, act, MatrixUnit(level, 0, 1, 2), horizons)
+
+
 def test_index_audit_rejects_multi_summand_towers():
     t = preset("paper-example-taf")
     act = trivial_tower_action(t, Z2)

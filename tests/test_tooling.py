@@ -151,6 +151,25 @@ def test_every_defaulted_library_parameter_is_set_by_some_caller():
     assert not unset, "\n".join(sorted(unset))
 
 
+def test_only_tower_builds_preset_towers():
+    # every other module takes a preset tower from `tower.preset`, one
+    # shared tower per name; `name in PRESETS` builds nothing
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "tower.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses = {node for node in ast.walk(tree)
+                if getattr(node, "id", getattr(node, "attr", None))
+                == "PRESETS"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and all(
+                    isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                uses.difference_update(node.comparators)
+        found += [f"{path.name}:{node.lineno}" for node in uses]
+    assert found == []
+
+
 def test_pairing_runs_only_in_the_walk_and_the_generator_step():
     # one level walk: every other caller steps through `tower.images`
     callers = _callers(sorted(PACKAGE.glob("*.py")), "pair_occurrences")

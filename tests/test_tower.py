@@ -11,11 +11,12 @@ import pytest
 import limitalg
 from limitalg.links import Linked, link_status
 from limitalg.radical import radical_membership
-from limitalg.tower import (BlockRule, Element, MatrixUnit, MatrixUnitSum,
-                            TowerSpec, LevelRangeError, TowerValidationError,
-                            UnitShapeError, embed_element, embed_unit,
-                            decompose, preset, validate_embedding,
-                            verify_embedding_order)
+from limitalg.parser import parse_tower_file
+from limitalg.tower import (PRESETS, BlockRule, Element, MatrixUnit,
+                            MatrixUnitSum, TowerSpec, LevelRangeError,
+                            TowerValidationError, UnitShapeError,
+                            embed_element, embed_unit, decompose, preset,
+                            validate_embedding, verify_embedding_order)
 from limitalg.tower import _ratio
 from conftest import random_lattice_word
 from test_occurrence_index import label_positions
@@ -420,6 +421,26 @@ class TestImages:
             t.check_unit(MatrixUnit(-1, 0, 1, 2))
         t.check_unit(MatrixUnit(0, 0, 1, 2))
         assert isinstance(link_status(t, MatrixUnit(0, 0, 1, 2)), Linked)
+
+
+class TestSharedPresets:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_one_tower_per_name(self, name):
+        shared = preset(name)
+        assert preset(name) is shared
+        # the `preset NAME` directive of a spec file reads the same tower
+        assert parse_tower_file(f"preset {name}\n")[0] is shared
+        # the factories still build a new tower on each call
+        fresh = PRESETS[name]()
+        assert fresh is not shared and PRESETS[name]() is not fresh
+
+    def test_an_unknown_name_is_refused_and_not_kept(self):
+        held = preset.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(TowerValidationError,
+                               match="^unknown preset 'nope'$"):
+                preset("nope")
+        assert preset.cache_info().currsize == held
 
 
 class TestElements:
