@@ -222,8 +222,9 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
     must never hold simultaneously (l*r <= ... <= (l-1)*r + 1 forces
     r < 1).  Any fully satisfied tuple is a refutation and aborts.
 
-    Horizons that leave nothing to scan, unless e.level <= h1 < h2 as
-    given, raise ValueError; a finite tower then clamps them to its top.
+    Unless e.level <= h1 < h2 the scan is empty, so such horizons raise
+    ValueError; they are compared as given, before `tower.top` clamps
+    them.
     """
     if not e.level <= horizons[0] < horizons[1]:
         raise ValueError(f"horizons {horizons[0]},{horizons[1]} must "
