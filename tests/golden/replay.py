@@ -454,6 +454,10 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "audit-technical-equal-horizons": (("audit-technical", "refinement-2",
                                         "--unit", "0:0:1:2",
                                         "--horizons", "4,4"), None),
+    # an h2 past the last level of a finite tower
+    "audit-technical-horizon-past-top": (("audit-technical", "@finite.tower",
+                                          "--unit", "0:0:1:2",
+                                          "--horizons", "4,5"), None),
     "peters-check-unknown-point": (("peters", "@swap.sys", "check", "--sets",
                                     "a,z|a"), None),
     "peters-check-without-sets": (("peters", "@swap.sys", "check"), None),
