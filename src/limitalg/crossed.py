@@ -548,8 +548,9 @@ def _adjoint(mat: dict) -> dict:
     return {(c, r): v.conjugate() for (r, c), v in mat.items()}
 
 
-def _kron(mat: dict, size: int, n: int) -> list[dict]:
-    """All mat (x) e_ab for e_ab in M_n, as matrices of size size*n."""
+def _kron(mat: dict, n: int) -> list[dict]:
+    """All mat (x) e_ab for e_ab in M_n: entry (r, c) goes to
+    (r*n + a, c*n + b), so a size-k mat gives size k*n matrices."""
     out = []
     for a_ in range(n):
         for b in range(n):
@@ -592,8 +593,8 @@ def diag_check(shape, group: FiniteAbelianGroup, action: LevelAction,
     if ampliation is None:
         return {"crossed": main, "ok": main["ok"]}
 
-    amp_mats = [m2 for m in mats for m2 in _kron(m, size, ampliation)]
-    amp_expected = [m2 for m in expected for m2 in _kron(m, size, ampliation)]
+    amp_mats = [m2 for m in mats for m2 in _kron(m, ampliation)]
+    amp_expected = [m2 for m in expected for m2 in _kron(m, ampliation)]
     amp = _diag_dims(amp_mats, size * ampliation, amp_expected)
     return {"crossed": main, "ampliation": {"n": ampliation, **amp},
             "ok": main["ok"] and amp["ok"]}

@@ -222,16 +222,19 @@ def technical_index_audit(tower: TowerSpec, action: TowerAction,
     must never hold simultaneously (l*r <= ... <= (l-1)*r + 1 forces
     r < 1).  Any fully satisfied tuple is a refutation and aborts.
 
-    Unless e.level <= h1 < h2 the scan is empty, so such horizons raise
-    ValueError; they are compared as given, before `tower.top` clamps
-    them.
+    Unless e.level <= h1 < h2 the scan is empty, and an h2 past a finite
+    tower's last level would scan less than asked, so such horizons raise
+    ValueError.
     """
-    if not e.level <= horizons[0] < horizons[1]:
-        raise ValueError(f"horizons {horizons[0]},{horizons[1]} must "
+    h1, h2 = horizons
+    if not e.level <= h1 < h2:
+        raise ValueError(f"horizons {h1},{h2} must "
                          f"satisfy unit level {e.level} <= h1 < h2")
-    if any(len(tower.shape(n)) != 1 for n in range(horizons[1] + 1)):
+    if not tower.has_level(h2):
+        raise ValueError(f"horizon {h2} lies past the tower's last level "
+                         f"{tower.max_level}")
+    if any(len(tower.shape(n)) != 1 for n in range(h2 + 1)):
         raise TowerValidationError("index audit requires a TUHF tower")
-    h1, h2 = (tower.top(h) for h in horizons)
     # the theorem's starting hypothesis: e itself has no self-link
     if first_link(tower, e, h2) is not None:
         return {"applicable": False,

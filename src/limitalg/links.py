@@ -230,7 +230,7 @@ def _reachable_frozen(tower: TowerSpec, e) -> bool:
             return False
         summand = target
         level += 1
-    return tower.rule.frozen_forever(level - tower.rule_start, summand)
+    return tower.rule.frozen_forever(summand)
 
 
 FROZEN = CertifiedLinkless("frozen")

@@ -254,6 +254,7 @@ def parse_tower_file(text: str):
     if set(embeds) - set(range(count - 1)):
         raise TowerSyntaxError("embedding refers to an undefined level", 1)
 
+    rule = None
     if repeat:
         if count < 2:
             raise TowerValidationError("repeat needs at least one embedding")
@@ -261,17 +262,22 @@ def parse_tower_file(text: str):
             raise TowerValidationError(
                 "repeat requires the last two level shapes to be equal "
                 f"(got {shapes[-2]} -> {shapes[-1]})")
-    tower = TowerSpec.from_flat_steps(shapes, steps)
-    if repeat:
-        # the last step is valid now: between equal shapes it sends each
-        # source to one target, once (its word lengths add up to the sum
-        # of the sizes), and the ballot order forces identity words, so
-        # its blocks pass BlockRule's checks.  The rule's level 0 is the
-        # last explicit level.
-        tower.rule = BlockRule(shapes[-1], tuple(
-            tuple((s, 1) for s, p in zip(word[0::2], word[1::2]) if p == 1)
-            for word in steps[-1]))
-    return tower, actions
+        # a valid last step between equal shapes sends each source to one
+        # target, once (its word lengths add up to the sum of the sizes),
+        # and the ballot order forces identity words, so its blocks pass
+        # BlockRule's checks.  The rule's level 0 is the last explicit
+        # level.
+        try:
+            rule = BlockRule(shapes[-1], tuple(
+                tuple((s, 1) for s, p in zip(word[0::2], word[1::2])
+                      if p == 1)
+                for word in steps[-1]))
+        except TowerValidationError:
+            # so only an invalid step makes blocks that BlockRule
+            # refuses: name the step, as a tower without `repeat` does
+            TowerSpec.from_flat_steps(shapes, steps, None)
+            raise
+    return TowerSpec.from_flat_steps(shapes, steps, rule), actions
 
 
 def parse_tower(text: str) -> TowerSpec:

@@ -311,7 +311,8 @@ class TowerRule:
     """Generates shapes and embedding steps for every level.
 
     A rule defines `words` or `flat_words`; each defaults to the other.
-    A rule whose steps have a closed-form index also defines `index`.
+    Its steps are validated and indexed by `index_step`, as every other
+    step is (`TowerSpec.occurrences`).
     """
 
     self_similar = False      # transfer maps commute with K-normalization
@@ -327,19 +328,8 @@ class TowerRule:
     def flat_words(self, level: int) -> list[FlatWord]:
         return [flat_word(w) for w in self.words(level)]
 
-    def index(self, level: int) -> tuple[WordIndex, ...] | None:
-        """The step's `index_step` index in closed form, built without
-        its words, or None when the rule has no closed form.
-
-        A rule that gives an index vouches for its step: the index is
-        used as it is, with no validation.  `BlockRule` checks its blocks
-        when it is made, and `BlockRule.index` says why that makes every
-        step valid.
-        """
-        return None
-
-    def frozen_forever(self, level: int, summand: int) -> bool:
-        """Whether `summand` is identity-carried at every level >= `level`."""
+    def frozen_forever(self, summand: int) -> bool:
+        """Whether `summand` is identity-carried at every rule level."""
         return False
 
 
@@ -412,51 +402,7 @@ class BlockRule(TowerRule):
             words.append(word)
         return words
 
-    def index(self, level: int) -> tuple[WordIndex, ...]:
-        """The index of `flat_words(level)`, filled by strided slices.
-
-        The step of a rule that passed `__init__`'s checks is valid:
-        every token names a summand, so LABEL holds; each token (s, r) gives every (s, p)
-        r times, so COUNT holds, and target t has K(n+1)_t labels, so
-        SHAPE holds; within a run every (s, p-1) precedes every (s, p),
-        so each prefix meets (s, p-1) at least as often as (s, p) and
-        LATTICE holds; every source is named, so INJECTIVE holds; and
-        the sizes stay at least 1 because the base's are, blocks are
-        non-empty and r >= 1.
-
-        Source s's tokens (s, r_j) sit at word offsets o_j, in word order,
-        and m = sum of r_j.  The m positions of (s, p) are, in increasing
-        order, o_j + (p-1)*r_j + q + 1 for q < r_j, token by token; so
-        for token j and copy q, the positions for p = 1..K_s fill every
-        m-th slot of s's span from its start plus c_j + q, where c_j
-        sums the r of s's earlier tokens, with a stride-r_j range.
-        """
-        k = self.shape(level)
-        unmet = [(0, 0, size) for size in k]
-        indexes = []
-        for block in self.blocks:
-            runs: dict[int, list[tuple[int, int]]] = {}  # s -> [(o_j, r_j)]
-            length = 0
-            for s, r in block:
-                runs.setdefault(s, []).append((length, r))
-                length += r * k[s]
-            order = [0] * length
-            spans = unmet.copy()
-            start = 0
-            for s in sorted(runs):
-                m = sum(r for _, r in runs[s])
-                end = start + m * k[s]
-                slot = start
-                for o, r in runs[s]:
-                    for first in range(o + 1, o + r + 1):
-                        order[slot:end:m] = range(first, first + r * k[s], r)
-                        slot += 1
-                spans[s] = (start, m, k[s])
-                start = end
-            indexes.append((order, tuple(spans)))
-        return tuple(indexes)
-
-    def frozen_forever(self, level: int, summand: int) -> bool:
+    def frozen_forever(self, summand: int) -> bool:
         # the carries form a partial injection, so a walk that does not
         # end returns to `summand`: identity-carried at every level
         s = self._carry.get(summand)
@@ -482,20 +428,7 @@ class PaperExampleRule(TowerRule):
         return [[0, 1, 0, 2], [0, 1, 0, 2, 0, 1, 0, 2]] + [
             [m, 1, m, 2, m, 3, m, 4] for m in range(1, level + 1)]
 
-    def index(self, level: int) -> tuple[WordIndex, ...]:
-        """The index of `flat_words(level)`: each word meets one source,
-        and only the doubling word's positions leave word order."""
-        unmet = [(0, 0, size) for size in self.shape(level)]
-
-        def only(s: int, order: list[int], m: int) -> WordIndex:
-            spans = unmet.copy()
-            spans[s] = (0, m, unmet[s][2])
-            return order, tuple(spans)
-
-        return (only(0, [1, 2], 1), only(0, [1, 3, 2, 4], 2)) + tuple(
-            only(s, [1, 2, 3, 4], 1) for s in range(1, level + 1))
-
-    def frozen_forever(self, level: int, summand: int) -> bool:
+    def frozen_forever(self, summand: int) -> bool:
         return summand >= 1
 
 
@@ -522,10 +455,11 @@ class TowerSpec:
 
     @classmethod
     def from_flat_steps(cls, levels: list[tuple[int, ...]],
-                        flat_steps: list[list[FlatWord]]) -> "TowerSpec":
-        """A finite tower whose explicit steps are given as flat words."""
+                        flat_steps: list[list[FlatWord]],
+                        rule: TowerRule | None) -> "TowerSpec":
+        """A tower whose explicit steps are given as flat words."""
         tower = cls.__new__(cls)
-        tower._build(levels, flat_steps, None)
+        tower._build(levels, flat_steps, rule)
         return tower
 
     def _build(self, levels, flat_steps, rule) -> None:
@@ -604,25 +538,18 @@ class TowerSpec:
         word (`index_step`), whose slices give each label's positions.
 
         An explicit step keeps the index its validation built.  A rule
-        step is indexed on first use: by the rule's closed form
-        (`TowerRule.index`) when it has one, and otherwise from
-        `flat_words(n)` by `index_step`, which raises TowerValidationError
-        if the step is not a valid embedding.  Either is kept for the
-        tower's life, keyed by the absolute level n.
+        step is indexed on first use from `flat_words(n)` by `index_step`,
+        which raises TowerValidationError if the step is not a valid
+        embedding, and kept for the tower's life, keyed by the absolute
+        level n.
         """
         index = self._occurrences.get(n)
         if index is None:
-            if n < 0 or not self.has_level(n + 1):
-                raise LevelRangeError(f"no embedding at level {n}")
-            # every explicit step has its entry, so this is a rule step,
-            # and its source shape is the rule's own (`_build`)
-            index = self.rule.index(n - self.rule_start)
+            words = self.flat_words(n)  # refuses a level with no step
+            source, target = self.shape(n), self.shape(n + 1)
+            index = index_step(source, target, words)
             if index is None:
-                source, target = self.shape(n), self.shape(n + 1)
-                words = self.flat_words(n)
-                index = index_step(source, target, words)
-                if index is None:
-                    raise _invalid_step(n, source, target, words)
+                raise _invalid_step(n, source, target, words)
             self._occurrences[n] = index
         return index
 

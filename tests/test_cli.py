@@ -12,15 +12,14 @@ from pathlib import Path
 import pytest
 
 import limitalg
-from limitalg import cli
+from limitalg import cli, tower
 from limitalg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, run
 from limitalg.links import DEFAULT_HORIZON
 from limitalg.parser import parse_system_file
 from limitalg.peters import (SubsetSequence, TruncatedSemicrossed,
                              enumerate_sequences, recurrent_dense,
                              validate_ideal)
-from limitalg.tower import (PRESETS, BlockRule, MatrixUnit,
-                             PaperExampleRule, preset)
+from limitalg.tower import PRESETS, MatrixUnit, preset
 
 SWAP_SYSTEM = "points = a b\nphi: a->b b->a\n"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -234,11 +233,12 @@ class TestSharedPresets:
     def test_a_repeated_preset_query_builds_no_index(self, capsys,
                                                      monkeypatch):
         built = []
-        for rule in (BlockRule, PaperExampleRule):
-            def counting(self, level, index=rule.index):
-                built.append(level)
-                return index(self, level)
-            monkeypatch.setattr(rule, "index", counting)
+
+        def counting(source, target, words, index=tower.index_step):
+            built.append(source)
+            return index(source, target, words)
+
+        monkeypatch.setattr(tower, "index_step", counting)
         argv = ["radical", "standard-2", "--unit", "2:0:1:2"]
         preset.cache_clear()
         assert run(argv) == EXIT_OK

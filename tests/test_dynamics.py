@@ -182,6 +182,22 @@ def test_index_audit_refuses_horizons_with_nothing_to_scan(level, horizons):
         technical_index_audit(t, act, MatrixUnit(level, 0, 1, 2), horizons)
 
 
+@pytest.mark.parametrize("level", [0, 2])
+def test_index_audit_refuses_a_horizon_past_a_finite_top(level):
+    # a finite TUHF tower with levels 0..2: an h2 past level 2 is named,
+    # not clamped into a scan that is empty for a unit at level 2
+    t = TowerSpec([(2,), (4,), (8,)],
+                  [(((0, 1), (0, 1), (0, 2), (0, 2)),),
+                   (((0, 1), (0, 2), (0, 1), (0, 2),
+                     (0, 3), (0, 4), (0, 3), (0, 4)),)])
+    act = trivial_tower_action(t, Z2)
+    with pytest.raises(ValueError,
+                       match="horizon 5 lies past the tower's last level 2"):
+        technical_index_audit(t, act, MatrixUnit(level, 0, 1, 2), (4, 5))
+    assert technical_index_audit(t, act, MatrixUnit(0, 0, 1, 2),
+                                 (1, 2))["applicable"]
+
+
 def test_index_audit_rejects_multi_summand_towers():
     t = preset("paper-example-taf")
     act = trivial_tower_action(t, Z2)

@@ -343,5 +343,5 @@ def test_frozen_carry_from_the_words():
         assert [rep.frozen_carry(level, s)
                 for s in range(len(rep.shape(level)))] == \
             ([None, 2] if level == 0 else [1, 0, 2])
-    assert all(rep.rule.frozen_forever(0, s) for s in range(3))
-    assert taf.rule.frozen_forever(0, 1) and not taf.rule.frozen_forever(0, 0)
+    assert all(rep.rule.frozen_forever(s) for s in range(3))
+    assert taf.rule.frozen_forever(1) and not taf.rule.frozen_forever(0)

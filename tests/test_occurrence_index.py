@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from limitalg import links
+from limitalg import links, tower as tower_mod
 from limitalg.crossed import FiniteAbelianGroup
 from limitalg.dynamics import TowerAction
 from limitalg.links import (CertifiedLinkless, Linked, NotLinkedUpTo,
@@ -221,23 +221,30 @@ class TestIndexCache:
         assert sorted(calls) == list(range(6))
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_preset_levels_are_indexed_once_without_words(self, name):
-        # a preset's steps are indexed in closed form: no rule word is
-        # read, and each level's index is built once, when first read
+    def test_preset_levels_are_indexed_once_without_words(self, name,
+                                                          monkeypatch):
+        # a preset's steps are indexed by `index_step`, as every step is:
+        # each level's words are read, and its index built, once, when
+        # the level is first read
         tower = PRESETS[name]()
         words, indexed = [], []
-        original = tower.rule.index
+        original_words, original_index = tower.flat_words, tower_mod.index_step
 
-        def counting(level):
-            indexed.append(level)
-            return original(level)
+        def reading(level):
+            words.append(level)
+            return original_words(level)
 
-        tower.flat_words = words.append
-        tower.rule.index = counting
+        def counting(source, target, flat):
+            indexed.append(source)
+            return original_index(source, target, flat)
+
+        tower.flat_words = reading
+        monkeypatch.setattr(tower_mod, "index_step", counting)
         for e in list(tower.units_at(0)) + list(tower.units_at(2)):
             embed_unit(tower, e, 6)
             link_status(tower, e, 6)
-        assert words == [] and sorted(indexed) == list(range(6))
+        assert sorted(words) == list(range(6))
+        assert indexed == [tower.shape(n) for n in range(6)]
 
 
 def repeat_tail_tower(seed):
@@ -364,40 +371,8 @@ class TestSortedIndexMatchesLabelPositions:
                 assert label_positions(tower.occurrences(n)) == tuple(
                     map(index_word, tower.words(n))), (name, n)
 
-    def test_closed_form_block_rule_steps(self):
-        # seeded templates on 1-3 summands with r in 1..3 and, in some,
-        # several tokens naming one source, against their words' index
-        rng = random.Random(31)
-        repeated = 0
-        for _ in range(120):
-            r = rng.randint(1, 3)
-            base = tuple(rng.randint(1, 3) for _ in range(r))
-            while True:
-                blocks = tuple(
-                    tuple((rng.randrange(r), rng.randint(1, 3))
-                          for _ in range(rng.randint(1, 3)))
-                    for _ in range(r))
-                try:
-                    rule = BlockRule(base, blocks)
-                except TowerValidationError:
-                    continue  # e.g. a source that no token names
-                if sum(rule.shape(5)) <= 3000:
-                    break
-            repeated += any(len({s for s, _ in b}) < len(b) for b in blocks)
-            for n in range(5):
-                assert rule.index(n) == index_step(
-                    rule.shape(n), rule.shape(n + 1), rule.flat_words(n)), \
-                    (base, blocks, n)
-        assert repeated
-
-    def test_closed_form_paper_example_steps(self):
-        rule = PaperExampleRule()
-        for n in range(7):
-            assert rule.index(n) == index_step(
-                rule.shape(n), rule.shape(n + 1), rule.flat_words(n)), n
-
     def test_rule_base_unlike_the_last_level_is_validated(self):
-        # the closed form is the rule's own step, so a tower refuses a
+        # a rule's steps start from its own base, so a tower refuses a
         # rule whose base differs from its last explicit level when it is
         # made, before any step is read
         refine = BlockRule((2,), (((0, 2),),))
@@ -429,6 +404,14 @@ class TestSortedIndexMatchesLabelPositions:
         tower = TowerSpec(rule=FixedRule((2,), (((0, 2), (0, 1)),)))
         with pytest.raises(TowerValidationError, match="LATTICE"):
             tower.occurrences(0)
+        # no rule vouches for its own step: a block rule and the paper's
+        # example are refused once their words break the ballot order
+        for rule in (BlockRule((2,), (((0, 1),),)), PaperExampleRule()):
+            words = rule.flat_words(0)
+            words[0][1::2] = reversed(words[0][1::2])
+            rule.flat_words = lambda level, words=words: words
+            with pytest.raises(TowerValidationError, match="LATTICE"):
+                TowerSpec(rule=rule).occurrences(0)
 
 
 def reference_certificate(tower, e):

@@ -99,7 +99,7 @@ def test_repeat_tail_is_the_last_step_with_every_summand_frozen():
         for n in range(len(steps) - 1, len(steps) + 5):
             assert t.words(n) == steps[-1]
             assert t.shape(n + 1) == levels[-1]
-        assert all(t.rule.frozen_forever(0, s)
+        assert all(t.rule.frozen_forever(s)
                    for s in range(len(levels[-1])))
 
 

@@ -77,6 +77,39 @@ def test_library_modules_read_every_private_helper():
     assert unread == []
 
 
+def test_every_parameter_of_a_library_function_is_read():
+    # a module-level function's parameter that its body never reads is
+    # an argument every caller passes for nothing
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}({name})"
+                       for name in params if name not in read]
+    assert unread == []
+
+
+def test_only_tower_sets_a_tower_rule():
+    # a tower gets its rule when it is made, so `_build` checks it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "tower.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "rule"
+                  and isinstance(node.ctx, ast.Store)]
+    assert found == []
+
+
 def _callers(paths, name: str) -> list[str]:
     """Qualified scope (module.def/class...) of every call to `name`."""
     callers = []

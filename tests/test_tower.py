@@ -261,7 +261,7 @@ class TestImages:
                 assert t.words(level) == (tuple(
                     (0, label(q, k)) for q in range(1, 2 * k + 1)),), \
                     (name, level)
-            assert not t.rule.frozen_forever(0, 0)
+            assert not t.rule.frozen_forever(0)
 
     def test_block_templates_against_their_words(self):
         # seeded templates on 1-4 summands, every source named by some
@@ -290,7 +290,7 @@ class TestImages:
                 for n in range(4):
                     if summand is not None:
                         summand = tower.frozen_carry(n, summand)
-                assert rule.frozen_forever(0, s) == (summand is not None), \
+                assert rule.frozen_forever(s) == (summand is not None), \
                     (base, blocks, s)
 
     def test_growing_taf_preset_structure(self):
@@ -387,8 +387,8 @@ class TestImages:
             "empty-block", "unnamed-source", "zero-size-base", "empty-base",
             "block-count", "float-r", "string-summand"])
     def test_block_rules_reject_invalid_blocks(self, base, blocks, message):
-        # a rule step is indexed in closed form, with no validation, so a
-        # block rule is checked when it is made
+        # a block rule is checked when it is made, so a bad template is
+        # named as one before any of its steps is read
         with pytest.raises(TowerValidationError, match=message):
             BlockRule(base, blocks)
 
