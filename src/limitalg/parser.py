@@ -23,9 +23,11 @@ A word's grammar is `(?:\s*\(\d+\s*,\s*\d+\))*\s*` (`_WORD_RE`).  Blanking
 `(),` and splitting gives its `count` tokens; once the text is known to
 hold only labels and whitespace, they are exactly the label numbers in
 order (`str.split` and `\s` share one definition of whitespace).  Each
-number goes through one per-file table from digit string to `int`, and
-the word leaves the parser flat, `[s0, p0, s1, p1, ...]` (the form
-`tower.index_step` reads).
+number goes through one table per process from digit string to `int`,
+which keeps each spelling shorter than 20 characters it meets until it
+holds `_LABELS_MAX` (16 384) of them, at most 2.1 MB; a tower-deep pass
+leaves 1 025, about 100 KB.  The word leaves the parser flat,
+`[s0, p0, s1, p1, ...]` (the form `tower.index_step` reads).
 
 An ASCII word is gated without a per-character regex step, by string
 methods that run in C.  Let k be the number of `(`, `skeleton` the text
@@ -99,11 +101,20 @@ _BLANKED = str.maketrans(_ASCII_SPACE + ",", " " * len(_ASCII_SPACE + ","))
 
 
 class _Labels(dict):
-    """Digit string -> int, each distinct spelling converted once per file."""
+    """Digit string -> int, each distinct spelling converted once per
+    process; a spelling of 20 or more characters, or one met once the
+    table holds `_LABELS_MAX` entries, is converted on every read."""
 
     def __missing__(self, digits: str) -> int:
-        value = self[digits] = int(digits)
+        value = int(digits)
+        if len(digits) < 20 and len(self) < _LABELS_MAX:
+            self[digits] = value
         return value
+
+
+# 1.7 MB when full of short spellings, 2.1 MB of 19-character ones
+_LABELS_MAX = 1 << 14
+_LABELS = _Labels()
 
 
 def _in_grammar(text: str, count: int) -> bool:
@@ -118,8 +129,7 @@ def _in_grammar(text: str, count: int) -> bool:
     return "( " not in blanked and " )" not in blanked
 
 
-def _parse_word(text: str, lineno: int, column: int,
-                labels: _Labels) -> FlatWord:
+def _parse_word(text: str, lineno: int, column: int) -> FlatWord:
     """The flat labels of a word that starts at line column `column`.
 
     The text must be in the word grammar (labels and whitespace only);
@@ -134,7 +144,7 @@ def _parse_word(text: str, lineno: int, column: int,
         token = _LABEL_RE.sub("", text).split()[0]
         raise TowerSyntaxError(f"unexpected token {token!r} in word",
                                lineno, column + offset)
-    return list(map(labels.__getitem__, numbers))
+    return list(map(_LABELS.__getitem__, numbers))
 
 
 def _parse_shape(text: str, lineno: int) -> tuple[int, ...]:
@@ -154,7 +164,6 @@ def parse_tower_file(text: str):
     preset_name: str | None = None
 
     i = 0
-    labels = _Labels()
 
     def strip(line: str) -> str:
         return line.split("#", 1)[0].strip()
@@ -172,8 +181,9 @@ def parse_tower_file(text: str):
             if s == "}":
                 if not targets:
                     raise TowerSyntaxError("empty block", j)
-                n = max(targets) + 1
-                if sorted(targets) != list(range(n)):
+                # distinct naturals are 0..n-1 iff their maximum is n-1
+                n = len(targets)
+                if max(targets) != n - 1:
                     raise TowerSyntaxError("target indices must be 0..r-1", j)
                 return [targets[t] for t in range(n)], j
             m = re.match(r"target\s+(\d+)\s*:\s*(.*)$", s)
@@ -184,8 +194,7 @@ def parse_tower_file(text: str):
             if t in targets:
                 raise TowerSyntaxError(f"duplicate target {t}", j)
             indent = len(line) - len(line.lstrip())
-            targets[t] = _parse_word(m.group(2), j, indent + m.start(2) + 1,
-                                     labels)
+            targets[t] = _parse_word(m.group(2), j, indent + m.start(2) + 1)
         raise TowerSyntaxError("unterminated block", len(lines))
 
     while i < len(lines):
@@ -242,8 +251,8 @@ def parse_tower_file(text: str):
 
     if not levels:
         raise TowerSyntaxError("no levels defined", max(1, len(lines)))
-    count = max(levels) + 1
-    if sorted(levels) != list(range(count)):
+    count = len(levels)
+    if max(levels) != count - 1:
         raise TowerSyntaxError("levels must be numbered 0..N contiguously", 1)
     shapes = [levels[n] for n in range(count)]
     steps = []

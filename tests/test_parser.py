@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from limitalg import tower as tower_mod
+from limitalg import parser, tower as tower_mod
 from limitalg.links import link_status
 from limitalg.parser import (_LABEL_PUNCTUATION, _WORD_RE, TowerSyntaxError,
                              _in_grammar, parse_system_file, parse_tower,
@@ -122,6 +122,21 @@ def test_syntax_errors_carry_line_numbers():
         parse_tower(BASIC.replace("(0,2) (0,1) (0,2)", "(0,2) x (0,2)"))
 
 
+def test_huge_indices_are_refused_by_count():
+    # distinct naturals are 0..n-1 iff their maximum is n-1: no list as
+    # long as the largest index is built to check it
+    huge = 10**12
+    for text, message in (
+            ("level 0 = [1]\nlevel 1 = [1]\nembed 0 -> 1 {\n"
+             f"  target {huge} : (0,1)\n}}\n",
+             "line 5, column 1: target indices must be 0..r-1"),
+            (f"level 0 = [1]\nlevel {huge} = [1]\n",
+             "line 1, column 1: levels must be numbered 0..N contiguously")):
+        with pytest.raises(TowerSyntaxError) as exc:
+            parse_tower(text)
+        assert str(exc.value) == message
+
+
 def test_word_syntax_error_names_the_line_column():
     # the column of the first character that no label covers, counted
     # from the start of the line
@@ -225,6 +240,36 @@ def test_parse_matches_the_regex_reference_on_seeded_words():
         else:
             assert (tower.steps[0], label_positions(tower.occurrences(0))) \
                 == expected, text
+
+
+def test_one_label_table_serves_every_parse(monkeypatch):
+    # padded and non-ASCII spellings of one number share the process's
+    # table, each under its own key
+    texts = [BASIC.replace("target 0 : (0,1) (0,2)", f"target 0 : {word}")
+             for word in ("(0,1) (0,2)", "(0,01) (00,2)",
+                          "(\u0660,\u0661) (0,\u0662)")]
+    for text in texts:
+        first, second = parse_tower(text), parse_tower(text)
+        tokens = [line.split(":", 1)[1].translate(_LABEL_PUNCTUATION).split()
+                  for line in text.splitlines() if "target" in line]
+        assert first.flat_steps == [[list(map(int, t)) for t in tokens]]
+        assert second.flat_steps == first.flat_steps
+        assert second.occurrences(0) == first.occurrences(0)
+    assert {"01", "00", "\u0660", "\u0661", "\u0662"} <= parser._LABELS.keys()
+    assert all(value == int(key) for key, value in parser._LABELS.items())
+    # a spelling of 20 characters or more is converted and not kept, and
+    # so is a new one once the table is full
+    long = "0" * 19 + "2"
+    tower = parse_tower(texts[0].replace("(0,2)\n", f"(0,{long})\n", 1))
+    assert tower.flat_steps[0][0] == [0, 1, 0, 2]
+    assert long not in parser._LABELS
+    size = len(parser._LABELS)
+    monkeypatch.setattr(parser, "_LABELS_MAX", size)
+    padded = next(p for p in ("0" * k + "2" for k in range(1, 99))
+                  if p not in parser._LABELS)
+    tower = parse_tower(texts[0].replace("(0,2)\n", f"(0,{padded})\n", 1))
+    assert tower.flat_steps[0][0] == [0, 1, 0, 2]
+    assert len(parser._LABELS) == size and padded not in parser._LABELS
 
 
 def _gate(text):

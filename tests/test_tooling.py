@@ -416,6 +416,11 @@ def test_benchmark_pins_of_donsig_and_peters_enum_replay(tmp_path,
         assert [code, digest] == pins["tower-sweep"][qid], qid
 
 
+# a pyenv shim runs the version this names, not its global one; any other
+# interpreter ignores it
+_PYENV_3_10 = {"PYENV_VERSION": "3.10"}
+
+
 def _python_3_10() -> str | None:
     """A `python3.10` on PATH that starts and reports version 3.10."""
     exe = shutil.which("python3.10")
@@ -424,6 +429,7 @@ def _python_3_10() -> str | None:
     try:
         probe = subprocess.run(
             [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+            env={**os.environ, **_PYENV_3_10},
             capture_output=True, text=True, timeout=30)
     except (OSError, subprocess.TimeoutExpired):
         return None
@@ -436,7 +442,7 @@ def test_golden_corpus_replays_under_python_3_10():
     exe = _python_3_10()
     if exe is None:
         pytest.skip("no Python 3.10 interpreter runs on PATH")
-    env = dict(os.environ)
+    env = {**os.environ, **_PYENV_3_10}
     env.pop("LIMITALG_HORIZON", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)

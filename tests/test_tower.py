@@ -157,7 +157,9 @@ def aliased_word_collection(rng):
 
 
 # (0,3) in a (2,2) step reads as (1,0) under s*3 + p, (-1,4) as (0,1),
-# (1,-2) as (0,1): each beside or in place of the label it aliases
+# (1,-2) as (0,1): each beside or in place of the label it aliases.  A
+# one-source step must still check s: coded by its p alone, (1,2) would
+# read as (0,2) and (1,-2) as (0,-2)
 ALIASED_STEPS = [
     ((2, 2), (4,), (((0, 1), (0, 3), (1, 1), (1, 2)),)),
     ((2, 2), (5,), (((0, 1), (0, 2), (1, 0), (1, 1), (1, 2)),)),
@@ -165,6 +167,9 @@ ALIASED_STEPS = [
     ((2, 2), (4,), (((0, 1), (0, 2), (1, -2), (1, 2)),)),
     ((2, 2), (4, 2), (((0, 1), (0, 2), (1, 1), (1, 2)), ((0, 0), (0, 3)))),
     ((2,), (2,), (((0, 1), (0, 0)),)),
+    ((2,), (2,), (((0, 1), (1, 2)),)),
+    ((2,), (2,), (((1, -2), (0, 2)),)),
+    ((2,), (4,), (((0, 1), (0, 2), (1, 1), (0, 2)),)),
     ((3, 1), (4,), (((0, 1), (0, 2), (0, 3), (1, 4)),)),
     ((3, 1), (4,), (((0, 1), (0, 2), (0, 3), (0, 4)),)),
 ]
