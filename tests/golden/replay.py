@@ -97,6 +97,22 @@ REJECTED_SPECS = {
                                   + "embed 1 -> 2 {\n" + IDENTITY_BLOCK),
     "repeat-one-level": "level 0 = [2]\nrepeat\n",
 }
+# one spec per place the tower parser reads a number, each number longer
+# than any interpreter converts by default
+LONG_NUMBER = "1" * 4301
+LONG_NUMBER_SPECS = {
+    "label": _two_level_spec("2", "2", f"(0,1) (0,{LONG_NUMBER})"),
+    "shape": f"level 0 = [2, {LONG_NUMBER}]\n",
+    "target": (TWO_LEVELS + f"embed 0 -> 1 {{\n  target {LONG_NUMBER} : "
+               "(0,1) (0,2)\n}\n"),
+    "level": f"level 0 = [2]\nlevel {LONG_NUMBER} = [2]\n",
+    "embed": TWO_LEVELS + f"embed 0 -> {LONG_NUMBER} {{\n" + IDENTITY_BLOCK,
+    "order": (f"level 0 = [2]\naction g order {LONG_NUMBER} {{\n"
+              "  level 0 -> 0 {\n" + IDENTITY_BLOCK + "}\n"),
+    "action-level": ("level 0 = [2]\naction g order 2 {\n"
+                     f"  level 0 -> {LONG_NUMBER} {{\n" + IDENTITY_BLOCK
+                     + "}\n"),
+}
 ZERO_SUMMAND_SPEC = ("level 0 = [2]\nlevel 1 = [2,0]\nembed 0 -> 1 {\n"
                      "  target 0 : (0,1) (0,2)\n  target 1 :\n}\n")
 
@@ -422,6 +438,8 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
     "validate-zero-size": (("validate", "-"), ZERO_SIZE_SPEC),
     **{f"validate-rejects-{name}": (("validate", "-"), spec)
        for name, spec in REJECTED_SPECS.items()},
+    **{f"validate-long-number-{name}": (("validate", "-"), spec)
+       for name, spec in LONG_NUMBER_SPECS.items()},
     "peters-system-no-points": (("peters", "-", "enum"),
                                 "# no points line\nphi: a->a\n"),
     "crossed-unknown-action-component": (("crossed", "tight", "--base", "2",
