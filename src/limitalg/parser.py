@@ -100,10 +100,33 @@ _SKELETON = str.maketrans("", "", _ASCII_SPACE + "0123456789")
 _BLANKED = str.maketrans(_ASCII_SPACE + ",", " " * len(_ASCII_SPACE + ","))
 
 
+# the least digit limit an interpreter can be set to (`sys.
+# set_int_max_str_digits` refuses a lower one), so `int()` converts every
+# number the parser lets through, whatever the interpreter's setting
+_MAX_DIGITS = 640
+
+
+def _int(digits: str, lineno: int, column: int) -> int:
+    """The number spelled `digits`, which starts at line column `column`;
+    every number in a tower spec file is read through this check."""
+    if len(digits) > _MAX_DIGITS:
+        raise TowerSyntaxError(
+            f"number of {len(digits)} digits (at most {_MAX_DIGITS})",
+            lineno, column)
+    return int(digits)
+
+
+def _number(m: re.Match, group: int, lineno: int, line: str) -> int:
+    """Group `group` of `m`, a match on the stripped `line`, as a number."""
+    indent = len(line) - len(line.lstrip())
+    return _int(m.group(group), lineno, indent + m.start(group) + 1)
+
+
 class _Labels(dict):
     """Digit string -> int, each distinct spelling converted once per
     process; a spelling of 20 or more characters, or one met once the
-    table holds `_LABELS_MAX` entries, is converted on every read."""
+    table holds `_LABELS_MAX` entries, is converted on every read.  Only
+    spellings of at most `_MAX_DIGITS` digits reach it (`_parse_word`)."""
 
     def __missing__(self, digits: str) -> int:
         value = int(digits)
@@ -144,14 +167,22 @@ def _parse_word(text: str, lineno: int, column: int) -> FlatWord:
         token = _LABEL_RE.sub("", text).split()[0]
         raise TowerSyntaxError(f"unexpected token {token!r} in word",
                                lineno, column + offset)
+    if (len(text) > _MAX_DIGITS
+            and max(map(len, numbers), default=0) > _MAX_DIGITS):
+        # refuse the first number too long to read, at its column
+        long = next(d for d in re.finditer(r"\d+", text)
+                    if len(d.group()) > _MAX_DIGITS)
+        _int(long.group(), lineno, column + long.start())
     return list(map(_LABELS.__getitem__, numbers))
 
 
-def _parse_shape(text: str, lineno: int) -> tuple[int, ...]:
-    m = re.fullmatch(r"\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]", text.strip())
-    if not m:
-        raise TowerSyntaxError(f"malformed level shape {text.strip()!r}", lineno)
-    return tuple(int(x) for x in m.group(1).split(","))
+def _parse_shape(text: str, lineno: int, column: int) -> tuple[int, ...]:
+    """The shape `[n0, n1, ...]` spelled by `text`, which starts at line
+    column `column`."""
+    if not re.fullmatch(r"\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]", text):
+        raise TowerSyntaxError(f"malformed level shape {text!r}", lineno)
+    return tuple(_int(d.group(), lineno, column + d.start())
+                 for d in re.finditer(r"\d+", text))
 
 
 def parse_tower_file(text: str):
@@ -190,7 +221,7 @@ def parse_tower_file(text: str):
             if not m:
                 raise TowerSyntaxError(
                     f"expected 'target t : ...' or '}}', got {s!r}", j)
-            t = int(m.group(1))
+            t = _number(m, 1, j, line)
             if t in targets:
                 raise TowerSyntaxError(f"duplicate target {t}", j)
             indent = len(line) - len(line.lstrip())
@@ -198,17 +229,19 @@ def parse_tower_file(text: str):
         raise TowerSyntaxError("unterminated block", len(lines))
 
     while i < len(lines):
-        s = strip(lines[i])
+        line = lines[i]
+        s = strip(line)
         i += 1
         if not s:
             continue
         if m := re.match(r"level\s+(\d+)\s*=\s*(.*)$", s):
-            n = int(m.group(1))
+            n = _number(m, 1, i, line)
             if n in levels:
                 raise TowerSyntaxError(f"duplicate level {n}", i)
-            levels[n] = _parse_shape(m.group(2), i)
+            indent = len(line) - len(line.lstrip())
+            levels[n] = _parse_shape(m.group(2), i, indent + m.start(2) + 1)
         elif m := re.match(r"embed\s+(\d+)\s*->\s*(\d+)\s*\{\s*$", s):
-            a, b = int(m.group(1)), int(m.group(2))
+            a, b = _number(m, 1, i, line), _number(m, 2, i, line)
             if b != a + 1:
                 raise TowerSyntaxError(
                     "embeddings must map consecutive levels", i)
@@ -221,9 +254,10 @@ def parse_tower_file(text: str):
         elif m := re.match(r"preset\s+(\S+)\s*$", s):
             preset_name = m.group(1)
         elif m := re.match(r"action\s+(\w+)\s+order\s+(\d+)\s*\{\s*$", s):
-            act = ActionSpecData(m.group(1), int(m.group(2)))
+            act = ActionSpecData(m.group(1), _number(m, 2, i, line))
             while i < len(lines):
-                t = strip(lines[i])
+                line = lines[i]
+                t = strip(line)
                 i += 1
                 if not t:
                     continue
@@ -234,7 +268,8 @@ def parse_tower_file(text: str):
                     raise TowerSyntaxError(
                         f"expected 'level n -> N {{' in action block, "
                         f"got {t!r}", i)
-                src, dst = int(mm.group(1)), int(mm.group(2))
+                src = _number(mm, 1, i, line)
+                dst = _number(mm, 2, i, line)
                 words, i = read_block(i)
                 act.maps[src] = (dst, tuple(map(label_word, words)))
             else:

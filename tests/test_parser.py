@@ -137,6 +137,47 @@ def test_huge_indices_are_refused_by_count():
         assert str(exc.value) == message
 
 
+def test_every_number_is_bounded_before_conversion():
+    # one check for every digit string, at its line and column, before
+    # `int()`: the verdict does not depend on the interpreter's own limit,
+    # here set as low as it goes, to the parser's bound
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(parser._MAX_DIGITS)
+    try:
+        for digits in (parser._MAX_DIGITS, parser._MAX_DIGITS + 1):
+            n = "0" * (digits - 1) + "1"
+            block = "  target 0 : (0,1) (0,2)\n}\n"
+            for text, line, column in (
+                    ("level 0 = [2]\nlevel 1 = [2]\nembed 0 -> 1 {\n"
+                     f"  target 0 : (0,1)  (0,{n})\n}}\n", 4, 24),
+                    (f"level 0 = [2,\t{n}]\n", 1, 15),
+                    ("level 0 = [2]\nlevel 1 = [2]\nembed 0 -> 1 {\n"
+                     f"\ttarget {n} : (0,1) (0,2)\n}}\n", 4, 9),
+                    (f"level 0 = [1]\n  level {n} = [1]\n", 2, 9),
+                    (f"level 0 = [2]\nembed {n} -> 1 {{\n" + block, 2, 7),
+                    (f"level 0 = [2]\nembed 0 ->  {n} {{\n" + block, 2, 13),
+                    (f"level 0 = [2]\naction g order {n} {{\n"
+                     "  level 0 -> 0 {\n" + block + "}\n", 2, 16),
+                    ("level 0 = [2]\naction g order 2 {\n"
+                     f" level {n} -> 0 {{\n" + block + "}\n", 3, 8),
+                    ("level 0 = [2]\naction g order 2 {\n"
+                     f"  level 0 -> {n} {{\n" + block + "}\n", 3, 14)):
+                assert text.splitlines()[line - 1][column - 1:].startswith(
+                    n), text
+                try:
+                    parse_tower_file(text)
+                except (TowerSyntaxError, TowerValidationError) as exc:
+                    refused = str(exc)
+                else:
+                    refused = ""
+                long = (f"line {line}, column {column}: number of {digits} "
+                        f"digits (at most {parser._MAX_DIGITS})")
+                assert (refused == long) == (digits > parser._MAX_DIGITS), (
+                    text, refused)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_word_syntax_error_names_the_line_column():
     # the column of the first character that no label covers, counted
     # from the start of the line
