@@ -17,7 +17,7 @@ from . import linalg
 
 class MonomialAlgebra:
     def __init__(self, basis: list, right, one=Fraction(1)):
-        """`right(a)` yields (b, scalar, key) for each nonzero a b = scalar key."""
+        """`right(a)` gives (b, scalar, key) for each nonzero a b = scalar key."""
         self.basis = list(basis)
         self.index = {k: i for i, k in enumerate(self.basis)}
         self.right = right
@@ -56,25 +56,24 @@ class MonomialAlgebra:
 
     def gram(self) -> list[dict]:
         """Sparse rows of the Gram matrix of (x, y) -> trace(L_{xy})."""
-        # trace(L_k) sums the scalars of the products k b = s b
-        trace = {k: sum((s for b, (s, kb) in row.items() if kb == b),
-                        self.zero)
-                 for k, row in self.rows.items()}
-        rows = []
-        for a in self.basis:
-            row = {}
-            for b, (s, k) in self.rows[a].items():
-                t = trace[k]
-                if t:
-                    row[self.index[b]] = s * t
-            rows.append(row)
-        return rows
+        # trace(L_k) sums the scalars of the products k b = s b; only the
+        # nonzero traces are kept, so a product landing on a traceless key
+        # costs one dict miss
+        trace = {}
+        for k, row in self.rows.items():
+            t = sum((s for b, (s, kb) in row.items() if kb == b), self.zero)
+            if t:
+                trace[k] = t
+        index = self.index
+        return [{index[b]: s * t for b, (s, k) in self.rows[a].items()
+                 if (t := trace.get(k)) is not None}
+                for a in self.basis]
 
     def radical_basis(self) -> list[dict]:
-        """Jacobson radical basis vectors (canonical rref order)."""
-        red, _ = linalg.rref(linalg.nullspace(self.gram(), self.dim, self.one))
+        """Jacobson radical basis vectors (canonical rref order: `nullspace`
+        gives the null space's rref)."""
         return [{self.basis[c]: x for c, x in sorted(row.items())}
-                for row in red]
+                for row in linalg.nullspace(self.gram(), self.dim, self.one)]
 
     def vectors_to_rows(self, vectors: list[dict]) -> list[dict]:
         """Sparse `linalg` rows over the basis index; zeros are dropped."""

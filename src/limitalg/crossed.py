@@ -230,10 +230,11 @@ class CrossedAlgebra:
 
         def right(a):
             e, g = a
-            for f2, (_, k) in base.rows[e].items():
-                c, f = preimages(g)[f2]
-                for h, gh in shifts[g]:
-                    yield (f, h), c, (k, gh)
+            pre, shift = preimages(g), shifts[g]
+            return [((f, h), c, (k, gh))
+                    for f2, (_, k) in base.rows[e].items()
+                    for c, f in (pre[f2],)
+                    for h, gh in shift]
 
         self.alg = MonomialAlgebra(basis, right, one=Cyc.one(self.m))
         self._radical = None

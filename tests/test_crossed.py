@@ -521,6 +521,46 @@ def test_tightness_eliminates_the_crossed_radical_once(monkeypatch):
     assert len(calls) < 12
 
 
+def test_the_semisimple_crossed_radical_inverts_nothing(monkeypatch):
+    # the Gram matrix of A x G has at most one nonzero per row, so its
+    # elimination clears columns without scaling a row, and `nullspace`
+    # hands back the reduced basis with no second elimination (scaling
+    # every pivot row costs 48 `Cyc.inverse` calls here, and reducing the
+    # null space again one `rref` per radical, base and crossed)
+    z3 = FiniteAbelianGroup((3,))
+    action = diag_action(z3, (4,), [((0, 1, 2, 0),)])
+    inverses = 0
+    outer_rrefs = 0
+    in_nullspace = False
+    inverse, rref, nullspace = Cyc.inverse, linalg.rref, linalg.nullspace
+
+    def counting_inverse(self):
+        nonlocal inverses
+        inverses += 1
+        return inverse(self)
+
+    def counting_rref(rows):
+        nonlocal outer_rrefs
+        outer_rrefs += not in_nullspace
+        return rref(rows)
+
+    def marked_nullspace(rows, ncols, one):
+        nonlocal in_nullspace
+        in_nullspace = True
+        try:
+            return nullspace(rows, ncols, one)
+        finally:
+            in_nullspace = False
+
+    monkeypatch.setattr(Cyc, "inverse", counting_inverse)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "nullspace", marked_nullspace)
+    rep = semisimplicity_permanence_check((4,), z3, action, triangular=False)
+    assert rep == {"applicable": True, "base_radical_dim": 0,
+                   "crossed_radical_dim": 0}
+    assert (inverses, outer_rrefs) == (0, 0)
+
+
 def test_tightness_takes_the_rank_of_lifted_bases_from_their_length(
         monkeypatch):
     # J_G x G copies a basis into disjoint g-slices, so its rank is its

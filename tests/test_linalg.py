@@ -266,3 +266,89 @@ def test_span_reduce_is_the_projection_along_the_span(name, scalar, zero,
                 if (x := v.get(c, zero) - red.get(c, zero))}
         assert span.contains(diff)
         assert linalg.rank(rows + [v]) == span.dim + linalg.rank([red])
+
+
+# -- the echelon kernel: pivots scaled only where needed ---------------------
+
+
+def random_monomial(rng, nrows, ncols, scalar, one):
+    """Dense rows with at most one nonzero per row and per column, the
+    shape of a crossed product's Gram matrix; about a third of the
+    nonzeros are 1."""
+    cols = rng.sample(range(ncols), min(nrows, ncols))
+    rows = []
+    for r in range(nrows):
+        row = [one - one] * ncols
+        if r < len(cols) and rng.random() < 0.8:
+            x = one if rng.random() < 0.3 else scalar(rng)
+            row[cols[r]] = x if x else one
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def unit_pivot_rows(rng, nrows, ncols, scalar, one):
+    """Dense rows that each lead with 1, so that their pivots need no
+    scaling, with random entries after it."""
+    rows = []
+    for _ in range(nrows):
+        lead = rng.randrange(ncols)
+        rows.append([one - one] * lead + [one]
+                    + [scalar(rng) for _ in range(ncols - lead - 1)])
+    return rows
+
+
+def kernel_cases(name, scalar, zero, one):
+    rng = random.Random(f"kernel-{name}")
+    cases = []
+    for nrows, ncols in SHAPES:
+        for density in (0.1, 0.3, 0.7):
+            cases.append(random_sparse(rng, nrows, ncols, density, scalar, zero))
+        cases.append(random_monomial(rng, nrows, ncols, scalar, one))
+        cases.append(unit_pivot_rows(rng, nrows, ncols, scalar, one))
+    return cases
+
+
+@pytest.mark.parametrize("name,scalar,zero,one", SCALARS,
+                         ids=[s[0] for s in SCALARS])
+def test_the_kernel_gives_reduced_null_bases_and_dense_ranks(name, scalar,
+                                                             zero, one):
+    monomial = 0
+    for dense_rows in kernel_cases(name, scalar, zero, one):
+        ncols = len(dense_rows[0])
+        rows = sparse(dense_rows)
+        monomial += all(len(r) <= 1 for r in rows)
+        assert linalg.rank(rows) == len(dense_rref(dense_rows)[1])
+        null = linalg.nullspace(rows, ncols, one)
+        # already its own rref: the leading 1 of each vector is a column
+        # no other vector holds, in increasing order
+        assert linalg.rref(null)[0] == null
+        assert len(null) + linalg.rank(rows) == ncols
+        for v in null:
+            for r in dense_rows:
+                assert sum((r[c] * x for c, x in v.items()), zero) == zero
+    assert monomial >= len(SHAPES)
+
+
+@pytest.mark.parametrize("name,scalar,zero,one", SCALARS,
+                         ids=[s[0] for s in SCALARS])
+def test_no_output_row_is_an_input_row(name, scalar, zero, one):
+    # a row whose pivot is already 1 comes back unscaled; it must still be
+    # a copy, so that changing an output changes no input
+    for dense_rows in kernel_cases(name, scalar, zero, one):
+        ncols = len(dense_rows[0])
+        rows = sparse(dense_rows)
+        snapshot = [dict(r) for r in rows]
+        red, _ = linalg.rref(rows)
+        null = linalg.nullspace(rows, ncols, one)
+        nested = linalg.nullspace(null, ncols, one)
+        null_snapshot = [dict(v) for v in null]
+        for out in red + nested:
+            for c in list(out):
+                out[c] = scalar(random.Random(c)) or one
+            out[ncols] = one
+        assert [dict(r) for r in rows] == snapshot
+        assert [dict(v) for v in null] == null_snapshot
+        for out in null:
+            out.clear()
+        assert [dict(r) for r in rows] == snapshot

@@ -11,12 +11,13 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import limitalg
-from limitalg import cli, links, tower
+from limitalg import cli, crossed, links, tower
 
 PACKAGE = Path(limitalg.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -383,7 +384,9 @@ def test_every_benchmark_tracer_hook_resolves():
 
 
 def _perfbench_module(name: str, monkeypatch):
-    """The benchmark's module `name`, imported read-only from its file."""
+    """The benchmark's module `name`, imported read-only from its file:
+    no bytecode is cached beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = ROOT / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
@@ -414,6 +417,26 @@ def test_benchmark_pins_of_donsig_and_peters_enum_replay(tmp_path,
                             for a in argv])
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert [code, digest] == pins["tower-sweep"][qid], qid
+
+
+def test_benchmark_pins_of_crossed_exact_replay(monkeypatch):
+    # every query the crossed-exact workload can draw, warm-up included,
+    # must still print the bytes the benchmark pins for it; its queries
+    # name no file, so nothing is written
+    workloads = _perfbench_module("workloads", monkeypatch)
+    pins = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    pool = workloads.pool("crossed-exact", types.SimpleNamespace(
+        crossed=crossed))
+    assert pool.files == {}
+    queries = {workloads.query_id(q): q for q in pool.warmup + pool.queries}
+    assert len(queries) == len(pins["crossed-exact"]) == 601
+    monkeypatch.delenv("LIMITALG_HORIZON", raising=False)
+    for qid, argv in queries.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(list(argv))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert [code, digest] == pins["crossed-exact"][qid], qid
 
 
 # a pyenv shim runs the version this names, not its global one; any other
