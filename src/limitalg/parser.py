@@ -125,11 +125,12 @@ def _number(m: re.Match, group: int, lineno: int, line: str) -> int:
 class _Labels(dict):
     """Digit string -> int, each distinct spelling converted once per
     process; a spelling of 20 or more characters, or one met once the
-    table holds `_LABELS_MAX` entries, is converted on every read.  Only
-    spellings of at most `_MAX_DIGITS` digits reach it (`_parse_word`)."""
+    table holds `_LABELS_MAX` entries, is converted on every read.  A
+    spelling too long to read is never kept, so its check runs here, on
+    a miss; `_parse_word` then names its line and column."""
 
     def __missing__(self, digits: str) -> int:
-        value = int(digits)
+        value = _int(digits, 0, 0)
         if len(digits) < 20 and len(self) < _LABELS_MAX:
             self[digits] = value
         return value
@@ -167,13 +168,15 @@ def _parse_word(text: str, lineno: int, column: int) -> FlatWord:
         token = _LABEL_RE.sub("", text).split()[0]
         raise TowerSyntaxError(f"unexpected token {token!r} in word",
                                lineno, column + offset)
-    if (len(text) > _MAX_DIGITS
-            and max(map(len, numbers), default=0) > _MAX_DIGITS):
-        # refuse the first number too long to read, at its column
+    try:
+        return list(map(_LABELS.__getitem__, numbers))
+    except TowerSyntaxError:
+        # `_Labels` met a number too long to read, with no place to name:
+        # `_int` refuses the first such number again, at its column
         long = next(d for d in re.finditer(r"\d+", text)
                     if len(d.group()) > _MAX_DIGITS)
         _int(long.group(), lineno, column + long.start())
-    return list(map(_LABELS.__getitem__, numbers))
+        raise
 
 
 def _parse_shape(text: str, lineno: int, column: int) -> tuple[int, ...]:
