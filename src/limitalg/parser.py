@@ -116,9 +116,9 @@ def _int(digits: str, lineno: int, column: int) -> int:
     return int(digits)
 
 
-def _number(m: re.Match, group: int, lineno: int, line: str) -> int:
-    """Group `group` of `m`, a match on the stripped `line`, as a number."""
-    indent = len(line) - len(line.lstrip())
+def _number(m: re.Match, group: int, lineno: int, indent: int) -> int:
+    """Group `group` of `m`, a match on a line stripped of its `indent`
+    leading blanks, as a number."""
     return _int(m.group(group), lineno, indent + m.start(group) + 1)
 
 
@@ -224,10 +224,10 @@ def parse_tower_file(text: str):
             if not m:
                 raise TowerSyntaxError(
                     f"expected 'target t : ...' or '}}', got {s!r}", j)
-            t = _number(m, 1, j, line)
+            indent = len(line) - len(line.lstrip())
+            t = _number(m, 1, j, indent)
             if t in targets:
                 raise TowerSyntaxError(f"duplicate target {t}", j)
-            indent = len(line) - len(line.lstrip())
             targets[t] = _parse_word(m.group(2), j, indent + m.start(2) + 1)
         raise TowerSyntaxError("unterminated block", len(lines))
 
@@ -237,14 +237,14 @@ def parse_tower_file(text: str):
         i += 1
         if not s:
             continue
+        indent = len(line) - len(line.lstrip())
         if m := re.match(r"level\s+(\d+)\s*=\s*(.*)$", s):
-            n = _number(m, 1, i, line)
+            n = _number(m, 1, i, indent)
             if n in levels:
                 raise TowerSyntaxError(f"duplicate level {n}", i)
-            indent = len(line) - len(line.lstrip())
             levels[n] = _parse_shape(m.group(2), i, indent + m.start(2) + 1)
         elif m := re.match(r"embed\s+(\d+)\s*->\s*(\d+)\s*\{\s*$", s):
-            a, b = _number(m, 1, i, line), _number(m, 2, i, line)
+            a, b = _number(m, 1, i, indent), _number(m, 2, i, indent)
             if b != a + 1:
                 raise TowerSyntaxError(
                     "embeddings must map consecutive levels", i)
@@ -257,7 +257,7 @@ def parse_tower_file(text: str):
         elif m := re.match(r"preset\s+(\S+)\s*$", s):
             preset_name = m.group(1)
         elif m := re.match(r"action\s+(\w+)\s+order\s+(\d+)\s*\{\s*$", s):
-            act = ActionSpecData(m.group(1), _number(m, 2, i, line))
+            act = ActionSpecData(m.group(1), _number(m, 2, i, indent))
             while i < len(lines):
                 line = lines[i]
                 t = strip(line)
@@ -271,8 +271,9 @@ def parse_tower_file(text: str):
                     raise TowerSyntaxError(
                         f"expected 'level n -> N {{' in action block, "
                         f"got {t!r}", i)
-                src = _number(mm, 1, i, line)
-                dst = _number(mm, 2, i, line)
+                indent = len(line) - len(line.lstrip())
+                src = _number(mm, 1, i, indent)
+                dst = _number(mm, 2, i, indent)
                 words, i = read_block(i)
                 act.maps[src] = (dst, tuple(map(label_word, words)))
             else:
