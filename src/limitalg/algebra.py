@@ -17,7 +17,7 @@ from . import linalg
 
 class MonomialAlgebra:
     def __init__(self, basis: list, right, one=Fraction(1)):
-        """`right(a)` gives (b, scalar, key) for each nonzero a b = scalar key."""
+        """`right(a)` yields (b, scalar, key) for each nonzero a b = scalar key."""
         self.basis = list(basis)
         self.index = {k: i for i, k in enumerate(self.basis)}
         self.right = right

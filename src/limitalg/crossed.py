@@ -231,10 +231,10 @@ class CrossedAlgebra:
         def right(a):
             e, g = a
             pre, shift = preimages(g), shifts[g]
-            return [((f, h), c, (k, gh))
-                    for f2, (_, k) in base.rows[e].items()
-                    for c, f in (pre[f2],)
-                    for h, gh in shift]
+            for f2, (_, k) in base.rows[e].items():
+                c, f = pre[f2]
+                for h, gh in shift:
+                    yield (f, h), c, (k, gh)
 
         self.alg = MonomialAlgebra(basis, right, one=Cyc.one(self.m))
         self._radical = None
