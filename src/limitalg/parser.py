@@ -104,22 +104,20 @@ _BLANKED = str.maketrans(_ASCII_SPACE + ",", " " * len(_ASCII_SPACE + ","))
 # set_int_max_str_digits` refuses a lower one), so `int()` converts every
 # number the parser lets through, whatever the interpreter's setting
 _MAX_DIGITS = 640
-
-
-def _int(digits: str, lineno: int, column: int) -> int:
-    """The number spelled `digits`, which starts at line column `column`;
-    every number in a tower spec file is read through this check."""
-    if len(digits) > _MAX_DIGITS:
-        raise TowerSyntaxError(
-            f"number of {len(digits)} digits (at most {_MAX_DIGITS})",
-            lineno, column)
-    return int(digits)
+_DIGITS = re.compile(r"\d+")
 
 
 def _number(m: re.Match, group: int, lineno: int, indent: int) -> int:
     """Group `group` of `m`, a match on a line stripped of its `indent`
-    leading blanks, as a number."""
-    return _int(m.group(group), lineno, indent + m.start(group) + 1)
+    leading blanks, as a number.  Every number in a tower spec file is
+    read through this check, which refuses one too long to read at its
+    line column."""
+    digits = m.group(group)
+    if len(digits) > _MAX_DIGITS:
+        raise TowerSyntaxError(
+            f"number of {len(digits)} digits (at most {_MAX_DIGITS})",
+            lineno, indent + m.start(group) + 1)
+    return int(digits)
 
 
 class _Labels(dict):
@@ -130,7 +128,7 @@ class _Labels(dict):
     a miss; `_parse_word` then names its line and column."""
 
     def __missing__(self, digits: str) -> int:
-        value = _int(digits, 0, 0)
+        value = _number(_DIGITS.fullmatch(digits), 0, 0, 0)
         if len(digits) < 20 and len(self) < _LABELS_MAX:
             self[digits] = value
         return value
@@ -171,21 +169,20 @@ def _parse_word(text: str, lineno: int, column: int) -> FlatWord:
     try:
         return list(map(_LABELS.__getitem__, numbers))
     except TowerSyntaxError:
-        # `_Labels` met a number too long to read, with no place to name:
-        # `_int` refuses the first such number again, at its column
-        long = next(d for d in re.finditer(r"\d+", text)
-                    if len(d.group()) > _MAX_DIGITS)
-        _int(long.group(), lineno, column + long.start())
+        # `_Labels` refused a number too long to read, with no place to
+        # name: refuse the first such number again, at its column
+        for d in _DIGITS.finditer(text):
+            _number(d, 0, lineno, column - 1)
         raise
 
 
-def _parse_shape(text: str, lineno: int, column: int) -> tuple[int, ...]:
-    """The shape `[n0, n1, ...]` spelled by `text`, which starts at line
-    column `column`."""
+def _parse_shape(text: str, lineno: int, indent: int) -> tuple[int, ...]:
+    """The shape `[n0, n1, ...]` spelled by `text`, which follows the first
+    `indent` characters of its line."""
     if not re.fullmatch(r"\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]", text):
         raise TowerSyntaxError(f"malformed level shape {text!r}", lineno)
-    return tuple(_int(d.group(), lineno, column + d.start())
-                 for d in re.finditer(r"\d+", text))
+    return tuple(_number(d, 0, lineno, indent)
+                 for d in _DIGITS.finditer(text))
 
 
 def parse_tower_file(text: str):
@@ -242,7 +239,7 @@ def parse_tower_file(text: str):
             n = _number(m, 1, i, indent)
             if n in levels:
                 raise TowerSyntaxError(f"duplicate level {n}", i)
-            levels[n] = _parse_shape(m.group(2), i, indent + m.start(2) + 1)
+            levels[n] = _parse_shape(m.group(2), i, indent + m.start(2))
         elif m := re.match(r"embed\s+(\d+)\s*->\s*(\d+)\s*\{\s*$", s):
             a, b = _number(m, 1, i, indent), _number(m, 2, i, indent)
             if b != a + 1:
