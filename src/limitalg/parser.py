@@ -120,6 +120,13 @@ def _number(m: re.Match, group: int, lineno: int, indent: int) -> int:
     return int(digits)
 
 
+def _check_numbers(text: str, lineno: int, indent: int) -> None:
+    """Refuse the first number in `text`, which follows the first `indent`
+    characters of its line, that is too long to read."""
+    for d in _DIGITS.finditer(text):
+        _number(d, 0, lineno, indent)
+
+
 class _Labels(dict):
     """Digit string -> int, each distinct spelling converted once per
     process; a spelling of 20 or more characters, or one met once the
@@ -171,8 +178,7 @@ def _parse_word(text: str, lineno: int, column: int) -> FlatWord:
     except TowerSyntaxError:
         # `_Labels` refused a number too long to read, with no place to
         # name: refuse the first such number again, at its column
-        for d in _DIGITS.finditer(text):
-            _number(d, 0, lineno, column - 1)
+        _check_numbers(text, lineno, column - 1)
         raise
 
 
@@ -181,8 +187,10 @@ def _parse_shape(text: str, lineno: int, indent: int) -> tuple[int, ...]:
     `indent` characters of its line."""
     if not re.fullmatch(r"\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]", text):
         raise TowerSyntaxError(f"malformed level shape {text!r}", lineno)
-    return tuple(_number(d, 0, lineno, indent)
-                 for d in _DIGITS.finditer(text))
+    if len(text) > _MAX_DIGITS:
+        # no shorter shape holds a number too long to read
+        _check_numbers(text, lineno, indent)
+    return tuple(map(int, text[1:-1].split(",")))
 
 
 def parse_tower_file(text: str):
